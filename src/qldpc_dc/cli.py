@@ -20,29 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, noise, sim
-from .codes import (
-    BbParams,
-    bb_params,
-    build_bb,
-    build_rotated_surface,
-    known_distance,
-    parse_monomials,
-)
+from .bp import BpDecoder
+from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     build_bb_circuit_model,
     build_pheno_model,
     find_low_weight_trivial,
 )
 from .gf2 import BitVec, TripletFormatError, load_triplet, save_triplet
-from .postproc import (
-    DcConfig,
-    MaskingMode,
-    SecondRunPriors,
-    bp_dc_decode,
-    bp_dc_osd_decode,
-    bp_osd_decode,
-)
-from .bp import bp_decode
+from .postproc import DcConfig, InconsistentSystemError, MaskingMode, SecondRunPriors
 from .sim import DECODERS, ExperimentConfig
 
 
@@ -137,18 +123,6 @@ def _read_priors(path: str) -> np.ndarray:
         return np.array([float(t) for t in f.read().split()])
 
 
-def _bb_params_from_args(args) -> BbParams:
-    params = bb_params(args.l, args.m)
-    if args.a or args.b:
-        params = BbParams(
-            l=args.l,
-            m=args.m,
-            a_monomials=parse_monomials(args.a) if args.a else params.a_monomials,
-            b_monomials=parse_monomials(args.b) if args.b else params.b_monomials,
-        )
-    return params
-
-
 def cmd_code(args) -> int:
     started = _now()
     out = Path(args.out)
@@ -157,7 +131,7 @@ def cmd_code(args) -> int:
         code = build_rotated_surface(args.d)
         config = {"family": "surface", "d": args.d}
     else:
-        params = _bb_params_from_args(args)
+        params = bb_params(args.l, args.m, args.a, args.b)
         code = build_bb(params)
         config = {
             "family": "bb", "l": args.l, "m": args.m,
@@ -206,7 +180,7 @@ def cmd_dem(args) -> int:
         _export_model(model, out, stem, config, started)
         return 0
     if args.model == "circuit-bb":
-        params = _bb_params_from_args(args)
+        params = bb_params(args.l, args.m, args.a, args.b)
         model = build_bb_circuit_model(params, args.rounds, args.p)
         stem = f"circuit_bb_l{args.l}m{args.m}_T{args.rounds}"
         config = {"model": "circuit-bb", "l": args.l, "m": args.m,
@@ -242,39 +216,19 @@ def cmd_decode(args) -> int:
             f"but the check matrix has {h.cols} columns"
         )
     max_iter = args.max_iter if args.max_iter else h.cols
-    dc_cfg = DcConfig(
-        second_run_priors=SecondRunPriors(args.dc_second_priors or "reset"),
-        rng_seed=args.seed if args.seed is not None else _default_seed(),
-        masking_mode=MaskingMode(args.dc_masking),
+    dc_cfg = None
+    if args.dc_second_priors:
+        dc_cfg = DcConfig(
+            second_run_priors=SecondRunPriors(args.dc_second_priors),
+            rng_seed=args.seed if args.seed is not None else _default_seed(),
+            masking_mode=MaskingMode(args.dc_masking),
+        )
+    result = sim.decode(
+        args.decoder, BpDecoder(h, args.bp_variant, args.min_sum_scale), syndrome, priors,
+        max_iter, load_triplet(args.ddm) if args.ddm else None, dc_cfg,
     )
-    if args.decoder in ("bp-dc", "bp-dc-osd"):
-        if not args.ddm:
-            raise CliError(f"decoder {args.decoder} requires --ddm")
-        if not args.dc_second_priors:
-            raise CliError(f"decoder {args.decoder} requires --dc-second-priors")
-        h_deg = load_triplet(args.ddm)
-        fn = bp_dc_decode if args.decoder == "bp-dc" else bp_dc_osd_decode
-        result = fn(
-            h, h_deg, syndrome, priors, max_iter, dc_cfg,
-            variant=args.bp_variant, min_sum_scale=args.min_sum_scale,
-        )
-        estimate = result.estimate
-        status = result.status.value
-    elif args.decoder == "bp-osd":
-        result = bp_osd_decode(
-            h, syndrome, priors, max_iter,
-            variant=args.bp_variant, min_sum_scale=args.min_sum_scale,
-        )
-        estimate = result.estimate
-        status = result.status.value
-    else:
-        out = bp_decode(
-            h, syndrome, priors, max_iter,
-            variant=args.bp_variant, min_sum_scale=args.min_sum_scale,
-        )
-        estimate = out.hard
-        status = "converged" if out.converged else "failed"
-    _write_bits(Path(args.out), estimate)
+    status = result.status.value
+    _write_bits(Path(args.out), result.estimate)
     write_manifest(
         Path(args.out),
         {k: getattr(args, k, None) for k in
@@ -464,7 +418,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, TripletFormatError, ValueError, OSError) as exc:
+    except (CliError, TripletFormatError, InconsistentSystemError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

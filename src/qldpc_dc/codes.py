@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitVec, SparseBinMatrix, mat_mat_t, rank
+from .gf2 import BitVec, PivotBasis, SparseBinMatrix, inverse, mat_mat_t, rank
 
 
 @dataclass(frozen=True)
@@ -80,13 +80,14 @@ def parse_monomials(text: str) -> tuple[tuple[str, int], ...]:
     return tuple(out)
 
 
-def bb_params(l: int, m: int) -> BbParams:
-    """BbParams with the standard A = x^3+y+y^2, B = y^3+x+x^2 monomials."""
+def bb_params(l: int, m: int, a: str | None = None, b: str | None = None) -> BbParams:
+    """BbParams with the standard A = x^3+y+y^2, B = y^3+x+x^2 monomials,
+    unless A or B is given as a monomial list such as 'x3,y1,y2'."""
     return BbParams(
         l=l,
         m=m,
-        a_monomials=(("x", 3), ("y", 1), ("y", 2)),
-        b_monomials=(("y", 3), ("x", 1), ("x", 2)),
+        a_monomials=parse_monomials(a) if a else (("x", 3), ("y", 1), ("y", 2)),
+        b_monomials=parse_monomials(b) if b else (("y", 3), ("x", 1), ("x", 2)),
     )
 
 
@@ -210,32 +211,9 @@ def build_rotated_surface(d: int) -> CssCode:
     return code
 
 
-def _rref_pivots(m: SparseBinMatrix) -> dict[int, int]:
-    """Reduced pivot rows of the row space, keyed by pivot column."""
-    pivots: dict[int, int] = {}
-    for bits in m.row_bits:
-        cur = bits
-        while cur:
-            col = (cur & -cur).bit_length() - 1
-            if col in pivots:
-                cur ^= pivots[col]
-            else:
-                pivots[col] = cur
-                break
-    return pivots
-
-
 def _nullspace_basis(m: SparseBinMatrix) -> list[int]:
     """Bitmask basis of {v : M v^T = 0} via back-substitution on the RREF."""
-    pivots = _rref_pivots(m)
-    # full reduction so every pivot row has zeros in all other pivot columns
-    cols = sorted(pivots)
-    for c in cols:
-        row = pivots[c]
-        for c2 in cols:
-            if c2 != c and (row >> c2) & 1:
-                row ^= pivots[c2]
-        pivots[c] = row
+    pivots = PivotBasis(m.row_bits, full=True)
     free = [j for j in range(m.cols) if j not in pivots]
     basis = []
     for f in free:
@@ -263,17 +241,9 @@ def compute_logicals(
 
     def pick(kernel_of: SparseBinMatrix, modulo: SparseBinMatrix) -> list[int]:
         chosen: list[int] = []
-        span = dict(_rref_pivots(modulo))
+        span = PivotBasis(modulo.row_bits)
         for v in _nullspace_basis(kernel_of):
-            cur = v
-            while cur:
-                col = (cur & -cur).bit_length() - 1
-                if col in span:
-                    cur ^= span[col]
-                else:
-                    break
-            if cur:
-                span[(cur & -cur).bit_length() - 1] = cur
+            if span.add(v):
                 chosen.append(v)
                 if len(chosen) == k:
                     break
@@ -290,34 +260,9 @@ def compute_logicals(
         k, n, [[j for j in range(n) if (v >> j) & 1] for v in ox_rows]
     )
     # pair the bases: O_X <- G^{-1} O_X with G = O_X O_Z^T
-    g = mat_mat_t(ox, oz)
-    ginv = _invert_gf2(g)
+    ginv = inverse(mat_mat_t(ox, oz))
     ox = mat_mat_t(ginv, ox.transpose())
     return ox, oz
-
-
-def _invert_gf2(m: SparseBinMatrix) -> SparseBinMatrix:
-    if m.rows != m.cols:
-        raise ValueError("only square matrices can be inverted")
-    k = m.rows
-    # augmented rows [m | I]
-    aug = [bits | (1 << (k + i)) for i, bits in enumerate(m.row_bits)]
-    row_idx = 0
-    for col in range(k):
-        pr = -1
-        for r in range(row_idx, k):
-            if (aug[r] >> col) & 1:
-                pr = r
-                break
-        if pr < 0:
-            raise ValueError("matrix is singular over GF(2)")
-        aug[row_idx], aug[pr] = aug[pr], aug[row_idx]
-        for r in range(k):
-            if r != row_idx and (aug[r] >> col) & 1:
-                aug[r] ^= aug[row_idx]
-        row_idx += 1
-    sups = [[j for j in range(k) if (aug[i] >> (k + j)) & 1] for i in range(k)]
-    return SparseBinMatrix(k, k, sups)
 
 
 def reduce_logical_weight(v: BitVec, stabilizers: SparseBinMatrix) -> BitVec:

@@ -281,21 +281,54 @@ def mat_mat_t(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
     return SparseBinMatrix(a.rows, b.rows, sups)
 
 
+class PivotBasis(dict):
+    """Echelon basis of a GF(2) span, as {pivot column: bitmask row}.
+
+    Rows go in in order; each is reduced against the basis so far and, if
+    anything is left, joins it with its lowest set bit as pivot.  With
+    ``full``, every basis row is then cleared in all other pivot columns,
+    which makes the basis the span's unique reduced echelon form.
+    """
+
+    def __init__(self, rows: Iterable[int] = (), full: bool = False):
+        super().__init__()
+        for bits in rows:
+            self.add(bits)
+        if full:
+            cols = sorted(self)
+            for c in cols:
+                row = self[c]
+                for c2 in cols:
+                    if c2 != c and (row >> c2) & 1:
+                        row ^= self[c2]
+                self[c] = row
+
+    def add(self, bits: int) -> bool:
+        """Reduce a row against the basis and keep what is left; False when
+        nothing is left, that is, when the row already lies in the span."""
+        while bits:
+            col = (bits & -bits).bit_length() - 1
+            if col not in self:
+                self[col] = bits
+                return True
+            bits ^= self[col]
+        return False
+
+
 def rank(m: SparseBinMatrix) -> int:
     """GF(2) rank via bitmask row elimination."""
-    pivots: dict[int, int] = {}
-    r = 0
-    for bits in m.row_bits:
-        cur = bits
-        while cur:
-            col = (cur & -cur).bit_length() - 1
-            if col in pivots:
-                cur ^= pivots[col]
-            else:
-                pivots[col] = cur
-                r += 1
-                break
-    return r
+    return len(PivotBasis(m.row_bits))
+
+
+def inverse(m: SparseBinMatrix) -> SparseBinMatrix:
+    """Inverse of a square matrix, by full reduction of the rows of [M | I]."""
+    if m.rows != m.cols:
+        raise ValueError("only square matrices can be inverted")
+    k = m.rows
+    pivots = PivotBasis((bits | 1 << (k + i) for i, bits in enumerate(m.row_bits)), full=True)
+    if sorted(pivots) != list(range(k)):
+        raise ValueError("matrix is singular over GF(2)")
+    return SparseBinMatrix(k, k, [_indices_from_bits(pivots[c] >> k) for c in range(k)])
 
 
 def solve(
@@ -344,23 +377,7 @@ def in_rowspace(v: BitVec, m: SparseBinMatrix) -> bool:
     """Test whether v lies in the row space of M."""
     if v.length != m.cols:
         raise ValueError(f"vector length {v.length} != matrix cols {m.cols}")
-    pivots: dict[int, int] = {}
-    for bits in m.row_bits:
-        cur = bits
-        while cur:
-            col = (cur & -cur).bit_length() - 1
-            if col in pivots:
-                cur ^= pivots[col]
-            else:
-                pivots[col] = cur
-                break
-    cur = v.bits
-    while cur:
-        col = (cur & -cur).bit_length() - 1
-        if col not in pivots:
-            return False
-        cur ^= pivots[col]
-    return True
+    return not PivotBasis(m.row_bits).add(v.bits)
 
 
 def save_triplet(m: SparseBinMatrix, path) -> None:

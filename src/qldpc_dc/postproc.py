@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bp import PRODUCT_SUM, BpDecoder
+from .bp import PRODUCT_SUM, BpDecoder, BpOutput
 from .gf2 import BitVec, SparseBinMatrix
 
 
@@ -88,6 +88,15 @@ def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> fr
     return frozenset(cuts)
 
 
+def first_bp(
+    dec: BpDecoder, syndrome: BitVec, priors, max_iter: int
+) -> tuple[DecodeResult, BpOutput]:
+    """The first BP run of every pipeline; its result is final if BP converged."""
+    out = dec.decode(syndrome, np.asarray(priors, dtype=float), max_iter)
+    status = DecodeStatus.CONVERGED_FIRST_BP if out.converged else DecodeStatus.FAILED
+    return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,)), out
+
+
 def _expand(values: np.ndarray, kept: np.ndarray, cols: int) -> np.ndarray:
     out = np.zeros(cols, dtype=values.dtype)
     out[kept] = values
@@ -110,13 +119,9 @@ def _run_dc(
         raise ValueError("check and degeneracy matrices disagree on column count")
     priors = np.asarray(priors, dtype=float)
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    out1 = dec.decode(syndrome, priors, max_iter)
+    first, out1 = first_bp(dec, syndrome, priors, max_iter)
     if out1.converged:
-        result = DecodeResult(
-            out1.hard, DecodeStatus.CONVERGED_FIRST_BP, frozenset(),
-            (out1.iterations_used,),
-        )
-        return result, None
+        return first, None
 
     rng = _dc_rng(cfg.rng_seed)
     cuts = dc_cut_indices(h_deg, out1.soft, rng)
@@ -184,12 +189,9 @@ def bp_osd_decode(
 ) -> DecodeResult:
     """BP with OSD-0 fallback on the first run's soft output."""
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    out = dec.decode(syndrome, np.asarray(priors, dtype=float), max_iter)
+    first, out = first_bp(dec, syndrome, priors, max_iter)
     if out.converged:
-        return DecodeResult(
-            out.hard, DecodeStatus.CONVERGED_FIRST_BP, frozenset(),
-            (out.iterations_used,),
-        )
+        return first
     estimate = osd0_decode(h, syndrome, out.soft)
     return DecodeResult(
         estimate, DecodeStatus.CONVERGED_AFTER_OSD, frozenset(), (out.iterations_used,)

@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from . import noise
 from .bp import PRODUCT_SUM, BpDecoder
-from .codes import BbParams, bb_params, build_bb, build_rotated_surface, parse_monomials
+from .codes import BbParams, bb_params, build_bb, build_rotated_surface
 from .detmodel import (
     DetectorModel,
     build_bb_circuit_model,
@@ -30,12 +30,12 @@ from .gf2 import BitVec, SparseBinMatrix, mat_vec_t
 from .postproc import (
     DcConfig,
     DecodeResult,
-    DecodeStatus,
     MaskingMode,
     SecondRunPriors,
     bp_dc_decode,
     bp_dc_osd_decode,
     bp_osd_decode,
+    first_bp,
 )
 
 DECODERS = ("bp", "bp-dc", "bp-osd", "bp-dc-osd")
@@ -118,6 +118,8 @@ class ExperimentConfig:
             raise ValueError("p must lie in (0, 0.5)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if "dc" in self.decoder and self.dc_second_priors is None:
@@ -131,15 +133,7 @@ def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] =
         return build_rotated_surface(int(rest))
     if kind == "bb":
         l_s, _, m_s = rest.partition(",")
-        params = bb_params(int(l_s), int(m_s))
-        if bb_a or bb_b:
-            params = BbParams(
-                l=int(l_s),
-                m=int(m_s),
-                a_monomials=parse_monomials(bb_a) if bb_a else params.a_monomials,
-                b_monomials=parse_monomials(bb_b) if bb_b else params.b_monomials,
-            )
-        return params
+        return bb_params(int(l_s), int(m_s), bb_a, bb_b)
     raise ValueError(f"unknown code spec {spec!r} (expected surface:<d> or bb:<l>,<m>)")
 
 
@@ -178,42 +172,39 @@ def default_max_iter(cfg: ExperimentConfig, model: DetectorModel) -> int:
     return 1000
 
 
-def _decode_trial(
-    model: DetectorModel,
+def decode(
     decoder_name: str,
-    syndrome: BitVec,
-    max_iter: int,
-    cfg: ExperimentConfig,
-    dc_cfg: DcConfig,
     bp_decoder: BpDecoder,
+    syndrome: BitVec,
+    priors,
+    max_iter: int,
+    h_deg: Optional[SparseBinMatrix] = None,
+    dc_cfg: Optional[DcConfig] = None,
 ) -> DecodeResult:
-    h = model.check_matrix
-    priors = model.priors
+    """Decode one syndrome with one of DECODERS.
+
+    The only place that branches on a decoder name.  The check matrix, BP
+    variant and min-sum scale are those of ``bp_decoder``.  The pipelines
+    are looked up as module globals at call time, so a caller may swap
+    them (to time or trace them).
+    """
     if decoder_name == "bp":
-        out = bp_decoder.decode(syndrome, priors, max_iter)
-        status = DecodeStatus.CONVERGED_FIRST_BP if out.converged else DecodeStatus.FAILED
-        return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,))
-    if decoder_name == "bp-osd":
-        return bp_osd_decode(
-            h, syndrome, priors, max_iter,
-            variant=cfg.bp_variant, min_sum_scale=cfg.min_sum_scale, decoder=bp_decoder,
-        )
-    if model.degeneracy_matrix is None:
-        raise ValueError("dc decoders need a model with a degeneracy matrix")
-    if decoder_name == "bp-dc":
-        return bp_dc_decode(
-            h, model.degeneracy_matrix, syndrome, priors, max_iter, dc_cfg,
-            variant=cfg.bp_variant, min_sum_scale=cfg.min_sum_scale, decoder=bp_decoder,
-        )
-    return bp_dc_osd_decode(
-        h, model.degeneracy_matrix, syndrome, priors, max_iter, dc_cfg,
-        variant=cfg.bp_variant, min_sum_scale=cfg.min_sum_scale, decoder=bp_decoder,
+        return first_bp(bp_decoder, syndrome, priors, max_iter)[0]
+    h = bp_decoder.h
+    bp_args = dict(
+        variant=bp_decoder.variant, min_sum_scale=bp_decoder.min_sum_scale, decoder=bp_decoder
     )
+    if decoder_name == "bp-osd":
+        return bp_osd_decode(h, syndrome, priors, max_iter, **bp_args)
+    if h_deg is None:
+        raise ValueError(f"decoder {decoder_name} needs a degeneracy matrix")
+    if dc_cfg is None:
+        raise ValueError(f"decoder {decoder_name} requires a dc_second_priors choice")
+    pipeline = bp_dc_decode if decoder_name == "bp-dc" else bp_dc_osd_decode
+    return pipeline(h, h_deg, syndrome, priors, max_iter, dc_cfg, **bp_args)
 
 
-def _run_block(cfg: ExperimentConfig, lo: int, hi: int, model: Optional[DetectorModel] = None):
-    if model is None:
-        model = build_model(cfg)
+def _run_block(cfg: ExperimentConfig, model: DetectorModel, lo: int, hi: int):
     max_iter = default_max_iter(cfg, model)
     bp_decoder = BpDecoder(model.check_matrix, cfg.bp_variant, cfg.min_sum_scale)
     second = (
@@ -232,8 +223,9 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int, model: Optional[Detector
             rng_seed=int(rng.integers(0, 2**63)),
             masking_mode=masking,
         )
-        result = _decode_trial(
-            model, cfg.decoder, sample.syndrome, max_iter, cfg, dc_cfg, bp_decoder
+        result = decode(
+            cfg.decoder, bp_decoder, sample.syndrome, model.priors, max_iter,
+            model.degeneracy_matrix, dc_cfg,
         )
         outcome = check_success(
             sample.error, result.estimate, model.check_matrix, model.observables
@@ -245,19 +237,33 @@ def _run_block(cfg: ExperimentConfig, lo: int, hi: int, model: Optional[Detector
     return logical, nonconv
 
 
+_worker_model: Optional[DetectorModel] = None  # set once in each pool worker
+
+
+def _init_worker(model: DetectorModel) -> None:
+    global _worker_model
+    _worker_model = model
+
+
+def _run_worker_block(cfg: ExperimentConfig, lo: int, hi: int):
+    return _run_block(cfg, _worker_model, lo, hi)
+
+
 def run_trials(cfg: ExperimentConfig, model: Optional[DetectorModel] = None) -> FailureStats:
-    """Run cfg.trials seeded trials; a pure function of the config."""
+    """Run cfg.trials seeded trials; a pure function of the config and model."""
     if model is None:
         model = build_model(cfg)
     if cfg.threads <= 1:
-        logical, nonconv = _run_block(cfg, 0, cfg.trials, model)
+        logical, nonconv = _run_block(cfg, model, 0, cfg.trials)
         return FailureStats.from_counts(cfg.trials, logical, nonconv)
     chunk = max(1, -(-cfg.trials // (cfg.threads * 4)))
     blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     logical = 0
     nonconv = 0
-    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-        futures = [pool.submit(_run_block, cfg, lo, hi) for lo, hi in blocks]
+    with concurrent.futures.ProcessPoolExecutor(
+        max_workers=cfg.threads, initializer=_init_worker, initargs=(model,)
+    ) as pool:
+        futures = [pool.submit(_run_worker_block, cfg, lo, hi) for lo, hi in blocks]
         for fut in futures:
             l, nc = fut.result()
             logical += l

@@ -2,9 +2,12 @@
 
 import json
 
+import pytest
+
+from qldpc_dc import noise, sim
 from qldpc_dc.cli import main
 from qldpc_dc.codes import build_rotated_surface
-from qldpc_dc.gf2 import load_triplet, mat_vec_t, save_triplet, BitVec
+from qldpc_dc.gf2 import SparseBinMatrix, load_triplet, mat_vec_t, save_triplet, BitVec
 
 
 def run_cli(*argv):
@@ -114,6 +117,65 @@ class TestDecodeCommand:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
+    def test_osd_inconsistent_syndrome_is_an_error(self, tmp_path, capsys):
+        save_triplet(SparseBinMatrix(2, 3, [(0, 1), (0, 1)]), tmp_path / "h.txt")
+        (tmp_path / "syn.txt").write_text("1\n0\n")
+        assert run_cli(
+            "decode", "--dcm", str(tmp_path / "h.txt"),
+            "--syndrome", str(tmp_path / "syn.txt"),
+            "--decoder", "bp-osd", "--out", str(tmp_path / "e.txt"),
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row space" in err
+
+    @pytest.mark.parametrize("decoder", sim.DECODERS)
+    def test_matches_run_trials_decode_path(self, decoder, tmp_path, monkeypatch):
+        """`qldpc-dc decode` with a trial's DC seed reproduces the estimate
+        and status that run_trials' decode path computes for that trial."""
+        cfg = sim.ExperimentConfig(
+            code="surface:5", noise="code-capacity", p=0.08, decoder=decoder,
+            dc_second_priors="posterior", trials=6, seed=7,
+        )
+        model = sim.build_model(cfg)
+        calls = []
+        real_decode = sim.decode
+
+        def recording(*args):
+            result = real_decode(*args)
+            calls.append((args[2], args[6].rng_seed, result))
+            return result
+
+        monkeypatch.setattr(sim, "decode", recording)
+        sim.run_trials(cfg, model)
+        monkeypatch.setattr(sim, "decode", real_decode)  # the CLI calls it too
+        assert len(calls) == cfg.trials
+
+        save_triplet(model.check_matrix, tmp_path / "dcm.txt")
+        save_triplet(model.degeneracy_matrix, tmp_path / "ddm.txt")
+        (tmp_path / "priors.txt").write_text("".join(f"{p:.17g}\n" for p in model.priors))
+        statuses = set()
+        for t, (syndrome, dc_seed, result) in enumerate(calls):
+            # the recorded syndrome is the trial's own
+            assert syndrome == noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            (tmp_path / "syn.txt").write_text("".join(f"{b}\n" for b in syndrome.to_dense()))
+            out = tmp_path / f"est{t}.txt"
+            assert run_cli(
+                "decode", "--dcm", str(tmp_path / "dcm.txt"),
+                "--ddm", str(tmp_path / "ddm.txt"),
+                "--priors", str(tmp_path / "priors.txt"),
+                "--syndrome", str(tmp_path / "syn.txt"),
+                "--decoder", decoder, "--dc-second-priors", "posterior",
+                "--max-iter", str(sim.default_max_iter(cfg, model)),
+                "--seed", str(dc_seed), "--out", str(out),
+            ) == 0
+            bits = [int(b) for b in out.read_text().split()]
+            status = json.loads(out.with_name(out.name + ".manifest.json").read_text())["status"]
+            assert bits == result.estimate.to_dense().tolist()
+            assert status == result.status.value
+            statuses.add(status)
+        assert statuses - {"converged-first-bp"}, "no trial reached the post-processing"
+
+
 class TestSimulateAndSweep:
     def test_simulate_byte_identical(self, tmp_path):
         args = [
@@ -189,6 +251,15 @@ class TestSimulateAndSweep:
             "--decoder", "bp-dc", "--out", str(tmp_path / "e.txt"),
         ) == 1
         assert "dc-second-priors" in capsys.readouterr().err.replace("_", "-")
+
+    def test_nonpositive_threads_rejected(self, tmp_path, capsys):
+        assert run_cli(
+            "simulate", "--code", "surface:3", "--noise", "code-capacity",
+            "--p", "0.02", "--decoder", "bp", "--trials", "30", "--threads", "0",
+            "--out", str(tmp_path / "r.csv"),
+        ) == 1
+        assert "error: threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLDPC_DC_SEED", "31")

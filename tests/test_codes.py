@@ -1,5 +1,7 @@
 """Code constructor tests: parameters, CSS identities, logical operators."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,6 +98,14 @@ class TestBbCode:
         with pytest.raises(ValueError):
             parse_monomials("q3")
 
+    def test_bb_params_monomial_overrides(self):
+        std = bb_params(6, 6)
+        assert bb_params(6, 6, "x3,y1,y2", "y3,x1,x2") == std
+        custom = bb_params(6, 6, a="x1,y1,y2")
+        assert custom.a_monomials == (("x", 1), ("y", 1), ("y", 2))
+        assert custom.b_monomials == std.b_monomials
+        assert bb_params(6, 6, b="y1,x1,x2").a_monomials == std.a_monomials
+
     @given(st.integers(2, 5), st.integers(2, 5), st.data())
     @settings(max_examples=15, deadline=None)
     def test_random_params_validate(self, l, m, data):
@@ -157,6 +167,23 @@ class TestComputeLogicals:
         assert mat_mat_t(code.ox, code.hz).nnz == 0
         pairing = mat_mat_t(code.ox, code.oz)
         assert pairing == type(pairing).identity(code.k)
+
+    @pytest.mark.parametrize("label,build,digest", [
+        ("surface:3", lambda: build_rotated_surface(3),
+         "7b94d9eccf226d6a592b072ecd0754cb9197b6c4225c3c5cca1c05219e9b92fe"),
+        ("surface:5", lambda: build_rotated_surface(5),
+         "e49c7238655a1b1be29f3600ba8fcdfc83d846fd67d399070a62588af72f003a"),
+        ("bb:6,6", lambda: build_bb(bb_params(6, 6)),
+         "0d0b27aa18f0544f2807727e18fc25808ad0b1017cc4960cfb52e5ee0b436f0b"),
+        ("bb:12,6", lambda: build_bb(bb_params(12, 6)),
+         "2e9d2d19aa74b61c38ab615156d4598c8f79691162ae4b0638a85a1d5a9831d2"),
+    ])
+    def test_logical_rows_pinned(self, label, build, digest):
+        """The chosen O_X/O_Z representatives feed every observable in the
+        CSVs, so any change to them is a change of results."""
+        code = build()
+        supports = repr((code.ox.row_supports, code.oz.row_supports)).encode()
+        assert hashlib.sha256(supports).hexdigest() == digest, label
 
     def test_rejects_non_css_pair(self):
         from qldpc_dc.gf2 import SparseBinMatrix

@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qldpc_dc.codes import _nullspace_basis
 from qldpc_dc.gf2 import (
     BitVec,
+    PivotBasis,
     SparseBinMatrix,
     TripletFormatError,
     in_rowspace,
+    inverse,
     load_triplet,
     mat_mat_t,
     mat_vec_t,
@@ -60,6 +63,11 @@ def exhaustive_rowspace(m: SparseBinMatrix) -> set:
 def sparse_matrices(draw, max_rows=8, max_cols=10):
     rows = draw(st.integers(1, max_rows))
     cols = draw(st.integers(1, max_cols))
+    return draw(sparse_matrices_of(rows, cols))
+
+
+@st.composite
+def sparse_matrices_of(draw, rows, cols):
     sups = [
         draw(st.sets(st.integers(0, cols - 1), max_size=cols))
         for _ in range(rows)
@@ -258,6 +266,65 @@ class TestInRowspace:
         sup = data.draw(st.sets(st.integers(0, m.cols - 1)))
         v = BitVec.from_support(m.cols, sup)
         assert in_rowspace(v, m) == (v.bits in span)
+
+
+class TestPivotBasis:
+    @given(sparse_matrices())
+    @settings(max_examples=60)
+    def test_full_reduction_is_reduced_echelon(self, m):
+        full = PivotBasis(m.row_bits, full=True)
+        assert sorted(full) == sorted(PivotBasis(m.row_bits))
+        assert len(full) == dense_rank(m)
+        for c, row in full.items():
+            assert (row & -row).bit_length() - 1 == c
+            assert all(not (row >> c2) & 1 for c2 in full if c2 != c)
+            assert not PivotBasis(m.row_bits).add(row)
+
+    @given(sparse_matrices(max_rows=6, max_cols=8), st.data())
+    @settings(max_examples=40)
+    def test_add_reports_growth_of_the_span(self, m, data):
+        span = exhaustive_rowspace(m)
+        basis = PivotBasis(m.row_bits)
+        v = data.draw(st.integers(0, (1 << m.cols) - 1))
+        assert basis.add(v) == (v not in span)
+        assert len(basis) == dense_rank(m) + (v not in span)
+
+
+class TestInverse:
+    def test_identity(self):
+        assert inverse(SparseBinMatrix.identity(5)) == SparseBinMatrix.identity(5)
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            inverse(SparseBinMatrix(2, 3, [(0,), (1,)]))
+
+    @given(st.integers(1, 8).flatmap(lambda k: sparse_matrices_of(k, k)))
+    @settings(max_examples=80)
+    def test_inverse_or_singular(self, m):
+        if dense_rank(m) < m.rows:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+            return
+        inv = inverse(m)
+        eye = SparseBinMatrix.identity(m.rows)
+        # A B^T with B = (A^-1)^T is A A^-1; and the other side
+        assert mat_mat_t(m, inv.transpose()) == eye
+        assert mat_mat_t(inv, m.transpose()) == eye
+
+
+class TestNullspaceBasis:
+    @given(sparse_matrices())
+    @settings(max_examples=60)
+    def test_basis_of_the_kernel(self, m):
+        basis = _nullspace_basis(m)
+        for bits in basis:
+            assert mat_vec_t(BitVec(m.cols, bits), m).weight() == 0
+        assert len(basis) == m.cols - dense_rank(m)
+        if basis:
+            stacked = SparseBinMatrix(
+                len(basis), m.cols, [BitVec(m.cols, b).support for b in basis]
+            )
+            assert dense_rank(stacked) == len(basis)
 
 
 class TestTripletFormat:

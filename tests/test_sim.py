@@ -1,5 +1,8 @@
 """Monte Carlo harness tests: scoring, determinism, output formats."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from qldpc_dc import sim
@@ -109,6 +112,28 @@ class TestRunTrials:
         )
         wide = ExperimentConfig(**{**base.__dict__, "threads": 3})
         assert run_trials(base) == run_trials(wide)
+
+    def test_pool_decodes_the_given_model(self):
+        """Workers must decode the model handed to run_trials, not one
+        rebuilt from the config."""
+        cfg = ExperimentConfig(
+            code="surface:3", noise="code-capacity", p=0.05,
+            decoder="bp-osd", trials=120, seed=4,
+        )
+        built = sim.build_model(cfg)
+        model = dataclasses.replace(built, priors=np.full(built.priors.shape, 0.15))
+        single = run_trials(cfg, model)
+        pooled = run_trials(dataclasses.replace(cfg, threads=2), model)
+        assert pooled == single
+        assert single != run_trials(cfg, built)
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_validated(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            ExperimentConfig(
+                code="surface:3", noise="code-capacity", p=0.05,
+                decoder="bp", trials=10, seed=0, threads=threads,
+            )
 
     def test_sanity_bound_below_physical_rate(self):
         cfg = ExperimentConfig(
