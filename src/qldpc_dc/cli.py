@@ -215,7 +215,7 @@ def cmd_decode(args) -> int:
             f"dimension mismatch: {priors.shape[0]} priors "
             f"but the check matrix has {h.cols} columns"
         )
-    max_iter = args.max_iter if args.max_iter else h.cols
+    max_iter = args.max_iter if args.max_iter is not None else h.cols
     dc_cfg = None
     if args.dc_second_priors:
         dc_cfg = DcConfig(

@@ -114,7 +114,9 @@ class SparseBinMatrix:
     and column->row lookups every message-passing iteration.
     """
 
-    __slots__ = ("rows", "cols", "_row_supports", "_col_supports", "_row_bits")
+    __slots__ = (
+        "rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits"
+    )
 
     def __init__(self, rows: int, cols: int, row_supports: Sequence[Iterable[int]]):
         row_supports = [tuple(sorted(s)) for s in row_supports]
@@ -137,6 +139,7 @@ class SparseBinMatrix:
         self._row_supports = tuple(row_supports)
         self._col_supports = tuple(tuple(c) for c in cols_acc)
         self._row_bits = tuple(bits)
+        self._col_bits: Optional[tuple[int, ...]] = None
 
     @classmethod
     def from_entries(
@@ -209,6 +212,14 @@ class SparseBinMatrix:
     @property
     def row_bits(self) -> tuple[int, ...]:
         return self._row_bits
+
+    @property
+    def col_bits(self) -> tuple[int, ...]:
+        """Each column as a bitmask over rows, built on first use only
+        (most matrices are never eliminated by column)."""
+        if self._col_bits is None:
+            self._col_bits = tuple(_bits_from_indices(c) for c in self._col_supports)
+        return self._col_bits
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._row_supports[i]
@@ -336,40 +347,50 @@ def solve(
 ) -> Optional[BitVec]:
     """Solve x * M^T = s with greedy pivoting in the given column order.
 
-    Columns are tried as pivots in ``pivot_order``; among candidate rows the
-    lowest index wins.  The returned solution is supported only on pivot
-    columns.  Returns None when the system is inconsistent.
+    Columns, read as bitmasks over rows, are taken in ``pivot_order``.
+    Each is reduced against an echelon basis of the columns kept so far,
+    keyed by lowest set row bit, while a second bitmask tracks which
+    original columns it is the sum of.  A column that reduces to zero
+    depends on earlier ones and is no pivot.  The syndrome is kept reduced
+    against the basis as it grows, and the search stops as soon as it
+    reduces to zero; its column set is the solution.
+
+    The pivot columns are the greedy independent set of columns in
+    ``pivot_order``: a column is a pivot iff it is not in the span of the
+    earlier ones.  That set depends on the order only, not on how rows are
+    chosen during elimination, and the solution supported on it is unique,
+    so stopping early changes nothing.  Returns None when the system is
+    inconsistent.
     """
     if s.length != m.rows:
         raise ValueError(f"syndrome length {s.length} != matrix rows {m.rows}")
     if sorted(pivot_order) != list(range(m.cols)):
         raise ValueError("pivot_order must be a permutation of column indices")
-    eqs = list(m.row_bits)
-    rhs = [(s.bits >> i) & 1 for i in range(m.rows)]
-    used = [False] * m.rows
-    pivot_rows: list[tuple[int, int]] = []  # (column, row)
-    for col in pivot_order:
-        mask = 1 << col
-        pr = -1
-        for r in range(m.rows):
-            if not used[r] and eqs[r] & mask:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        used[pr] = True
-        pivot_rows.append((col, pr))
-        for r in range(m.rows):
-            if r != pr and eqs[r] & mask:
-                eqs[r] ^= eqs[pr]
-                rhs[r] ^= rhs[pr]
-    for r in range(m.rows):
-        if not used[r] and rhs[r]:
-            return None
+    syn = s.bits
     x = 0
-    for col, r in pivot_rows:
-        if rhs[r]:
-            x |= 1 << col
+    col_bits = m.col_bits
+    basis: dict[int, tuple[int, int]] = {}  # lowest row bit -> (rows, columns)
+    for col in pivot_order:
+        if not syn:
+            break
+        bits = col_bits[col]
+        combo = 1 << col
+        while bits:
+            low = bits & -bits
+            entry = basis.get(low)
+            if entry is None:
+                basis[low] = (bits, combo)
+                break
+            bits ^= entry[0]
+            combo ^= entry[1]
+        while syn:
+            entry = basis.get(syn & -syn)
+            if entry is None:
+                break
+            syn ^= entry[0]
+            x ^= entry[1]
+    if syn:
+        return None
     return BitVec(m.cols, x)
 
 

@@ -1,8 +1,11 @@
-"""Shared test oracles: random acyclic instances and exhaustive posteriors."""
+"""Shared test oracles: random acyclic instances, exhaustive posteriors and
+the row-elimination OSD-0 solver that ``gf2.solve`` replaced."""
+
+from typing import Optional, Sequence
 
 import numpy as np
 
-from qldpc_dc.gf2 import SparseBinMatrix
+from qldpc_dc.gf2 import BitVec, SparseBinMatrix
 
 
 def random_forest_checks(rng: np.random.Generator) -> SparseBinMatrix:
@@ -46,3 +49,46 @@ def exact_marginals_vectorized(h: SparseBinMatrix, s_dense, priors) -> np.ndarra
     logw = bits @ np.log(priors / (1 - priors)) + np.log(1 - priors).sum()
     w = np.where(mask, np.exp(logw), 0.0)
     return (w @ bits) / w.sum()
+
+
+def reference_solve(
+    m: SparseBinMatrix, s: BitVec, pivot_order: Sequence[int]
+) -> Optional[BitVec]:
+    """Solve x * M^T = s by row elimination with greedy column pivoting.
+
+    Columns are tried as pivots in ``pivot_order``; among candidate rows the
+    lowest index wins.  The returned solution is supported only on pivot
+    columns.  Returns None when the system is inconsistent.  This was
+    ``gf2.solve`` before its column-basis rewrite.
+    """
+    if s.length != m.rows:
+        raise ValueError(f"syndrome length {s.length} != matrix rows {m.rows}")
+    if sorted(pivot_order) != list(range(m.cols)):
+        raise ValueError("pivot_order must be a permutation of column indices")
+    eqs = list(m.row_bits)
+    rhs = [(s.bits >> i) & 1 for i in range(m.rows)]
+    used = [False] * m.rows
+    pivot_rows: list[tuple[int, int]] = []  # (column, row)
+    for col in pivot_order:
+        mask = 1 << col
+        pr = -1
+        for r in range(m.rows):
+            if not used[r] and eqs[r] & mask:
+                pr = r
+                break
+        if pr < 0:
+            continue
+        used[pr] = True
+        pivot_rows.append((col, pr))
+        for r in range(m.rows):
+            if r != pr and eqs[r] & mask:
+                eqs[r] ^= eqs[pr]
+                rhs[r] ^= rhs[pr]
+    for r in range(m.rows):
+        if not used[r] and rhs[r]:
+            return None
+    x = 0
+    for col, r in pivot_rows:
+        if rhs[r]:
+            x |= 1 << col
+    return BitVec(m.cols, x)

@@ -128,6 +128,19 @@ class TestDecodeCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "row space" in err
 
+    def test_zero_max_iter_rejected(self, tmp_path, capsys):
+        save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
+        (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")
+        out = tmp_path / "est.txt"
+        assert run_cli(
+            "decode", "--dcm", str(tmp_path / "hz.txt"),
+            "--syndrome", str(tmp_path / "syn.txt"),
+            "--max-iter", "0", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == "error: max_iter must be >= 1\n"
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
     @pytest.mark.parametrize("decoder", sim.DECODERS)
     def test_matches_run_trials_decode_path(self, decoder, tmp_path, monkeypatch):
         """`qldpc-dc decode` with a trial's DC seed reproduces the estimate

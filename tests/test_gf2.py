@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_solve
+from qldpc_dc import noise, sim
+from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import _nullspace_basis
 from qldpc_dc.gf2 import (
     BitVec,
@@ -22,6 +25,7 @@ from qldpc_dc.gf2 import (
     save_triplet,
     solve,
 )
+from qldpc_dc.postproc import first_bp, osd0_decode
 
 
 def dense_mat_vec(v: BitVec, m: SparseBinMatrix) -> np.ndarray:
@@ -205,6 +209,16 @@ class TestRank:
                 assert rank(SparseBinMatrix(m.rows, m.cols, sups)) == r0
 
 
+class TestColBits:
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=60)
+    def test_columns_are_transposed_rows(self, m, data):
+        assert m.col_bits == m.transpose().row_bits
+        removed = data.draw(st.sets(st.integers(0, m.cols - 1)))
+        reduced, _ = m.without_columns(removed)
+        assert reduced.col_bits == reduced.transpose().row_bits
+
+
 class TestSolve:
     def test_zero_syndrome(self):
         m = SparseBinMatrix(2, 3, [(0, 1), (1, 2)])
@@ -244,6 +258,44 @@ class TestSolve:
         assert mat_vec_t(x, m) == s
         # the greedy pivot set has at most rank(M) columns
         assert x.weight() <= rank(m)
+
+    @pytest.mark.parametrize("solver", [solve, reference_solve])
+    def test_input_checks(self, solver):
+        m = SparseBinMatrix(2, 3, [(0, 1), (1, 2)])
+        s = BitVec.from_support(2, [0])
+        with pytest.raises(ValueError, match="syndrome length"):
+            solver(m, BitVec.zeros(3), [0, 1, 2])
+        for order in ([0, 1, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="permutation"):
+                solver(m, s, order)
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=300)
+    def test_matches_row_elimination(self, m, data):
+        """Any syndrome, so inconsistent systems are drawn too."""
+        s = BitVec(m.rows, data.draw(st.integers(0, (1 << m.rows) - 1)))
+        order = list(data.draw(st.permutations(range(m.cols))))
+        assert solve(m, s, order) == reference_solve(m, s, order)
+
+    def test_matches_row_elimination_on_osd_syndromes(self):
+        """OSD-0's column order on the syndromes BP fails on, circuit level."""
+        cfg = sim.ExperimentConfig(
+            code="bb:6,6", noise="circuit-bb", rounds=3, p=0.01, decoder="bp-osd",
+            trials=60, seed=7, bp_variant=MIN_SUM, min_sum_scale=1.0, max_iter=100,
+        )
+        model = sim.build_model(cfg)
+        h = model.check_matrix
+        dec = BpDecoder(h, MIN_SUM, 1.0)
+        bp_failures = 0
+        for t in range(cfg.trials):
+            syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            _, out = first_bp(dec, syndrome, model.priors, cfg.max_iter)
+            if out.converged:
+                continue
+            bp_failures += 1
+            order = [int(c) for c in np.argsort(-out.soft, kind="stable")]
+            assert osd0_decode(h, syndrome, out.soft) == reference_solve(h, syndrome, order)
+        assert bp_failures == 44
 
 
 class TestInRowspace:
