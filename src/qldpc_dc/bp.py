@@ -1,15 +1,32 @@
 """Belief propagation on a Tanner graph with a flooding schedule.
 
 Messages live in the log-likelihood-ratio domain, LLR = log((1-p)/p),
-clamped to +/-35 so no update can produce a non-finite value.  Variables
-whose prior is exactly 0 are absorbing: their edges are excluded from the
-check updates (equivalent to deleting the column) and their soft output is
-pinned to 0, which is what degeneracy-cutting relies on when it masks
-nodes.
+clamped to +/-35 so no update can produce a non-finite value.  A prior of
+0 removes the column from the graph for that decode: the decode runs on a
+Tanner graph with no edges at those columns, and their soft output is
+pinned to 0.  This is how degeneracy cutting masks nodes.
+
+Removing the columns gives bit for bit what keeping them as masked edges
+gave (a tanh factor of 1.0, a magnitude of +inf, no sign, a zeroed
+output):
+
+- Product-sum: a masked edge put a factor of exactly 1.0 into a check's
+  sequential ``multiply.reduceat``, and x * 1.0 = x, so every partial
+  product is the same without it.
+- Min-sum: a masked magnitude of +inf was never the minimum of a check
+  that still has an unmasked edge, and its sign was left out.  A check
+  with a single unmasked edge got min2 = +inf either way, so its message
+  is still clipped to +/-35.
+- Variable update: a variable's edges are either all masked or all kept,
+  so every ``add.reduceat`` segment of a kept variable, pairwise order
+  included, is unchanged.
+- Syndrome test: masked hard bits are 0, so the parity over kept edges is
+  the same.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,37 +43,36 @@ MIN_SUM = "min-sum"
 class TannerGraph:
     """Edge-indexed view of a parity-check matrix.
 
-    One edge per nonzero entry, stored check-major; a permutation gives the
-    variable-major view.  Empty rows and empty columns take no part in
-    message passing (an empty row with syndrome 1 simply never converges).
+    One edge per nonzero entry, stored check-major with columns ascending
+    within a check; a stable permutation gives the variable-major view.
+    With ``keep``, a boolean mask over columns, only kept columns get
+    edges.  Empty rows and empty columns take no part in message passing
+    (an empty row with syndrome 1 simply never converges).
     """
 
-    def __init__(self, h: SparseBinMatrix):
+    def __init__(self, h: SparseBinMatrix, keep: np.ndarray | None = None):
         self.h = h
+        kept = keep.tolist() if keep is not None else None
         edge_var = []
         edge_chk = []
+        seg_starts = []
+        seg_chk = []
+        counts = []
         for i, sup in enumerate(h.row_supports):
-            for j in sup:
-                edge_var.append(j)
-                edge_chk.append(i)
+            if kept is not None:
+                sup = [j for j in sup if kept[j]]
+            if sup:
+                # check-major segments (nonempty checks only)
+                seg_starts.append(len(edge_var))
+                seg_chk.append(i)
+                counts.append(len(sup))
+                edge_var.extend(sup)
+                edge_chk.extend([i] * len(sup))
         self.nnz = len(edge_var)
         self.edge_var = np.asarray(edge_var, dtype=np.intp)
         self.edge_chk = np.asarray(edge_chk, dtype=np.intp)
-
-        # check-major segments (nonempty checks only)
-        seg_starts = []
-        seg_chk = []
-        pos = 0
-        for i, sup in enumerate(h.row_supports):
-            if sup:
-                seg_starts.append(pos)
-                seg_chk.append(i)
-                pos += len(sup)
         self.chk_seg_starts = np.asarray(seg_starts, dtype=np.intp)
         self.chk_seg_ids = np.asarray(seg_chk, dtype=np.intp)
-        counts = np.array(
-            [len(s) for s in h.row_supports if s], dtype=np.intp
-        )
         self.edge_seg = np.repeat(np.arange(len(seg_chk), dtype=np.intp), counts)
 
         # variable-major permutation and segments (nonempty columns only)
@@ -93,7 +109,7 @@ def hard_decision(soft) -> BitVec:
 
 
 def _llr(priors: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         lam = np.log((1.0 - priors) / priors)
     return np.clip(lam, -LLR_CLAMP, LLR_CLAMP)
 
@@ -110,14 +126,16 @@ class BpDecoder:
         h: SparseBinMatrix,
         variant: str = PRODUCT_SUM,
         min_sum_scale: float = 0.625,
-        graph: TannerGraph | None = None,
     ):
         if variant not in (PRODUCT_SUM, MIN_SUM):
             raise ValueError(f"unknown BP variant {variant!r}")
+        scale = float(min_sum_scale)
+        if not 0.0 < scale < math.inf:
+            raise ValueError(f"min_sum_scale must be a finite number > 0, got {min_sum_scale}")
         self.h = h
         self.variant = variant
-        self.min_sum_scale = float(min_sum_scale)
-        self.graph = graph if graph is not None else TannerGraph(h)
+        self.min_sum_scale = scale
+        self.graph = TannerGraph(h)
         # edge-visit counters for cost instrumentation
         self.v2c_edge_updates = 0
         self.c2v_edge_updates = 0
@@ -135,32 +153,37 @@ class BpDecoder:
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (h.cols,):
             raise ValueError(f"priors length {priors.shape} != cols {h.cols}")
-        if priors.size and (priors.min() < 0.0 or priors.max() > 1.0):
-            raise ValueError("priors must lie in [0, 1]")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        cut = None
+        if priors.size:
+            lowest = priors.min()
+            if not (lowest >= 0.0 and priors.max() <= 1.0):
+                raise ValueError("priors must lie in [0, 1]")
+            if lowest == 0.0:
+                cut = priors == 0.0
+                g = TannerGraph(h, ~cut)
         self.v2c_edge_updates = 0
         self.c2v_edge_updates = 0
 
         s_dense = syndrome.to_dense()
-        active = priors > 0.0
         lam_prior = _llr(priors)
-        edge_active = active[g.edge_var]
         syn_sign_e = 1.0 - 2.0 * s_dense[g.edge_chk]
 
         soft = priors.copy()
-        soft[~active] = 0.0
+        if cut is not None:
+            soft[cut] = 0.0
         hard = soft >= 0.5
-        if early_stop and self._syndrome_matches(hard, s_dense):
+        if early_stop and self._syndrome_matches(g, hard, s_dense):
             return BpOutput(soft, BitVec.from_dense(hard), True, 0)
 
-        m_vc = np.clip(lam_prior[g.edge_var], -LLR_CLAMP, LLR_CLAMP)
+        m_vc = lam_prior[g.edge_var]
         self.v2c_edge_updates += g.nnz
         iterations = 0
         converged = False
         for it in range(1, max_iter + 1):
             iterations = it
-            m_cv = self._check_update(m_vc, syn_sign_e, edge_active)
+            m_cv = self._check_update(g, m_vc, syn_sign_e)
             self.c2v_edge_updates += g.nnz
 
             total = lam_prior.copy()
@@ -169,35 +192,33 @@ class BpDecoder:
                 total[g.var_seg_ids] += seg_sums
             total = np.clip(total, -_TOTAL_CLAMP, _TOTAL_CLAMP)
             soft = 1.0 / (1.0 + np.exp(total))
-            soft[~active] = 0.0
+            if cut is not None:
+                soft[cut] = 0.0
             hard = soft >= 0.5
-            if early_stop and self._syndrome_matches(hard, s_dense):
+            if early_stop and self._syndrome_matches(g, hard, s_dense):
                 converged = True
                 break
             if it < max_iter:
                 m_vc = np.clip(total[g.edge_var] - m_cv, -LLR_CLAMP, LLR_CLAMP)
                 self.v2c_edge_updates += g.nnz
         if not early_stop:
-            converged = self._syndrome_matches(hard, s_dense)
+            converged = self._syndrome_matches(g, hard, s_dense)
         return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)
 
-    def _syndrome_matches(self, hard: np.ndarray, s_dense: np.ndarray) -> bool:
-        g = self.graph
+    def _syndrome_matches(self, g: TannerGraph, hard: np.ndarray, s_dense: np.ndarray) -> bool:
         syn_hat = np.zeros(self.h.rows, dtype=np.int64)
         if g.nnz:
             bits = hard[g.edge_var].astype(np.int64)
             syn_hat[g.chk_seg_ids] = np.add.reduceat(bits, g.chk_seg_starts) & 1
         return bool(np.array_equal(syn_hat, s_dense.astype(np.int64)))
 
-    def _check_update(self, m_vc, syn_sign_e, edge_active):
+    def _check_update(self, g, m_vc, syn_sign_e):
         if self.variant == PRODUCT_SUM:
-            return self._check_update_product_sum(m_vc, syn_sign_e, edge_active)
-        return self._check_update_min_sum(m_vc, syn_sign_e, edge_active)
+            return self._check_update_product_sum(g, m_vc, syn_sign_e)
+        return self._check_update_min_sum(g, m_vc, syn_sign_e)
 
-    def _check_update_product_sum(self, m_vc, syn_sign_e, edge_active):
-        g = self.graph
+    def _check_update_product_sum(self, g, m_vc, syn_sign_e):
         t = np.tanh(0.5 * m_vc)
-        t[~edge_active] = 1.0  # masked variables do not influence checks
         zero = t == 0.0
         tn = np.where(zero, 1.0, t)
         prod = np.multiply.reduceat(tn, g.chk_seg_starts)
@@ -213,32 +234,25 @@ class BpDecoder:
         r = np.clip(r * syn_sign_e, -1.0, 1.0)
         with np.errstate(divide="ignore"):
             m_cv = 2.0 * np.arctanh(r)
-        m_cv = np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
-        m_cv[~edge_active] = 0.0
-        return m_cv
+        return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
-    def _check_update_min_sum(self, m_vc, syn_sign_e, edge_active):
-        g = self.graph
+    def _check_update_min_sum(self, g, m_vc, syn_sign_e):
         mag = np.abs(m_vc)
-        mag[~edge_active] = np.inf
-        neg = (m_vc < 0) & edge_active
+        neg = m_vc < 0
         min1 = np.minimum.reduceat(mag, g.chk_seg_starts)
         is_min = mag == min1[g.edge_seg]
         cmin = np.add.reduceat(is_min.astype(np.int64), g.chk_seg_starts)
         mag2 = np.where(is_min, np.inf, mag)
         min2 = np.minimum.reduceat(mag2, g.chk_seg_starts)
+        # a check's only edge gets min2 = +inf, which the clip turns into 35
         min_excl = np.where(
             is_min & (cmin[g.edge_seg] == 1), min2[g.edge_seg], min1[g.edge_seg]
         )
         negc = np.add.reduceat(neg.astype(np.int64), g.chk_seg_starts)
         par = (negc[g.edge_seg] - neg.astype(np.int64)) & 1
         sign = np.where(par == 1, -1.0, 1.0)
-        with np.errstate(invalid="ignore"):
-            m_cv = syn_sign_e * sign * self.min_sum_scale * min_excl
-        m_cv = np.clip(np.nan_to_num(m_cv, nan=0.0, posinf=LLR_CLAMP, neginf=-LLR_CLAMP),
-                       -LLR_CLAMP, LLR_CLAMP)
-        m_cv[~edge_active] = 0.0
-        return m_cv
+        m_cv = syn_sign_e * sign * self.min_sum_scale * min_excl
+        return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
 
 def bp_decode(

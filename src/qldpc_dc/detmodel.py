@@ -26,7 +26,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .codes import BbParams, CssCode, bb_block_permutations, build_bb, build_rotated_surface
+from .codes import (
+    BbParams, CssCode, _invert, bb_block_permutations, build_bb, build_rotated_surface,
+)
 from .gf2 import BitVec, SparseBinMatrix
 
 PRIOR_FLOOR = 1e-12
@@ -254,8 +256,8 @@ def build_bb_circuit(params: BbParams, t_rounds: int) -> CliffordCircuit:
     code = build_bb(params)
     s = params.l * params.m
     a_perms, b_perms = bb_block_permutations(params)
-    a_inv = [_invert_perm(p) for p in a_perms]
-    b_inv = [_invert_perm(p) for p in b_perms]
+    a_inv = [_invert(p) for p in a_perms]
+    b_inv = [_invert(p) for p in b_perms]
     a1, a2, a3 = a_perms
     b1, b2, b3 = b_perms
     a1i, a2i, a3i = a_inv
@@ -367,13 +369,6 @@ def build_bb_circuit(params: BbParams, t_rounds: int) -> CliffordCircuit:
     )
     circuit.validate()
     return circuit
-
-
-def _invert_perm(perm: Sequence[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -822,21 +817,8 @@ def find_low_weight_trivial(
     if not 1 <= w_max <= 3:
         raise ValueError("w_max must be 1, 2, or 3")
     n = h.cols
-    keys = [0] * n
-    for i, bits_row in enumerate(h.row_bits):
-        # transpose the row bitmasks into per-column signature keys
-        cur = bits_row
-        while cur:
-            low = cur & -cur
-            keys[low.bit_length() - 1] |= 1 << i
-            cur ^= low
-    off = h.rows
-    for i, bits_row in enumerate(obs.row_bits):
-        cur = bits_row
-        while cur:
-            low = cur & -cur
-            keys[low.bit_length() - 1] |= 1 << (off + i)
-            cur ^= low
+    # per-column signature: its detector bits, then its observable bits
+    keys = [hc | oc << h.rows for hc, oc in zip(h.col_bits, obs.col_bits)]
 
     found: set[frozenset[int]] = set()
     for j, key in enumerate(keys):
@@ -851,9 +833,6 @@ def find_low_weight_trivial(
                 for b in range(a + 1, len(cols)):
                     found.add(frozenset((cols[a], cols[b])))
     if w_max >= 3:
-        by_key = {}
-        for j, key in enumerate(keys):
-            by_key.setdefault(key, []).append(j)
         for i in range(n):
             ki = keys[i]
             for j in range(i + 1, n):

@@ -168,31 +168,6 @@ class SparseBinMatrix:
     def zeros(cls, rows: int, cols: int) -> "SparseBinMatrix":
         return cls(rows, cols, [()] * rows)
 
-    @classmethod
-    def vstack(cls, mats: Sequence["SparseBinMatrix"]) -> "SparseBinMatrix":
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("column count mismatch in vstack")
-        sups: list[tuple[int, ...]] = []
-        for m in mats:
-            sups.extend(m.row_supports)
-        return cls(sum(m.rows for m in mats), cols, sups)
-
-    @classmethod
-    def hstack(cls, mats: Sequence["SparseBinMatrix"]) -> "SparseBinMatrix":
-        rows = mats[0].rows
-        if any(m.rows != rows for m in mats):
-            raise ValueError("row count mismatch in hstack")
-        sups = []
-        for i in range(rows):
-            row: list[int] = []
-            off = 0
-            for m in mats:
-                row.extend(j + off for j in m.row(i))
-                off += m.cols
-            sups.append(row)
-        return cls(rows, sum(m.cols for m in mats), sups)
-
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
@@ -343,7 +318,7 @@ def inverse(m: SparseBinMatrix) -> SparseBinMatrix:
 
 
 def solve(
-    m: SparseBinMatrix, s: BitVec, pivot_order: Sequence[int]
+    m: SparseBinMatrix, s: BitVec, pivot_order: Sequence[int] | np.ndarray
 ) -> Optional[BitVec]:
     """Solve x * M^T = s with greedy pivoting in the given column order.
 
@@ -364,13 +339,14 @@ def solve(
     """
     if s.length != m.rows:
         raise ValueError(f"syndrome length {s.length} != matrix rows {m.rows}")
-    if sorted(pivot_order) != list(range(m.cols)):
+    order = np.asarray(pivot_order)
+    if order.shape != (m.cols,) or not np.array_equal(np.sort(order), np.arange(m.cols)):
         raise ValueError("pivot_order must be a permutation of column indices")
     syn = s.bits
     x = 0
     col_bits = m.col_bits
     basis: dict[int, tuple[int, int]] = {}  # lowest row bit -> (rows, columns)
-    for col in pivot_order:
+    for col in order.tolist():
         if not syn:
             break
         bits = col_bits[col]

@@ -171,8 +171,7 @@ def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft) -> BitVec:
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h.cols,):
         raise ValueError(f"soft length {soft.shape} != matrix cols {h.cols}")
-    order = np.argsort(-soft, kind="stable")
-    x = gf2.solve(h, syndrome, [int(c) for c in order])
+    x = gf2.solve(h, syndrome, np.argsort(-soft, kind="stable"))
     if x is None:
         raise InconsistentSystemError("syndrome not in the row space of H^T")
     return x

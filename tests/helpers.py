@@ -1,11 +1,29 @@
-"""Shared test oracles: random acyclic instances, exhaustive posteriors and
-the row-elimination OSD-0 solver that ``gf2.solve`` replaced."""
+"""Shared test oracles: random acyclic instances, exhaustive posteriors,
+the row-elimination OSD-0 solver that ``gf2.solve`` replaced, and the
+Hypothesis strategy for small sparse matrices."""
 
 from typing import Optional, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=10):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    return draw(sparse_matrices_of(rows, cols))
+
+
+@st.composite
+def sparse_matrices_of(draw, rows, cols):
+    sups = [
+        draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+        for _ in range(rows)
+    ]
+    return SparseBinMatrix(rows, cols, sups)
 
 
 def random_forest_checks(rng: np.random.Generator) -> SparseBinMatrix:

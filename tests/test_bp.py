@@ -5,13 +5,19 @@ the exact syndrome-conditioned posterior marginals, computed here by
 brute-force enumeration over all error patterns.
 """
 
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, bp_decode, hard_decision
+from helpers import sparse_matrices
+from qldpc_dc import noise, sim
+from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph, bp_decode, hard_decision
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
+from qldpc_dc.postproc import _dc_rng, dc_cut_indices
 
 
 def random_forest_checks(rng: np.random.Generator) -> SparseBinMatrix:
@@ -175,6 +181,19 @@ class TestBpDecode:
         with pytest.raises(ValueError):
             bp_decode(h, BitVec.zeros(2), np.full(3, 0.1), 0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
+    def test_min_sum_scale_must_be_finite_and_positive(self, scale):
+        h = SparseBinMatrix(1, 2, [(0, 1)])
+        with pytest.raises(ValueError, match="min_sum_scale must be a finite number > 0"):
+            BpDecoder(h, MIN_SUM, scale)
+        with pytest.raises(ValueError, match="min_sum_scale"):
+            BpDecoder(h, PRODUCT_SUM, scale)
+
+    def test_nan_prior_rejected(self):
+        h = SparseBinMatrix(1, 2, [(0, 1)])
+        with pytest.raises(ValueError, match="priors must lie in"):
+            bp_decode(h, BitVec.zeros(1), np.array([0.1, np.nan]), 5)
+
     def test_min_sum_scale_recorded_and_used(self):
         h = SparseBinMatrix(1, 2, [(0, 1)])
         s = BitVec.from_support(1, [0])
@@ -202,3 +221,134 @@ class TestWorkBound:
         out = dec.decode(BitVec.zeros(2), np.full(4, 0.01), 50)
         assert out.iterations_used == 0
         assert dec.c2v_edge_updates == 0
+
+    def test_cut_columns_carry_no_edge_updates(self):
+        h = SparseBinMatrix(4, 8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 1)])
+        dec = BpDecoder(h)
+        s = BitVec.from_support(4, [0, 2])
+        priors = np.full(8, 0.1)
+        priors[[2, 6]] = 0.0
+        out = dec.decode(s, priors, 9, early_stop=False)
+        kept_nnz = h.nnz - len(h.col(2)) - len(h.col(6))
+        assert dec.v2c_edge_updates == out.iterations_used * kept_nnz
+        assert dec.c2v_edge_updates == out.iterations_used * kept_nnz
+
+
+VARIANTS = [(PRODUCT_SUM, 1.0), (PRODUCT_SUM, 0.625), (MIN_SUM, 1.0), (MIN_SUM, 0.625)]
+PRIORS = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+
+
+@st.composite
+def zero_prior_cases(draw):
+    """(H, priors, syndrome, variant, scale, early_stop, max_iter)."""
+    h = draw(sparse_matrices())
+    priors = np.array(draw(st.lists(PRIORS, min_size=h.cols, max_size=h.cols)))
+    syndrome = BitVec(h.rows, draw(st.integers(0, (1 << h.rows) - 1)))
+    variant, scale = draw(st.sampled_from(VARIANTS))
+    return h, priors, syndrome, variant, scale, draw(st.booleans()), draw(st.integers(1, 12))
+
+
+# check 0 covers only cut columns and has syndrome 1
+ALL_CUT_CHECK = (
+    SparseBinMatrix(2, 3, [(0, 1), (1, 2)]), np.array([0.0, 0.0, 0.3]),
+    BitVec.from_support(2, [0, 1]), PRODUCT_SUM, 1.0, True, 6,
+)
+# the min-sum check keeps a single column, whose message is min2 = +inf clipped
+ONE_KEPT_COLUMN = (
+    SparseBinMatrix(2, 4, [(0, 1, 2), (2, 3)]), np.array([0.0, 0.0, 0.2, 0.1]),
+    BitVec.from_support(2, [0]), MIN_SUM, 0.625, False, 5,
+)
+
+
+class TestZeroPriorRemovesColumns:
+    """A decode with priors of 0 is the decode on H without those columns."""
+
+    @given(zero_prior_cases())
+    @example(ALL_CUT_CHECK)
+    @example(ONE_KEPT_COLUMN)
+    @example(ONE_KEPT_COLUMN[:3] + (MIN_SUM, 1.0, True, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_decode_without_columns(self, case):
+        h, priors, syndrome, variant, scale, early_stop, max_iter = case
+        masked = np.flatnonzero(priors == 0.0)
+        h2, kept = h.without_columns(masked.tolist())
+        full = BpDecoder(h, variant, scale).decode(syndrome, priors, max_iter, early_stop)
+        sub = BpDecoder(h2, variant, scale).decode(
+            syndrome, priors[kept], max_iter, early_stop
+        )
+        assert full.soft[kept].tobytes() == sub.soft.tobytes()
+        assert np.all(full.soft[masked] == 0.0)
+        hard = np.zeros(h.cols, dtype=np.uint8)
+        hard[kept] = sub.hard.to_dense()
+        assert full.hard == BitVec.from_dense(hard)
+        assert (full.converged, full.iterations_used) == (sub.converged, sub.iterations_used)
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_graph_is_the_graph_without_columns(self, h, data):
+        """Same check-major order, segments and stable variable-major
+        permutation as the graph of the reduced matrix, in original columns."""
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=h.cols, max_size=h.cols)))
+        g = TannerGraph(h, keep)
+        h2, kept = h.without_columns(np.flatnonzero(~keep).tolist())
+        g2 = TannerGraph(h2)
+        assert g.nnz == g2.nnz
+        assert np.array_equal(g.edge_var, kept[g2.edge_var])
+        assert np.array_equal(g.var_seg_ids, kept[g2.var_seg_ids])
+        for name in ("edge_chk", "chk_seg_starts", "chk_seg_ids", "edge_seg",
+                     "var_perm", "var_seg_starts"):
+            assert np.array_equal(getattr(g, name), getattr(g2, name)), name
+
+
+# (code, noise, rounds, p, trials, max_iter): BP fails often enough at each
+# point that every variant takes both second-run prior choices
+DIGEST_POINTS = [
+    ("surface:5", "code-capacity", None, 0.1, 40, 25),
+    ("surface:5", "pheno", 3, 0.03, 30, 40),
+    ("bb:6,6", "circuit-bb", 3, 0.01, 16, 40),
+]
+
+
+def test_decode_set_digest():
+    """SHA-256 of the soft outputs, hard bits, convergence and iteration
+    counts of a fixed decode set: first runs on code-capacity, pheno and
+    circuit models with product-sum and min-sum (scale 1.0 and 0.625), and
+    for every failed first run the zero-prior second runs of degeneracy
+    cutting with reset and with posterior priors.  The digest was computed
+    with cut columns kept in the graph as masked edges, so it checks that
+    taking them out changes no bit."""
+    sha = hashlib.sha256()
+    second_runs = 0
+
+    def run(dec, syndrome, priors, max_iter):
+        out = dec.decode(syndrome, priors, max_iter)
+        sha.update(out.soft.tobytes())
+        sha.update(repr((out.hard.bits, out.converged, out.iterations_used)).encode())
+        return out
+
+    for code, noise_model, rounds, p, trials, max_iter in DIGEST_POINTS:
+        cfg = sim.ExperimentConfig(
+            code=code, noise=noise_model, rounds=rounds, p=p, decoder="bp",
+            trials=trials, seed=7,
+        )
+        model = sim.build_model(cfg)
+        for variant, scale in [(PRODUCT_SUM, 0.625), (MIN_SUM, 1.0), (MIN_SUM, 0.625)]:
+            dec = BpDecoder(model.check_matrix, variant, scale)
+            for t in range(trials):
+                syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+                first = run(dec, syndrome, model.priors, max_iter)
+                if first.converged:
+                    continue
+                cuts = sorted(dc_cut_indices(model.degeneracy_matrix, first.soft, _dc_rng(t)))
+                for base in (model.priors, first.soft):  # reset, posterior
+                    second = np.array(base, dtype=float)
+                    second[cuts] = 0.0
+                    run(dec, syndrome, second, max_iter)
+                    second_runs += 1
+    assert second_runs == 324
+    assert sha.hexdigest() == (
+        "526664ac471c123d9ad52e02ad96963a66dca1121674f7de06a91ebe06118d1a"
+    )

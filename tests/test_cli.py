@@ -141,6 +141,21 @@ class TestDecodeCommand:
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
 
+    def test_negative_min_sum_scale_rejected(self, tmp_path, capsys):
+        save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
+        (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")
+        out = tmp_path / "est.txt"
+        assert run_cli(
+            "decode", "--dcm", str(tmp_path / "hz.txt"),
+            "--syndrome", str(tmp_path / "syn.txt"),
+            "--bp-variant", "min-sum", "--min-sum-scale", "-1", "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: min_sum_scale must be a finite number > 0, got -1.0\n"
+        )
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
     @pytest.mark.parametrize("decoder", sim.DECODERS)
     def test_matches_run_trials_decode_path(self, decoder, tmp_path, monkeypatch):
         """`qldpc-dc decode` with a trial's DC seed reproduces the estimate
@@ -273,6 +288,19 @@ class TestSimulateAndSweep:
         ) == 1
         assert "error: threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_zero_min_sum_scale_rejected(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "simulate", "--code", "surface:3", "--noise", "code-capacity",
+            "--p", "0.02", "--decoder", "bp", "--trials", "30", "--min-sum-scale", "0",
+            "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: min_sum_scale must be a finite number > 0, got 0.0\n"
+        )
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLDPC_DC_SEED", "31")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_solve
+from helpers import reference_solve, sparse_matrices, sparse_matrices_of
 from qldpc_dc import noise, sim
 from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import _nullspace_basis
@@ -61,22 +61,6 @@ def exhaustive_rowspace(m: SparseBinMatrix) -> set:
                 acc ^= m.row_bits[i]
         out.add(acc)
     return out
-
-
-@st.composite
-def sparse_matrices(draw, max_rows=8, max_cols=10):
-    rows = draw(st.integers(1, max_rows))
-    cols = draw(st.integers(1, max_cols))
-    return draw(sparse_matrices_of(rows, cols))
-
-
-@st.composite
-def sparse_matrices_of(draw, rows, cols):
-    sups = [
-        draw(st.sets(st.integers(0, cols - 1), max_size=cols))
-        for _ in range(rows)
-    ]
-    return SparseBinMatrix(rows, cols, sups)
 
 
 class TestBitVec:
@@ -266,8 +250,17 @@ class TestSolve:
         with pytest.raises(ValueError, match="syndrome length"):
             solver(m, BitVec.zeros(3), [0, 1, 2])
         for order in ([0, 1, 1], [0, 1], [0, 1, 3], [0, 1, 2, 3], [-1, 0, 1]):
-            with pytest.raises(ValueError, match="permutation"):
-                solver(m, s, order)
+            for as_given in (order, np.array(order)):
+                with pytest.raises(ValueError, match="permutation"):
+                    solver(m, s, as_given)
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=60)
+    def test_ndarray_order_matches_list(self, m, data):
+        """OSD-0 passes its argsort array; a list of the same columns solves alike."""
+        s = BitVec(m.rows, data.draw(st.integers(0, (1 << m.rows) - 1)))
+        order = list(data.draw(st.permutations(range(m.cols))))
+        assert solve(m, s, np.array(order)) == solve(m, s, order)
 
     @given(sparse_matrices(), st.data())
     @settings(max_examples=300)
