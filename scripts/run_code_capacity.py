@@ -12,7 +12,6 @@ import sys
 from pathlib import Path
 
 from qldpc_dc import sim
-from qldpc_dc.sim import ExperimentConfig
 
 SURFACE_RATES = [0.02, 0.05, 0.08, 0.11]
 BB_RATES = [0.02, 0.04, 0.06, 0.08]
@@ -20,20 +19,14 @@ DECODERS = ["bp", "bp-dc", "bp-osd", "bp-dc-osd"]
 
 
 def sweep(code, noise, rates, trials, seed, threads, **kw):
+    base = dict(code=code, noise=noise, trials=trials, seed=seed, threads=threads, **kw)
     records = []
-    for decoder in DECODERS:
-        for p in rates:
-            cfg = ExperimentConfig(
-                code=code, noise=noise, p=p, decoder=decoder,
-                trials=trials, seed=seed, threads=threads, **kw,
-            )
-            stats = sim.run_trials(cfg)
-            rec = sim.stats_record(cfg, stats)
-            records.append(rec)
-            print(
-                f"{code} {decoder:10s} p={p:<6g} rate={stats.failure_rate:.5f} "
-                f"ci=({stats.ci_low:.5f},{stats.ci_high:.5f})"
-            )
+    for cfg, stats in sim.sweep(base, rates, DECODERS):
+        records.append(sim.stats_record(cfg, stats))
+        print(
+            f"{code} {cfg.decoder:10s} p={cfg.p:<6g} rate={stats.failure_rate:.5f} "
+            f"ci=({stats.ci_low:.5f},{stats.ci_high:.5f})"
+        )
     return records
 
 

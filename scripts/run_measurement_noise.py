@@ -12,25 +12,22 @@ import sys
 from pathlib import Path
 
 from qldpc_dc import sim
-from qldpc_dc.sim import ExperimentConfig
 
 DECODERS = ["bp", "bp-dc", "bp-osd", "bp-dc-osd"]
 
 
 def run_points(code, noise, rates, rounds, trials, seed, threads, **kw):
+    base = dict(
+        code=code, noise=noise, rounds=rounds, trials=trials, seed=seed,
+        threads=threads, max_iter=1000, **kw,
+    )
     records = []
-    for decoder in DECODERS:
-        for p in rates:
-            cfg = ExperimentConfig(
-                code=code, noise=noise, p=p, rounds=rounds, decoder=decoder,
-                trials=trials, seed=seed, threads=threads, max_iter=1000, **kw,
-            )
-            stats = sim.run_trials(cfg)
-            records.append(sim.stats_record(cfg, stats))
-            print(
-                f"{noise} {code} {decoder:10s} p={p:<7g} "
-                f"rate={stats.failure_rate:.5f}"
-            )
+    for cfg, stats in sim.sweep(base, rates, DECODERS):
+        records.append(sim.stats_record(cfg, stats))
+        print(
+            f"{noise} {code} {cfg.decoder:10s} p={cfg.p:<7g} "
+            f"rate={stats.failure_rate:.5f}"
+        )
     return records
 
 

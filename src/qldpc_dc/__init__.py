@@ -4,7 +4,7 @@ Monte Carlo harness."""
 
 __version__ = "0.1.0"
 
-from .bp import BpDecoder, BpOutput, TannerGraph, bp_decode, hard_decision
+from .bp import BpDecoder, BpOutput, TannerGraph
 from .codes import (
     BbParams,
     CssCode,
@@ -14,21 +14,15 @@ from .codes import (
     compute_logicals,
 )
 from .detmodel import (
-    CliffordCircuit,
     DetectorModel,
-    ErrorMechanism,
-    build_bb_circuit,
     build_bb_circuit_dcm,
     build_bb_circuit_ddm,
     build_bb_circuit_model,
     build_pheno_dcm,
     build_pheno_ddm,
     build_pheno_model,
-    build_surface_circuit,
-    build_surface_circuit_model,
     code_capacity_model,
     combine_odd_parity,
-    enumerate_fault_mechanisms,
     find_low_weight_trivial,
 )
 from .gf2 import (

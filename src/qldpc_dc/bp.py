@@ -92,20 +92,13 @@ class TannerGraph:
 
 @dataclass
 class BpOutput:
-    """Soft marginals, the thresholded hard decision, and termination info."""
+    """Soft marginals, the hard decision ``soft >= 0.5`` (a tie at 0.5 is an
+    error), and termination info."""
 
     soft: np.ndarray
     hard: BitVec
     converged: bool
     iterations_used: int
-
-
-def hard_decision(soft) -> BitVec:
-    """Threshold soft marginals at 0.5; ties are declared errors."""
-    soft = np.asarray(soft, dtype=float)
-    if soft.size and (soft.min() < 0.0 or soft.max() > 1.0):
-        raise ValueError("soft values must lie in [0, 1]")
-    return BitVec.from_dense(soft >= 0.5)
 
 
 def _llr(priors: np.ndarray) -> np.ndarray:
@@ -253,18 +246,3 @@ class BpDecoder:
         sign = np.where(par == 1, -1.0, 1.0)
         m_cv = syn_sign_e * sign * self.min_sum_scale * min_excl
         return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
-
-
-def bp_decode(
-    h: SparseBinMatrix,
-    syndrome: BitVec,
-    priors,
-    max_iter: int,
-    variant: str = PRODUCT_SUM,
-    min_sum_scale: float = 0.625,
-    early_stop: bool = True,
-) -> BpOutput:
-    """One-shot decode; builds a throwaway decoder instance."""
-    return BpDecoder(h, variant, min_sum_scale).decode(
-        syndrome, priors, max_iter, early_stop=early_stop
-    )

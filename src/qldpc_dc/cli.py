@@ -248,11 +248,15 @@ _SIM_KEYS = [
 ]
 
 
-def _experiment_config(merged: dict) -> ExperimentConfig:
+def _with_defaults(merged: dict) -> dict:
     merged.setdefault("seed", _default_seed())
     merged.setdefault("threads", 1)
+    return merged
+
+
+def _experiment_config(merged: dict) -> ExperimentConfig:
     try:
-        return ExperimentConfig(**merged)
+        return ExperimentConfig(**_with_defaults(merged))
     except (TypeError, ValueError) as exc:
         raise CliError(str(exc)) from exc
 
@@ -301,11 +305,9 @@ def cmd_sweep(args) -> int:
     decoders = [d.strip() for d in args.decoders.split(",")]
     records = []
     cfgs = []
-    for decoder in decoders:
-        for p in rates:
-            cfg = _experiment_config(dict(merged, p=p, decoder=decoder))
-            cfgs.append(cfg)
-            records.append(sim.stats_record(cfg, sim.run_trials(cfg)))
+    for cfg, stats in sim.sweep(_with_defaults(merged), rates, decoders):
+        cfgs.append(cfg)
+        records.append(sim.stats_record(cfg, stats))
     return _emit(records, cfgs, args, started)
 
 

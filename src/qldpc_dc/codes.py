@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitVec, PivotBasis, SparseBinMatrix, inverse, mat_mat_t, rank
+from .gf2 import PivotBasis, SparseBinMatrix, inverse, mat_mat_t, rank
 
 
 @dataclass(frozen=True)
@@ -263,21 +263,3 @@ def compute_logicals(
     ginv = inverse(mat_mat_t(ox, oz))
     ox = mat_mat_t(ginv, ox.transpose())
     return ox, oz
-
-
-def reduce_logical_weight(v: BitVec, stabilizers: SparseBinMatrix) -> BitVec:
-    """Greedy weight reduction: add stabilizer rows while weight decreases.
-
-    Representatives are not weight-minimized; this is only a sanity helper
-    for 'weight >= d' checks on logical rows.
-    """
-    best = v.bits
-    improved = True
-    while improved:
-        improved = False
-        for row in stabilizers.row_bits:
-            cand = best ^ row
-            if cand.bit_count() < best.bit_count():
-                best = cand
-                improved = True
-    return BitVec(v.length, best)

@@ -104,21 +104,19 @@ def _expand(values: np.ndarray, kept: np.ndarray, cols: int) -> np.ndarray:
 
 
 def _run_dc(
-    h: SparseBinMatrix,
+    dec: BpDecoder,
     h_deg: SparseBinMatrix,
     syndrome: BitVec,
     priors,
     max_iter: int,
-    variant: str,
-    min_sum_scale: float,
     cfg: DcConfig,
-    decoder: BpDecoder | None,
 ) -> tuple[DecodeResult, np.ndarray | None]:
-    """Shared BP+DC pipeline; also returns the second run's full-width soft."""
+    """Shared BP+DC pipeline on ``dec``'s matrix and BP settings; also
+    returns the second run's full-width soft."""
+    h = dec.h
     if h.cols != h_deg.cols:
         raise ValueError("check and degeneracy matrices disagree on column count")
     priors = np.asarray(priors, dtype=float)
-    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
     first, out1 = first_bp(dec, syndrome, priors, max_iter)
     if out1.converged:
         return first, None
@@ -135,7 +133,7 @@ def _run_dc(
         soft2 = out2.soft
     else:
         h2, kept = h.without_columns(cuts)
-        out2 = BpDecoder(h2, variant, min_sum_scale).decode(
+        out2 = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(
             syndrome, np.asarray(base, dtype=float)[kept], max_iter
         )
         estimate = BitVec.from_dense(_expand(out2.hard.to_dense(), kept, h.cols))
@@ -159,10 +157,13 @@ def bp_dc_decode(
     min_sum_scale: float = 0.625,
     decoder: BpDecoder | None = None,
 ) -> DecodeResult:
-    """BP, then a single degeneracy cut and one BP rerun if BP failed."""
-    result, _ = _run_dc(
-        h, h_deg, syndrome, priors, max_iter, variant, min_sum_scale, cfg, decoder
-    )
+    """BP, then a single degeneracy cut and one BP rerun if BP failed.
+
+    A given ``decoder`` supplies the BP settings of both runs, and
+    ``variant``/``min_sum_scale`` are then ignored.
+    """
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    result, _ = _run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
     return result
 
 
@@ -209,9 +210,8 @@ def bp_dc_osd_decode(
     decoder: BpDecoder | None = None,
 ) -> DecodeResult:
     """BP+DC, then OSD-0 on the cut-reduced matrix if the second BP fails."""
-    result, soft2 = _run_dc(
-        h, h_deg, syndrome, priors, max_iter, variant, min_sum_scale, cfg, decoder
-    )
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    result, soft2 = _run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
     if result.status is not DecodeStatus.FAILED:
         return result
     h2, kept = h.without_columns(result.cut_indices)

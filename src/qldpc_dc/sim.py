@@ -14,8 +14,9 @@ import concurrent.futures
 import enum
 import json
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import noise
 from .bp import PRODUCT_SUM, BpDecoder
@@ -93,6 +94,17 @@ class FailureStats:
         return cls(trials, logical, nonconv, fails / trials, lo, hi)
 
 
+def _is_int(value) -> bool:
+    """True for ints and integer scalars that ``operator.index`` accepts, bools excepted."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything needed to bit-reproduce one failure-rate point."""
@@ -116,10 +128,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 0.5)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
+        for name in ("trials", "seed", "threads", "rounds", "max_iter"):
+            value = getattr(self, name)
+            if value is None and name in ("rounds", "max_iter"):
+                continue
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {DECODERS}")
         if "dc" in self.decoder and self.dc_second_priors is None:
@@ -269,6 +285,20 @@ def run_trials(cfg: ExperimentConfig, model: Optional[DetectorModel] = None) -> 
             logical += l
             nonconv += nc
     return FailureStats.from_counts(cfg.trials, logical, nonconv)
+
+
+def sweep(
+    base: dict, rates: Sequence[float], decoders: Sequence[str]
+) -> Iterator[tuple[ExperimentConfig, FailureStats]]:
+    """Run one point per (decoder, p) and yield its config and stats.
+
+    Points come decoder-major: every rate for the first decoder, then the
+    next decoder.  ``base`` holds the other ``ExperimentConfig`` fields.
+    Every point's config is built, and so validated, before the first
+    point runs.
+    """
+    cfgs = [ExperimentConfig(**base, p=p, decoder=d) for d in decoders for p in rates]
+    return ((cfg, run_trials(cfg)) for cfg in cfgs)
 
 
 def stats_record(cfg: ExperimentConfig, stats: FailureStats) -> dict:

@@ -1,6 +1,7 @@
 """Shared test oracles: random acyclic instances, exhaustive posteriors,
-the row-elimination OSD-0 solver that ``gf2.solve`` replaced, and the
-Hypothesis strategy for small sparse matrices."""
+the row-elimination OSD-0 solver that ``gf2.solve`` replaced, greedy
+logical-weight reduction, and the Hypothesis strategy for small sparse
+matrices."""
 
 from typing import Optional, Sequence
 
@@ -110,3 +111,21 @@ def reference_solve(
         if rhs[r]:
             x |= 1 << col
     return BitVec(m.cols, x)
+
+
+def reduce_logical_weight(v: BitVec, stabilizers: SparseBinMatrix) -> BitVec:
+    """Greedy weight reduction: add stabilizer rows while weight decreases.
+
+    Representatives are not weight-minimized; this is only a sanity helper
+    for 'weight >= d' checks on logical rows.
+    """
+    best = v.bits
+    improved = True
+    while improved:
+        improved = False
+        for row in stabilizers.row_bits:
+            cand = best ^ row
+            if cand.bit_count() < best.bit_count():
+                best = cand
+                improved = True
+    return BitVec(v.length, best)

@@ -13,19 +13,18 @@ import time
 import numpy as np
 import pytest
 
+from circuit_oracle import build_bb_circuit, enumerate_fault_mechanisms
 from helpers import exact_marginals_vectorized, random_forest_checks
 from qldpc_dc import noise
-from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, bp_decode
+from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder
 from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import (
-    build_bb_circuit,
     build_bb_circuit_dcm,
     build_bb_circuit_ddm,
     build_bb_circuit_model,
     build_pheno_model,
     code_capacity_model,
     combine_odd_parity,
-    enumerate_fault_mechanisms,
     find_low_weight_trivial,
 )
 from qldpc_dc.gf2 import BitVec, mat_mat_t
@@ -105,8 +104,8 @@ def test_criterion_3_bp_exactness_oracle():
         priors = rng.uniform(0.01, 0.49, h.cols)
         x = (rng.random(h.cols) < 0.3).astype(np.uint8)
         s = h.to_dense() @ x % 2
-        out = bp_decode(
-            h, BitVec.from_dense(s), priors, max_iter=40, early_stop=False
+        out = BpDecoder(h).decode(
+            BitVec.from_dense(s), priors, max_iter=40, early_stop=False
         )
         exact = exact_marginals_vectorized(h, s, priors)
         worst = max(worst, float(np.abs(out.soft - exact).max()))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from helpers import sparse_matrices
 from qldpc_dc import noise, sim
-from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph, bp_decode, hard_decision
+from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
 from qldpc_dc.postproc import _dc_rng, dc_cut_indices
 
@@ -67,36 +67,33 @@ def exact_marginals(h: SparseBinMatrix, s_dense, priors) -> np.ndarray:
 
 
 def assert_tree_exact(h, priors, s_dense, tol=1e-9):
-    out = bp_decode(
-        h, BitVec.from_dense(s_dense), priors, max_iter=40, early_stop=False
+    out = BpDecoder(h).decode(
+        BitVec.from_dense(s_dense), priors, max_iter=40, early_stop=False
     )
     exact = exact_marginals(h, s_dense, priors)
     assert np.abs(out.soft - exact).max() < tol
-
-
-class TestHardDecision:
-    def test_threshold_ties_flip(self):
-        assert hard_decision([0.49, 0.5, 0.51]) == BitVec.from_support(3, [1, 2])
-
-    def test_all_zeros(self):
-        assert hard_decision(np.zeros(4)) == BitVec.zeros(4)
-
-    def test_all_ones(self):
-        assert hard_decision(np.ones(4)) == BitVec.from_support(4, range(4))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            hard_decision([0.2, 1.3])
 
 
 class TestBpDecode:
     def test_zero_syndrome_fixed_point(self):
         h = SparseBinMatrix(2, 4, [(0, 1), (2, 3)])
         priors = np.full(4, 0.1)
-        out = bp_decode(h, BitVec.zeros(2), priors, max_iter=10)
+        out = BpDecoder(h).decode(BitVec.zeros(2), priors, max_iter=10)
         assert out.converged and out.iterations_used == 0
         assert np.array_equal(out.soft, priors)
         assert out.hard == BitVec.zeros(4)
+
+    @pytest.mark.parametrize("variant", [PRODUCT_SUM, MIN_SUM])
+    def test_tie_at_one_half_is_an_error(self, variant):
+        # column 2 is in no check, so its soft output stays at its prior;
+        # a soft value of exactly 0.5 thresholds to an error
+        h = SparseBinMatrix(1, 3, [(0, 1)])
+        priors = np.array([0.1, 0.1, 0.5])
+        dec = BpDecoder(h, variant)
+        for bits, early_stop in (((), True), ((0,), False)):
+            out = dec.decode(BitVec.from_support(1, bits), priors, 5, early_stop=early_stop)
+            assert out.soft[2] == 0.5
+            assert out.hard[2] == 1
 
     def test_single_check_exact_posterior(self):
         h = SparseBinMatrix(1, 3, [(0, 1, 2)])
@@ -130,7 +127,7 @@ class TestBpDecode:
             for t in range(50):
                 x = BitVec.from_dense((rng.random(8) < 0.15).astype(np.uint8))
                 s = mat_vec_t(x, code_h)
-                out = bp_decode(code_h, s, np.full(8, 0.15), 30, variant=variant)
+                out = BpDecoder(code_h, variant).decode(s, np.full(8, 0.15), 30)
                 if out.converged:
                     assert mat_vec_t(out.hard, code_h) == s
 
@@ -138,8 +135,8 @@ class TestBpDecode:
         h = SparseBinMatrix(3, 6, [(0, 1, 2), (2, 3, 4), (4, 5, 0)])
         s = BitVec.from_support(3, [0, 2])
         priors = np.full(6, 0.08)
-        a = bp_decode(h, s, priors, 20)
-        b = bp_decode(h, s, priors, 20)
+        a = BpDecoder(h).decode(s, priors, 20)
+        b = BpDecoder(h).decode(s, priors, 20)
         assert np.array_equal(a.soft, b.soft)
         assert a.hard == b.hard and a.iterations_used == b.iterations_used
 
@@ -148,7 +145,7 @@ class TestBpDecode:
         priors = np.array([0.3, 0.0, 0.3, 0.3])
         s = BitVec.from_support(2, [0, 1])
         for it in range(1, 12):
-            out = bp_decode(h, s, priors, it, early_stop=False)
+            out = BpDecoder(h).decode(s, priors, it, early_stop=False)
             assert out.soft[1] == 0.0
             assert out.hard[1] == 0
 
@@ -158,8 +155,8 @@ class TestBpDecode:
         s = BitVec.from_support(3, [1])
         h2, kept = h.without_columns({1})
         for it in (1, 3, 8):
-            full = bp_decode(h, s, priors, it, early_stop=False)
-            sub = bp_decode(h2, s, priors[kept], it, early_stop=False)
+            full = BpDecoder(h).decode(s, priors, it, early_stop=False)
+            sub = BpDecoder(h2).decode(s, priors[kept], it, early_stop=False)
             assert np.array_equal(full.soft[kept], sub.soft)
 
     def test_empty_check_row_is_tolerated(self):
@@ -167,19 +164,19 @@ class TestBpDecode:
         # there it can never converge, with 0 it is vacuous
         h = SparseBinMatrix(3, 4, [(0, 1), (), (2, 3)])
         priors = np.full(4, 0.2)
-        ok = bp_decode(h, BitVec.zeros(3), priors, 5)
+        ok = BpDecoder(h).decode(BitVec.zeros(3), priors, 5)
         assert ok.converged
-        stuck = bp_decode(h, BitVec.from_support(3, [1]), priors, 5)
+        stuck = BpDecoder(h).decode(BitVec.from_support(3, [1]), priors, 5)
         assert not stuck.converged
 
     def test_dimension_errors(self):
         h = SparseBinMatrix(2, 3, [(0, 1), (1, 2)])
         with pytest.raises(ValueError):
-            bp_decode(h, BitVec.zeros(3), np.full(3, 0.1), 5)
+            BpDecoder(h).decode(BitVec.zeros(3), np.full(3, 0.1), 5)
         with pytest.raises(ValueError):
-            bp_decode(h, BitVec.zeros(2), np.full(4, 0.1), 5)
+            BpDecoder(h).decode(BitVec.zeros(2), np.full(4, 0.1), 5)
         with pytest.raises(ValueError):
-            bp_decode(h, BitVec.zeros(2), np.full(3, 0.1), 0)
+            BpDecoder(h).decode(BitVec.zeros(2), np.full(3, 0.1), 0)
 
     @pytest.mark.parametrize("scale", [0.0, -1.0, float("nan"), float("inf")])
     def test_min_sum_scale_must_be_finite_and_positive(self, scale):
@@ -192,15 +189,13 @@ class TestBpDecode:
     def test_nan_prior_rejected(self):
         h = SparseBinMatrix(1, 2, [(0, 1)])
         with pytest.raises(ValueError, match="priors must lie in"):
-            bp_decode(h, BitVec.zeros(1), np.array([0.1, np.nan]), 5)
+            BpDecoder(h).decode(BitVec.zeros(1), np.array([0.1, np.nan]), 5)
 
     def test_min_sum_scale_recorded_and_used(self):
         h = SparseBinMatrix(1, 2, [(0, 1)])
         s = BitVec.from_support(1, [0])
-        a = bp_decode(h, s, np.full(2, 0.2), 1, variant=MIN_SUM,
-                      min_sum_scale=1.0, early_stop=False)
-        b = bp_decode(h, s, np.full(2, 0.2), 1, variant=MIN_SUM,
-                      min_sum_scale=0.5, early_stop=False)
+        a = BpDecoder(h, MIN_SUM, 1.0).decode(s, np.full(2, 0.2), 1, early_stop=False)
+        b = BpDecoder(h, MIN_SUM, 0.5).decode(s, np.full(2, 0.2), 1, early_stop=False)
         assert not np.array_equal(a.soft, b.soft)
 
 

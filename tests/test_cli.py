@@ -254,6 +254,29 @@ class TestSimulateAndSweep:
         row = out.read_text().strip().split("\n")[1]
         assert row.split(",")[3] == "0.03"  # flag beat the config file
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("bad", [
+        {"trials": 1.5}, {"trials": True}, {"threads": 2.5}, {"seed": 1.5},
+        {"seed": "abc"}, {"max_iter": 2.5}, {"rounds": 2.5},
+        {"max_iter": 0}, {"rounds": 0},
+    ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_config_file_counts_must_be_integers(self, tmp_path, capsys, command, bad):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "code": "surface:3", "noise": "pheno", "p": 0.02, "decoder": "bp",
+            "trials": 5, **bad,
+        }))
+        out = tmp_path / "r.csv"
+        p_flags = ["--p", "0.02"] if command == "sweep" else []
+        assert run_cli(command, "--config", str(cfg), *p_flags, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        (name,) = bad
+        assert captured.err.startswith(f"error: {name} must be ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "r.csv"
         run_cli(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reduce_logical_weight
 from qldpc_dc.codes import (
     BbParams,
     bb_params,
@@ -13,7 +14,6 @@ from qldpc_dc.codes import (
     build_rotated_surface,
     compute_logicals,
     parse_monomials,
-    reduce_logical_weight,
 )
 from qldpc_dc.gf2 import BitVec, in_rowspace, mat_mat_t, mat_vec_t, rank
 

@@ -2,8 +2,8 @@
 
 Two independent oracles guard the circuit-level machinery: a direct
 round-by-round syndrome simulation for the phenomenological matrices, and
-a forward Pauli-frame simulator (separate from the production backward
-response pass) for circuit fault signatures.
+a forward Pauli-frame simulator (separate from the enumerator's backward
+response pass in ``circuit_oracle``) for circuit fault signatures.
 """
 
 import numpy as np
@@ -11,23 +11,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circuit_oracle import (
+    CliffordCircuit,
+    _responses,
+    build_bb_circuit,
+    build_surface_circuit,
+    build_surface_circuit_model,
+    enumerate_fault_mechanisms,
+)
 from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import (
-    CliffordCircuit,
-    build_bb_circuit,
     build_bb_circuit_dcm,
     build_bb_circuit_ddm,
     build_bb_circuit_model,
     build_pheno_ddm,
     build_pheno_dcm,
     build_pheno_model,
-    build_surface_circuit,
-    build_surface_circuit_model,
     code_capacity_model,
     combine_odd_parity,
-    enumerate_fault_mechanisms,
     find_low_weight_trivial,
-    _responses,
 )
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qldpc_dc import noise
-from qldpc_dc.bp import MIN_SUM, bp_decode
+from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import code_capacity_model
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, in_rowspace, mat_vec_t
@@ -98,7 +98,7 @@ class TestBpDcDecode:
         # first BP stalls on the split, the cut breaks it
         e = BitVec.from_support(9, [1, 2])
         s = mat_vec_t(e, self.code.hz)
-        first = bp_decode(self.code.hz, s, self.priors, 9)
+        first = BpDecoder(self.code.hz).decode(s, self.priors, 9)
         assert not first.converged
         res = bp_dc_decode(self.code.hz, self.code.hx, s, self.priors, 9, self.cfg)
         assert res.status is DecodeStatus.CONVERGED_AFTER_DC
@@ -126,6 +126,32 @@ class TestBpDcDecode:
                 run.append((res.status, res.estimate))
             outcomes.append(run)
         assert outcomes[0] == outcomes[1]
+
+    def test_masking_modes_agree_with_a_given_decoder(self):
+        # a given decoder's BP settings drive both second runs; the
+        # delete-columns run once fell back to the keyword defaults
+        # (product-sum, 0.625) and disagreed on 112 of these 113 DC trials
+        code = build_bb(bb_params(6, 6))
+        model = code_capacity_model(code, 0.07)
+        dec = BpDecoder(code.hz, MIN_SUM, 1.0)
+        runs = []
+        for mode in (MaskingMode.ZERO_PRIORS, MaskingMode.DELETE_COLUMNS):
+            run = []
+            for t in range(300):
+                rng = noise.trial_rng(7, t)
+                sample = noise.make_trial(model, rng)
+                cfg = DcConfig(
+                    second_run_priors=SecondRunPriors.RESET_TO_PRIOR,
+                    rng_seed=int(rng.integers(0, 2**63)),
+                    masking_mode=mode,
+                )
+                res = bp_dc_decode(
+                    code.hz, code.hx, sample.syndrome, model.priors, 72, cfg, decoder=dec
+                )
+                run.append((res.status, res.estimate, res.cut_indices, res.bp_iterations))
+            runs.append(run)
+        assert sum(len(r[3]) == 2 for r in runs[0]) == 113
+        assert runs[0] == runs[1]
 
     def test_seed_determinism(self):
         e = BitVec.from_support(9, [1, 2])
@@ -161,7 +187,7 @@ class TestOsd0:
         for q in range(9):
             e = BitVec.from_support(9, [q])
             s = mat_vec_t(e, code.hz)
-            out = bp_decode(code.hz, s, priors, 9, early_stop=False)
+            out = BpDecoder(code.hz).decode(s, priors, 9, early_stop=False)
             est = osd0_decode(code.hz, s, out.soft)
             assert mat_vec_t(est, code.hz) == s
             assert in_rowspace(est ^ e, code.hx)
@@ -181,7 +207,7 @@ class TestComposedPipelines:
     def test_bp_osd_identical_when_bp_converges(self):
         e = BitVec.from_support(9, [4])
         s = mat_vec_t(e, self.code.hz)
-        plain = bp_decode(self.code.hz, s, self.priors, 9)
+        plain = BpDecoder(self.code.hz).decode(s, self.priors, 9)
         res = bp_osd_decode(self.code.hz, s, self.priors, 9)
         assert plain.converged
         assert res.status is DecodeStatus.CONVERGED_FIRST_BP
