@@ -22,12 +22,30 @@ output):
   included, is unchanged.
 - Syndrome test: masked hard bits are 0, so the parity over kept edges is
   the same.
+
+The min-sum check update runs as compiled C (``min_sum.c``) when gcc can
+build it, and as numpy otherwise.  Both give the same bits: the update is
+min, abs, a sign parity and one left-to-right product, with no sum whose
+order could differ.  The shared library is built on the first min-sum
+check update, not at import, into a per-user cache keyed by the SHA-256 of
+the source and the compiler flags: ``$XDG_CACHE_HOME/qldpc_dc`` (default
+``~/.cache/qldpc_dc``), or a per-user directory under the system temp
+directory if that cannot be written.  Everything else (product-sum, the
+variable update, whose ``add.reduceat`` does not sum left to right, and
+``exp``) stays in numpy.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import importlib
 import math
+import os
+import platform
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -101,6 +119,134 @@ class BpOutput:
     iterations_used: int
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("min_sum.c")
+_CC = "gcc"
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_UNLOADED = object()
+_kernel = _UNLOADED  # the compiled check update once tried; None if it failed
+
+
+def _cache_dirs() -> list[Path]:
+    xdg = os.environ.get("XDG_CACHE_HOME", "")
+    base = xdg if os.path.isabs(xdg) else os.path.expanduser("~/.cache")
+    private = Path(tempfile.gettempdir()) / f"qldpc_dc-{os.getuid()}"
+    # expanduser leaves "~" in place when there is no home directory
+    return [Path(base) / "qldpc_dc", private] if os.path.isabs(base) else [private]
+
+
+def _cached_library(directory: Path, name: str) -> Path:
+    """``directory/name``, compiled first if it is not there yet.
+
+    The compiler writes a temporary file that is renamed into place, so
+    processes building the same library at once never see a partial one.
+    """
+    directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = directory.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{directory} is not private to this user")
+    path = directory / name
+    if not path.exists():
+        import subprocess  # on a cache miss only: the import adds ~0.6 MB of RSS
+
+        fd, tmp = tempfile.mkstemp(prefix=name + ".", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [_CC, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                check=True, capture_output=True, timeout=300,
+            )
+            os.replace(tmp, path)
+        except subprocess.SubprocessError as exc:
+            raise OSError(f"{_CC} could not build {_KERNEL_SOURCE.name}") from exc
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+    return path
+
+
+def _sha256_hex(data: bytes) -> str:
+    """SHA-256 from CPython's built-in module where there is one: hashlib
+    loads OpenSSL, which adds ~3.4 MB to the RSS of every decoding process."""
+    for module in ("_sha2", "_sha256", "hashlib"):
+        with contextlib.suppress(ImportError):
+            return importlib.import_module(module).sha256(data).hexdigest()
+
+
+def _build_kernel():
+    """Compile (or find in the cache) and load ``min_sum.c``; None on failure
+    and on systems that are not POSIX."""
+    if os.name != "posix":
+        return None
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+    except OSError:
+        return None
+    key = _sha256_hex(source + repr((_CC, _CFLAGS, platform.machine())).encode())
+    name = f"min_sum_{key[:16]}.so"
+    for directory in _cache_dirs():
+        try:
+            fn = ctypes.CDLL(str(_cached_library(directory, name))).min_sum_check_update
+        except (OSError, AttributeError):
+            continue
+        f64, idx = ctypes.POINTER(ctypes.c_double), ctypes.POINTER(ctypes.c_ssize_t)
+        fn.argtypes = [f64, f64, idx, ctypes.c_ssize_t, ctypes.c_ssize_t,
+                       ctypes.c_double, ctypes.c_double, f64]
+        fn.restype = None
+        return fn
+    return None
+
+
+def _load_kernel():
+    """The compiled min-sum check update, built on first use; None when it
+    cannot be built, and the numpy update runs instead."""
+    global _kernel
+    if _kernel is _UNLOADED:
+        _kernel = _build_kernel()
+    return _kernel
+
+
+def min_sum_kernel() -> str:
+    """Which min-sum check update this process runs: ``"c"`` or ``"numpy"``."""
+    return "numpy" if _load_kernel() is None else "c"
+
+
+def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray:
+    """Normalized min-sum check update in numpy: the reference for the C kernel."""
+    mag = np.abs(m_vc)
+    neg = m_vc < 0
+    min1 = np.minimum.reduceat(mag, g.chk_seg_starts)
+    is_min = mag == min1[g.edge_seg]
+    cmin = np.add.reduceat(is_min.astype(np.int64), g.chk_seg_starts)
+    mag2 = np.where(is_min, np.inf, mag)
+    min2 = np.minimum.reduceat(mag2, g.chk_seg_starts)
+    # a check's only edge gets min2 = +inf, which the clip turns into 35
+    min_excl = np.where(
+        is_min & (cmin[g.edge_seg] == 1), min2[g.edge_seg], min1[g.edge_seg]
+    )
+    negc = np.add.reduceat(neg.astype(np.int64), g.chk_seg_starts)
+    par = (negc[g.edge_seg] - neg.astype(np.int64)) & 1
+    sign = np.where(par == 1, -1.0, 1.0)
+    m_cv = syn_sign_e * sign * scale * min_excl
+    return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
+
+
+def _min_sum_c(kernel, g: TannerGraph, m_vc, syn_sign_e, scale: float, out) -> np.ndarray:
+    """The C kernel's check update, written into ``out[:g.nnz]``."""
+    nnz, starts = g.nnz, g.chk_seg_starts
+    if not (m_vc.dtype == syn_sign_e.dtype == out.dtype == np.float64
+            and starts.dtype == np.intp):
+        raise TypeError("min-sum kernel takes float64 messages and intp segment starts")
+    if m_vc.shape != (nnz,) or syn_sign_e.shape != (nnz,) or out.shape[0] < nnz:
+        raise ValueError("min-sum kernel buffers do not match the graph")
+    out = out[:nnz]
+    if nnz:
+        # from_buffer refuses a buffer that is not C-contiguous and writable
+        f64, idx = ctypes.c_double.from_buffer, ctypes.c_ssize_t.from_buffer
+        kernel(f64(m_vc), f64(syn_sign_e), idx(starts), starts.shape[0], nnz,
+               scale, LLR_CLAMP, f64(out))
+    return out
+
+
 def _llr(priors: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         lam = np.log((1.0 - priors) / priors)
@@ -129,6 +275,8 @@ class BpDecoder:
         self.variant = variant
         self.min_sum_scale = scale
         self.graph = TannerGraph(h)
+        # min-sum messages land here; a masked graph uses a prefix
+        self._m_cv = np.empty(self.graph.nnz) if variant == MIN_SUM else None
         # edge-visit counters for cost instrumentation
         self.v2c_edge_updates = 0
         self.c2v_edge_updates = 0
@@ -230,19 +378,7 @@ class BpDecoder:
         return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
     def _check_update_min_sum(self, g, m_vc, syn_sign_e):
-        mag = np.abs(m_vc)
-        neg = m_vc < 0
-        min1 = np.minimum.reduceat(mag, g.chk_seg_starts)
-        is_min = mag == min1[g.edge_seg]
-        cmin = np.add.reduceat(is_min.astype(np.int64), g.chk_seg_starts)
-        mag2 = np.where(is_min, np.inf, mag)
-        min2 = np.minimum.reduceat(mag2, g.chk_seg_starts)
-        # a check's only edge gets min2 = +inf, which the clip turns into 35
-        min_excl = np.where(
-            is_min & (cmin[g.edge_seg] == 1), min2[g.edge_seg], min1[g.edge_seg]
-        )
-        negc = np.add.reduceat(neg.astype(np.int64), g.chk_seg_starts)
-        par = (negc[g.edge_seg] - neg.astype(np.int64)) & 1
-        sign = np.where(par == 1, -1.0, 1.0)
-        m_cv = syn_sign_e * sign * self.min_sum_scale * min_excl
-        return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
+        kernel = _load_kernel()
+        if kernel is None:
+            return _min_sum_numpy(g, m_vc, syn_sign_e, self.min_sum_scale)
+        return _min_sum_c(kernel, g, m_vc, syn_sign_e, self.min_sum_scale, self._m_cv)

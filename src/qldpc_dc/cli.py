@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, noise, sim
-from .bp import BpDecoder
+from .bp import BpDecoder, min_sum_kernel
 from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     build_bb_circuit_model,
@@ -56,6 +56,7 @@ def write_manifest(path: Path, config: dict, started: str, extra: dict | None = 
         "tool_version": __version__,
         "rng_algorithm": noise.RNG_ALGORITHM,
         "min_sum_scale": _manifest_scale(config),
+        "bp_kernel": min_sum_kernel(),
         "started": started,
         "finished": _now(),
     }

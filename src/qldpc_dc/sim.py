@@ -14,6 +14,7 @@ import concurrent.futures
 import enum
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
@@ -126,6 +127,18 @@ class ExperimentConfig:
     bb_b: Optional[str] = None
 
     def __post_init__(self):
+        # values from a JSON config file arrive unchecked
+        for name in ("code", "noise", "bp_variant", "dc_second_priors", "dc_masking",
+                     "bb_a", "bb_b"):
+            value = getattr(self, name)
+            if value is None and name in ("dc_second_priors", "bb_a", "bb_b"):
+                continue
+            if not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        for name in ("p", "min_sum_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 0.5)")
         for name in ("trials", "seed", "threads", "rounds", "max_iter"):

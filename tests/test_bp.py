@@ -7,6 +7,12 @@ brute-force enumeration over all error patterns.
 
 import hashlib
 import itertools
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import sparse_matrices
-from qldpc_dc import noise, sim
+from qldpc_dc import bp, noise, sim
 from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
 from qldpc_dc.postproc import _dc_rng, dc_cut_indices
@@ -307,14 +313,15 @@ DIGEST_POINTS = [
 ]
 
 
-def test_decode_set_digest():
+DIGEST = "526664ac471c123d9ad52e02ad96963a66dca1121674f7de06a91ebe06118d1a"
+
+
+def decode_set_digest() -> str:
     """SHA-256 of the soft outputs, hard bits, convergence and iteration
     counts of a fixed decode set: first runs on code-capacity, pheno and
     circuit models with product-sum and min-sum (scale 1.0 and 0.625), and
     for every failed first run the zero-prior second runs of degeneracy
-    cutting with reset and with posterior priors.  The digest was computed
-    with cut columns kept in the graph as masked edges, so it checks that
-    taking them out changes no bit."""
+    cutting with reset and with posterior priors."""
     sha = hashlib.sha256()
     second_runs = 0
 
@@ -344,6 +351,104 @@ def test_decode_set_digest():
                     run(dec, syndrome, second, max_iter)
                     second_runs += 1
     assert second_runs == 324
-    assert sha.hexdigest() == (
-        "526664ac471c123d9ad52e02ad96963a66dca1121674f7de06a91ebe06118d1a"
+    return sha.hexdigest()
+
+
+def test_decode_set_digest():
+    """The digest was computed with the numpy min-sum kernel and with cut
+    columns kept in the graph as masked edges, so it checks that taking
+    them out changes no bit.  Where gcc is installed, this runs the
+    compiled min-sum kernel."""
+    if shutil.which("gcc") is not None:
+        assert bp.min_sum_kernel() == "c"
+    assert decode_set_digest() == DIGEST
+
+
+def test_decode_set_digest_numpy_kernel(monkeypatch):
+    monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    assert bp.min_sum_kernel() == "numpy"
+    assert decode_set_digest() == DIGEST
+
+
+def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, capfd):
+    monkeypatch.setattr(bp, "_CFLAGS", bp._CFLAGS + ("-fno-such-flag",))
+    monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert bp.min_sum_kernel() == "numpy"
+    assert decode_set_digest() == DIGEST
+    assert capfd.readouterr().out == ""
+    assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # no library, no temp file
+
+
+@pytest.fixture(scope="module")
+def c_kernel():
+    """The compiled min-sum kernel: skipped without gcc, an error with gcc
+    if it did not build or load."""
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc is not installed")
+    kernel = bp._load_kernel()
+    assert kernel is not None, "gcc is installed, but the min-sum kernel did not build or load"
+    return kernel
+
+
+@st.composite
+def min_sum_inputs(draw):
+    """(graph, m_vc, syn_sign_e, scale) with ties, +/-0.0 and +/-35 planted."""
+    g = TannerGraph(draw(sparse_matrices()))
+    tied = draw(st.lists(st.floats(0.0, 35.0), min_size=1, max_size=3))
+    value = st.one_of(
+        st.sampled_from([0.0, -0.0, 35.0, -35.0]),
+        st.sampled_from(tied).flatmap(lambda a: st.sampled_from([a, -a])),
+        st.floats(-35.0, 35.0),
+        st.floats(allow_nan=False, allow_infinity=False),
     )
+    m_vc = np.array(draw(st.lists(value, min_size=g.nnz, max_size=g.nnz)), dtype=float)
+    syn_sign_e = np.array(
+        draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=g.nnz, max_size=g.nnz)),
+        dtype=float,
+    )
+    scale = draw(st.one_of(
+        st.sampled_from([1.0, 0.625]),
+        st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
+    ))
+    return g, m_vc, syn_sign_e, scale
+
+
+# single-edge checks (min2 = +inf) next to a check with a three-way tie at 0
+SINGLE_EDGE_CHECKS = (
+    TannerGraph(SparseBinMatrix(4, 5, [(0,), (1, 2, 3), (4,), (0, 4)])),
+    np.array([-0.0, 0.0, -0.0, 0.0, 35.0, -35.0, 2.5]),
+    np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0]),
+    0.625,
+)
+
+
+@given(min_sum_inputs())
+@example(SINGLE_EDGE_CHECKS)
+@example(SINGLE_EDGE_CHECKS[:3] + (1.0,))
+@settings(max_examples=500, deadline=None)
+def test_c_kernel_equals_numpy_kernel(c_kernel, case):
+    g, m_vc, syn_sign_e, scale = case
+    with np.errstate(over="ignore"):  # a huge scale overflows to inf, then clips
+        want = bp._min_sum_numpy(g, m_vc, syn_sign_e, scale)
+    out = np.full(g.nnz + 3, np.nan)  # a longer buffer is written only in its prefix
+    got = bp._min_sum_c(c_kernel, g, m_vc, syn_sign_e, scale, out)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(out[g.nnz:]).all()
+
+
+def test_two_processes_build_one_library(c_kernel, tmp_path):
+    src = str(Path(bp.__file__).resolve().parents[1])
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "from qldpc_dc import bp; print(bp.min_sum_kernel())"
+    procs = [subprocess.Popen([sys.executable, "-c", code], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=300) for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    assert [out for out, _ in outs] == ["c\n", "c\n"]
+    files = [p for p in tmp_path.rglob("*") if p.is_file()]
+    assert len(files) == 1 and files[0].suffix == ".so", files

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qldpc_dc import noise, sim
+from qldpc_dc import bp, noise, sim
 from qldpc_dc.cli import main
 from qldpc_dc.codes import build_rotated_surface
 from qldpc_dc.gf2 import SparseBinMatrix, load_triplet, mat_vec_t, save_triplet, BitVec
@@ -12,6 +12,26 @@ from qldpc_dc.gf2 import SparseBinMatrix, load_triplet, mat_vec_t, save_triplet,
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_config_file_rejected(tmp_path, capsys, command, bad):
+    """One bad field in a config file: exit 1 with one ``error: <name> must
+    be ...`` line, nothing on stdout, no output file and no manifest."""
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({
+        "code": "surface:3", "noise": "pheno", "p": 0.02, "decoder": "bp",
+        "trials": 5, **bad,
+    }))
+    out = tmp_path / "r.csv"
+    p_flags = ["--p", "0.02"] if command == "sweep" else []
+    assert run_cli(command, "--config", str(cfg), *p_flags, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    (name,) = bad
+    assert captured.err.startswith(f"error: {name} must be ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
 
 
 class TestCodeCommand:
@@ -261,21 +281,23 @@ class TestSimulateAndSweep:
         {"max_iter": 0}, {"rounds": 0},
     ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
     def test_config_file_counts_must_be_integers(self, tmp_path, capsys, command, bad):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "code": "surface:3", "noise": "pheno", "p": 0.02, "decoder": "bp",
-            "trials": 5, **bad,
-        }))
-        out = tmp_path / "r.csv"
-        p_flags = ["--p", "0.02"] if command == "sweep" else []
-        assert run_cli(command, "--config", str(cfg), *p_flags, "--out", str(out)) == 1
-        captured = capsys.readouterr()
-        (name,) = bad
-        assert captured.err.startswith(f"error: {name} must be ")
-        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
-        assert captured.out == ""
-        assert not out.exists()
-        assert not out.with_name(out.name + ".manifest.json").exists()
+        assert_config_file_rejected(tmp_path, capsys, command, bad)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("bad", [
+        {"code": 5}, {"noise": 1}, {"bp_variant": ["min-sum"]}, {"dc_second_priors": 3},
+        {"dc_masking": False}, {"bb_a": 5}, {"bb_b": ["x1"]}, {"min_sum_scale": "1.0"},
+        {"min_sum_scale": True},
+    ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_config_file_fields_must_have_their_types(self, tmp_path, capsys, command, bad):
+        assert_config_file_rejected(tmp_path, capsys, command, bad)
+
+    @pytest.mark.parametrize("bad", [
+        {"p": "0.05"}, {"p": True}, {"p": None}, {"p": [0.05]},
+    ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))
+    def test_config_file_p_must_be_a_real_number(self, tmp_path, capsys, bad):
+        # sweep takes its rates from --p, never from the config file
+        assert_config_file_rejected(tmp_path, capsys, "simulate", bad)
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "r.csv"
@@ -289,6 +311,8 @@ class TestSimulateAndSweep:
         assert manifest["tool_version"]
         assert manifest["config"]["points"][0]["trials"] == 30
         assert manifest["min_sum_scale"] == 1.0
+        assert manifest["bp_kernel"] == bp.min_sum_kernel()
+        assert manifest["bp_kernel"] in ("c", "numpy")
 
     def test_dc_decoder_requires_priors_choice(self, tmp_path, capsys):
         code = build_rotated_surface(3)
