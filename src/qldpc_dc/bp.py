@@ -226,7 +226,9 @@ def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray
     negc = np.add.reduceat(neg.astype(np.int64), g.chk_seg_starts)
     par = (negc[g.edge_seg] - neg.astype(np.int64)) & 1
     sign = np.where(par == 1, -1.0, 1.0)
-    m_cv = syn_sign_e * sign * scale * min_excl
+    # a huge scale may overflow to +-inf; the clip gives the same +-35 as the kernel
+    with np.errstate(over="ignore"):
+        m_cv = syn_sign_e * sign * scale * min_excl
     return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
 

@@ -121,7 +121,11 @@ def _write_priors(path: Path, priors: np.ndarray) -> None:
 
 def _read_priors(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as f:
-        return np.array([float(t) for t in f.read().split()])
+        tokens = f.read().split()
+    try:
+        return np.array([float(t) for t in tokens])
+    except ValueError as exc:
+        raise CliError(f"{path}: priors must be numbers") from exc
 
 
 def cmd_code(args) -> int:
@@ -170,7 +174,6 @@ def _export_model(model, out: Path, stem: str, config: dict, started: str) -> No
 
 def cmd_dem(args) -> int:
     started = _now()
-    out = Path(args.out) if getattr(args, "out", None) else None
     if args.model == "pheno":
         code_obj = sim.parse_code_spec(args.code)
         if isinstance(code_obj, BbParams):
@@ -178,7 +181,7 @@ def cmd_dem(args) -> int:
         model = build_pheno_model(code_obj, args.rounds, args.p)
         stem = f"pheno_{code_obj.label}_T{args.rounds}"
         config = {"model": "pheno", "code": args.code, "rounds": args.rounds, "p": args.p}
-        _export_model(model, out, stem, config, started)
+        _export_model(model, Path(args.out), stem, config, started)
         return 0
     if args.model == "circuit-bb":
         params = bb_params(args.l, args.m, args.a, args.b)
@@ -186,7 +189,7 @@ def cmd_dem(args) -> int:
         stem = f"circuit_bb_l{args.l}m{args.m}_T{args.rounds}"
         config = {"model": "circuit-bb", "l": args.l, "m": args.m,
                   "rounds": args.rounds, "p": args.p}
-        _export_model(model, out, stem, config, started)
+        _export_model(model, Path(args.out), stem, config, started)
         return 0
     # check-trivial
     h = load_triplet(args.dcm)

@@ -13,9 +13,9 @@ compare the two column by column.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -217,14 +217,78 @@ def _bb_family_probs(block: str, t: int, t_rounds: int, p: float) -> list[float]
     raise ValueError(block)
 
 
+# The circuit layout lives in the two tables below and nowhere else.  A
+# permutation word such as "a2 b1" maps i to a2[b1[i]]; "" is the identity.
+#
+# _BB_DCM: per column block, the detectors column i flips as (round offset,
+# word) and the data qubits whose logical flips it carries as (half, word).
+_BB_DCM = {
+    # data errors present since the previous round: full syndrome now
+    "prev_L": ([(0, "b1"), (0, "b2"), (0, "b3")], [("L", "")]),
+    "prev_R": ([(0, "a1"), (0, "a2"), (0, "a3")], [("R", "")]),
+    "meas": ([(0, ""), (1, "")], []),
+    # data errors appearing after their first extraction CNOTs
+    "mid_L3": ([(0, "b2"), (0, "b3"), (1, "b1")], [("L", "")]),
+    "mid_R1": ([(0, "a2"), (0, "a3"), (1, "a1")], [("R", "")]),
+    "mid_L4": ([(0, "b3"), (1, "b1"), (1, "b2")], [("L", "")]),
+    "mid_R2": ([(0, "a2"), (1, "a1"), (1, "a3")], [("R", "")]),
+    # X-ancilla errors after steps 3/4/5 dump X onto the remaining CNOT
+    # targets; later syndrome rounds see the net package
+    "hook3": ([(0, "a2 b1"), (0, "a2 b3"), (1, "a1 b2"), (1, "a3 b2")],
+              [("R", "b1"), ("R", "b3"), ("L", "a1"), ("L", "a3")]),
+    "hook4": ([(0, "a2 b3"), (1, "a1 b1"), (1, "a1 b2"), (1, "a3 b1"), (1, "a3 b2")],
+              [("R", "b3"), ("L", "a1"), ("L", "a3")]),
+    "hook5": ([(1, "a1 b1"), (1, "a1 b2"), (1, "a1 b3"),
+               (1, "a3 b1"), (1, "a3 b2"), (1, "a3 b3")],
+              [("L", "a1"), ("L", "a3")]),
+}
+
+# DDM row families: row i of a family holds the columns (round offset,
+# block, word(i)).  The per-round families are listed in row order.
+_BB_X_STABILIZERS = [(0, "prev_L", "a1"), (0, "prev_L", "a2"), (0, "prev_L", "a3"),
+                     (0, "prev_R", "b1"), (0, "prev_R", "b2"), (0, "prev_R", "b3")]
+_BB_DDM = [
+    _BB_X_STABILIZERS,  # X stabilizers before round t
+    # measurement flips against the data-error families they mimic
+    [(0, "prev_L", ""), (0, "meas", "b1"), (0, "mid_L3", "")],
+    [(0, "prev_R", ""), (0, "meas", "a1"), (0, "mid_R1", "")],
+    [(0, "meas", "b2"), (0, "mid_L3", ""), (0, "mid_L4", "")],
+    [(0, "meas", "a3"), (0, "mid_R1", ""), (0, "mid_R2", "")],
+    [(0, "meas", "b3"), (0, "mid_L4", ""), (1, "prev_L", "")],
+    [(0, "meas", "a2"), (0, "mid_R2", ""), (1, "prev_R", "")],
+    # hook families against each other and plain data errors
+    [(0, "prev_L", "a2"), (0, "mid_R2", "b2"), (0, "hook3", "")],
+    [(0, "mid_R2", "b1"), (0, "hook3", ""), (0, "hook4", "")],
+    [(0, "mid_R2", "b3"), (0, "hook4", ""), (0, "hook5", "")],
+    [(0, "hook5", ""), (1, "prev_L", "a1"), (1, "prev_L", "a3")],
+]
+# specific to the (9, 6) code: hook5 columns at i, (A1^2 A3)(i) and
+# (A1 A3^2)(i) cancel
+_BB_DDM_EXTRA = [(0, "hook5", "a3 a1 a1"), (0, "hook5", "a3 a3 a1"), (0, "hook5", "")]
+
+
+def _bb_words(params: BbParams):
+    """Permutation lookup for the words of the layout tables."""
+    a_perms, b_perms = bb_block_permutations(params)
+    named = dict(zip(("a1", "a2", "a3", "b1", "b2", "b3"), a_perms + b_perms))
+
+    def word(w: str) -> Sequence[int]:
+        perm: Sequence[int] = range(params.l * params.m)
+        for name in reversed(w.split()):
+            perm = [named[name][i] for i in perm]
+        return perm
+
+    return functools.cache(word)
+
+
 def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> DetectorModel:
     """Explicit circuit-level detector check matrix for a bicycle code.
 
-    Ten column blocks per round: data errors surviving from the previous
-    round (L then R halves), measurement flips, four partially-extracted
-    mid-round data error families, and three families of errors that
-    propagate from X ancillas onto several data qubits; a final H_Z block
-    covers data errors preceding the noiseless readout.
+    Ten column blocks per round (``_BB_DCM``): data errors surviving from
+    the previous round (L then R halves), measurement flips, four
+    partially-extracted mid-round data error families, and three families
+    of errors that propagate from X ancillas onto several data qubits; a
+    final H_Z block covers data errors preceding the noiseless readout.
     """
     if t_rounds < 1:
         raise ValueError("t_rounds must be >= 1")
@@ -232,136 +296,34 @@ def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> Detect
         raise ValueError("rate must lie in (0, 1)")
     code = build_bb(params)
     s = params.l * params.m
-    a_perms, b_perms = bb_block_permutations(params)
-    a1, a2, a3 = a_perms
-    b1, b2, b3 = b_perms
+    word = _bb_words(params)
     col = _bb_columns(s, t_rounds)
     n_cols = 10 * s * t_rounds + 2 * s
     n_dets = s * (t_rounds + 1)
 
-    def det(t: int, i: int) -> int:
-        return t * s + i
-
     entries: list[tuple[int, int]] = []
-    obs_entries: list[tuple[int, int]] = []
+    obs_entries: list[tuple[int, int]] = []  # repeats cancel mod 2
     priors = np.empty(n_cols)
-
-    def put_obs(c: int, data_cols: Iterable[int]) -> None:
-        seen: set[int] = set()
-        for j in data_cols:
-            for li in code.oz.col(j):
-                seen.symmetric_difference_update((li,))
-        obs_entries.extend((li, c) for li in seen)
-
-    for t in range(t_rounds):
-        for i in range(s):
-            # data errors present since the previous round: full syndrome now
-            c = col(t, "prev_L", i)
-            entries.extend((det(t, b[i]), c) for b in (b1, b2, b3))
-            put_obs(c, (i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("prev_L", t, t_rounds, rate))
-
-            c = col(t, "prev_R", i)
-            entries.extend((det(t, a[i]), c) for a in (a1, a2, a3))
-            put_obs(c, (s + i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("prev_R", t, t_rounds, rate))
-
-            c = col(t, "meas", i)
-            entries.extend(((det(t, i), c), (det(t + 1, i), c)))
-            priors[c] = combine_odd_parity(_bb_family_probs("meas", t, t_rounds, rate))
-
-            # L data error appearing after its first extraction CNOT
-            c = col(t, "mid_L3", i)
-            entries.extend(
-                ((det(t, b2[i]), c), (det(t, b3[i]), c), (det(t + 1, b1[i]), c))
+    for t in range(t_rounds + 1):
+        for block in _BB_BLOCKS if t < t_rounds else ("prev_L", "prev_R"):
+            c0 = col(t, block, 0)
+            cols = range(c0, c0 + s)
+            dets, data = _BB_DCM[block]
+            for dt, w in dets:
+                entries.extend(zip([(t + dt) * s + d for d in word(w)], cols))
+            for half, w in data:
+                offset = 0 if half == "L" else s
+                for c, j in zip(cols, word(w)):
+                    obs_entries.extend((li, c) for li in code.oz.col(offset + j))
+            priors[c0:c0 + s] = combine_odd_parity(
+                _bb_family_probs(block, t, t_rounds, rate)
             )
-            put_obs(c, (i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("mid_L3", t, t_rounds, rate))
 
-            c = col(t, "mid_R1", i)
-            entries.extend(
-                ((det(t, a2[i]), c), (det(t, a3[i]), c), (det(t + 1, a1[i]), c))
-            )
-            put_obs(c, (s + i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("mid_R1", t, t_rounds, rate))
-
-            c = col(t, "mid_L4", i)
-            entries.extend(
-                ((det(t, b3[i]), c), (det(t + 1, b1[i]), c), (det(t + 1, b2[i]), c))
-            )
-            put_obs(c, (i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("mid_L4", t, t_rounds, rate))
-
-            c = col(t, "mid_R2", i)
-            entries.extend(
-                ((det(t, a2[i]), c), (det(t + 1, a1[i]), c), (det(t + 1, a3[i]), c))
-            )
-            put_obs(c, (s + i,))
-            priors[c] = combine_odd_parity(_bb_family_probs("mid_R2", t, t_rounds, rate))
-
-            # X-ancilla errors after steps 3/4/5 dump X onto the remaining
-            # CNOT targets; later syndrome rounds see the net package
-            c = col(t, "hook3", i)
-            entries.extend(
-                (
-                    (det(t, a2[b1[i]]), c),
-                    (det(t, a2[b3[i]]), c),
-                    (det(t + 1, a1[b2[i]]), c),
-                    (det(t + 1, a3[b2[i]]), c),
-                )
-            )
-            put_obs(c, (s + b1[i], s + b3[i], a1[i], a3[i]))
-            priors[c] = combine_odd_parity(_bb_family_probs("hook3", t, t_rounds, rate))
-
-            c = col(t, "hook4", i)
-            entries.extend(
-                (
-                    (det(t, a2[b3[i]]), c),
-                    (det(t + 1, a1[b1[i]]), c),
-                    (det(t + 1, a1[b2[i]]), c),
-                    (det(t + 1, a3[b1[i]]), c),
-                    (det(t + 1, a3[b2[i]]), c),
-                )
-            )
-            put_obs(c, (s + b3[i], a1[i], a3[i]))
-            priors[c] = combine_odd_parity(_bb_family_probs("hook4", t, t_rounds, rate))
-
-            c = col(t, "hook5", i)
-            entries.extend(
-                (det(t + 1, a[b[i]]), c) for a in (a1, a3) for b in (b1, b2, b3)
-            )
-            put_obs(c, (a1[i], a3[i]))
-            priors[c] = combine_odd_parity(_bb_family_probs("hook5", t, t_rounds, rate))
-
-    for i in range(s):
-        c = col(t_rounds, "prev_L", i)
-        entries.extend((det(t_rounds, b[i]), c) for b in (b1, b2, b3))
-        put_obs(c, (i,))
-        priors[c] = combine_odd_parity(
-            _bb_family_probs("prev_L", t_rounds, t_rounds, rate)
-        )
-        c = col(t_rounds, "prev_R", i)
-        entries.extend((det(t_rounds, a[i]), c) for a in (a1, a2, a3))
-        put_obs(c, (s + i,))
-        priors[c] = combine_odd_parity(
-            _bb_family_probs("prev_R", t_rounds, t_rounds, rate)
-        )
-
-    first_order = {
-        block: math.fsum(_bb_family_probs(block, 1 if t_rounds > 1 else 0, t_rounds, rate))
-        for block in _BB_BLOCKS
-    }
     return DetectorModel(
         check_matrix=SparseBinMatrix.from_entries(n_dets, n_cols, entries),
         observables=SparseBinMatrix.from_entries(code.k, n_cols, obs_entries),
         priors=np.maximum(priors, PRIOR_FLOOR),
-        metadata={
-            "noise": "circuit-bb",
-            "code": code.label,
-            "T": t_rounds,
-            "p": rate,
-            "first_order_rates": first_order,
-        },
+        metadata={"noise": "circuit-bb", "code": code.label, "T": t_rounds, "p": rate},
     )
 
 
@@ -376,74 +338,30 @@ def build_bb_circuit_ddm(
 ) -> SparseBinMatrix:
     """Explicit circuit-level degeneracy matrix for a bicycle code.
 
-    Eleven row blocks per round: the X stabilizers on the previous-round
-    data columns, six rows tying measurement flips to the data-error
-    families they mimic, and four rows relating the X-ancilla hook
-    families to each other and to plain data errors.  A final H_X block
-    covers the readout data columns.  For the (l, m) = (9, 6) code an
+    Eleven row blocks per round (``_BB_DDM``): the X stabilizers on the
+    previous-round data columns, six rows tying measurement flips to the
+    data-error families they mimic, and four rows relating the X-ancilla
+    hook families to each other and to plain data errors.  A final H_X
+    block covers the readout data columns.  For the (l, m) = (9, 6) code an
     extra row block is appended so that every weight-3 trivial error is
     covered.
     """
     if t_rounds < 1:
         raise ValueError("t_rounds must be >= 1")
     s = params.l * params.m
-    a_perms, b_perms = bb_block_permutations(params)
-    a1, a2, a3 = a_perms
-    b1, b2, b3 = b_perms
+    word = _bb_words(params)
     col = _bb_columns(s, t_rounds)
     n_cols = 10 * s * t_rounds + 2 * s
     if include_extra is None:
         include_extra = _needs_extra_ddm_block(params)
+    per_round = _BB_DDM + [_BB_DDM_EXTRA] if include_extra else _BB_DDM
 
-    rows: list[list[int]] = []
-    for t in range(t_rounds):
-        nxt = t + 1
-        for i in range(s):  # X stabilizers before round t
-            rows.append(
-                [col(t, "prev_L", a[i]) for a in (a1, a2, a3)]
-                + [col(t, "prev_R", b[i]) for b in (b1, b2, b3)]
-            )
-        for i in range(s):
-            rows.append([col(t, "prev_L", i), col(t, "meas", b1[i]), col(t, "mid_L3", i)])
-        for i in range(s):
-            rows.append([col(t, "prev_R", i), col(t, "meas", a1[i]), col(t, "mid_R1", i)])
-        for i in range(s):
-            rows.append([col(t, "meas", b2[i]), col(t, "mid_L3", i), col(t, "mid_L4", i)])
-        for i in range(s):
-            rows.append([col(t, "meas", a3[i]), col(t, "mid_R1", i), col(t, "mid_R2", i)])
-        for i in range(s):
-            rows.append([col(t, "meas", b3[i]), col(t, "mid_L4", i), col(nxt, "prev_L", i)])
-        for i in range(s):
-            rows.append([col(t, "meas", a2[i]), col(t, "mid_R2", i), col(nxt, "prev_R", i)])
-        for i in range(s):
-            rows.append(
-                [col(t, "prev_L", a2[i]), col(t, "mid_R2", b2[i]), col(t, "hook3", i)]
-            )
-        for i in range(s):
-            rows.append([col(t, "mid_R2", b1[i]), col(t, "hook3", i), col(t, "hook4", i)])
-        for i in range(s):
-            rows.append([col(t, "mid_R2", b3[i]), col(t, "hook4", i), col(t, "hook5", i)])
-        for i in range(s):
-            rows.append(
-                [col(t, "hook5", i), col(nxt, "prev_L", a1[i]), col(nxt, "prev_L", a3[i])]
-            )
-        if include_extra:
-            # extra hook-family degeneracy specific to the (9, 6) code:
-            # hook5 columns at i, (A1^2 A3)(i) and (A1 A3^2)(i) cancel
-            for i in range(s):
-                rows.append(
-                    [
-                        col(t, "hook5", a3[a1[a1[i]]]),
-                        col(t, "hook5", a3[a3[a1[i]]]),
-                        col(t, "hook5", i),
-                    ]
-                )
-    for i in range(s):  # final X stabilizers
-        rows.append(
-            [col(t_rounds, "prev_L", a[i]) for a in (a1, a2, a3)]
-            + [col(t_rounds, "prev_R", b[i]) for b in (b1, b2, b3)]
-        )
-    return SparseBinMatrix(len(rows), n_cols, [sorted(r) for r in rows])
+    rows: list[tuple[int, ...]] = []
+    for t in range(t_rounds + 1):
+        for family in per_round if t < t_rounds else [_BB_X_STABILIZERS]:
+            cols = [[col(t + dt, block, 0) + j for j in word(w)] for dt, block, w in family]
+            rows.extend(zip(*cols))
+    return SparseBinMatrix(len(rows), n_cols, rows)
 
 
 def build_bb_circuit_model(params: BbParams, t_rounds: int, rate: float) -> DetectorModel:

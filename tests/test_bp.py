@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,6 +371,18 @@ def test_decode_set_digest_numpy_kernel(monkeypatch):
     assert decode_set_digest() == DIGEST
 
 
+def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
+    """scale * 35 overflows at scale 1e308; the numpy kernel clips the
+    result to +-35 like the C kernel, and must say nothing about it."""
+    monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    h = SparseBinMatrix(2, 3, [(0, 1), (1, 2)])
+    dec = BpDecoder(h, MIN_SUM, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = dec.decode(BitVec.from_support(2, [0]), [0.1] * 3, 5)
+    assert out.converged and mat_vec_t(out.hard, h) == BitVec.from_support(2, [0])
+
+
 def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, capfd):
     monkeypatch.setattr(bp, "_CFLAGS", bp._CFLAGS + ("-fno-such-flag",))
     monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
@@ -431,8 +444,7 @@ SINGLE_EDGE_CHECKS = (
 @settings(max_examples=500, deadline=None)
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     g, m_vc, syn_sign_e, scale = case
-    with np.errstate(over="ignore"):  # a huge scale overflows to inf, then clips
-        want = bp._min_sum_numpy(g, m_vc, syn_sign_e, scale)
+    want = bp._min_sum_numpy(g, m_vc, syn_sign_e, scale)
     out = np.full(g.nnz + 3, np.nan)  # a longer buffer is written only in its prefix
     got = bp._min_sum_c(c_kernel, g, m_vc, syn_sign_e, scale, out)
     assert got.tobytes() == want.tobytes()

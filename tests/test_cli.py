@@ -81,6 +81,19 @@ class TestDemCommand:
         dcm = load_triplet(tmp_path / "circuit_bb_l6m6_T1_dcm.txt")
         assert dcm.cols == 5 * 72 + 72
 
+    @pytest.mark.parametrize("argv,stem", [
+        (("pheno", "--code", "surface:3", "--rounds", "1", "--p", "0.01"),
+         "pheno_surface-d3_T1"),
+        (("circuit-bb", "--l", "6", "--m", "6", "--rounds", "1", "--p", "0.001"),
+         "circuit_bb_l6m6_T1"),
+    ], ids=["pheno", "circuit-bb"])
+    def test_empty_out_writes_to_cwd(self, tmp_path, monkeypatch, capsys, argv, stem):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("dem", *argv, "--out", "") == 0
+        assert "Traceback" not in capsys.readouterr().err
+        for suffix in ("dcm.txt", "obs.txt", "priors.txt", "ddm.txt", "dcm.txt.manifest.json"):
+            assert (tmp_path / f"{stem}_{suffix}").exists(), suffix
+
     def test_check_trivial(self, tmp_path, capsys):
         run_cli(
             "dem", "pheno", "--code", "surface:3", "--rounds", "1",
@@ -136,6 +149,21 @@ class TestDecodeCommand:
         ) == 1
         assert "dimension mismatch" in capsys.readouterr().err
 
+
+    def test_non_numeric_priors_name_the_file(self, tmp_path, capsys):
+        save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
+        (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")
+        priors = tmp_path / "priors.txt"
+        priors.write_text("0.1\n" * 8 + "abc\n")
+        out = tmp_path / "est.txt"
+        assert run_cli(
+            "decode", "--dcm", str(tmp_path / "hz.txt"),
+            "--syndrome", str(tmp_path / "syn.txt"),
+            "--priors", str(priors), "--out", str(out),
+        ) == 1
+        assert capsys.readouterr().err == f"error: {priors}: priors must be numbers\n"
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
     def test_osd_inconsistent_syndrome_is_an_error(self, tmp_path, capsys):
         save_triplet(SparseBinMatrix(2, 3, [(0, 1), (0, 1)]), tmp_path / "h.txt")

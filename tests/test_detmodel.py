@@ -6,6 +6,8 @@ a forward Pauli-frame simulator (separate from the enumerator's backward
 response pass in ``circuit_oracle``) for circuit fault signatures.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -431,6 +433,35 @@ class TestExplicitCircuitMatrices:
             )
             assert mat_vec_t(v, enum.check_matrix).weight() == 0
             assert mat_vec_t(v, enum.observables).weight() == 0
+
+
+    @pytest.mark.parametrize("l,m,t_rounds,digest", [
+        (6, 6, 1,
+         "6e1cdf23c2b6d676c80e3c7edd10440afaa1cc7288e750c9cce2152247b21bd3"),
+        (6, 6, 2,
+         "5c4ab56b42fb6116a1280edb3aae2bad58ff04711591a67c6539931080b106bb"),
+        (6, 6, 6,
+         "3827ec68089ee5ec7e85d02a9bfdd57c7d8e9512503185d76ae07ee0deae8984"),
+        (9, 6, 2,
+         "5ce1c0d3b2496c8ad7ac1f2550731b39a4fbfba239a792f2e913a39a3f0f8751"),
+        (12, 6, 12,
+         "d65d3396f03bd4f97d40d8b7a2933cb96de343f9219b813933adb951274165a2"),
+    ])
+    def test_model_pinned(self, l, m, t_rounds, digest):
+        """Byte-level pin of the explicit circuit model: check and observable
+        rows, priors, and the DDM rows in order (default, without and with
+        the extra block).  DC draws its tie-breaks in DDM row order, so row
+        order is part of the results even where the row set is not."""
+        params = bb_params(l, m)
+        model = build_bb_circuit_dcm(params, t_rounds, 0.004)
+        sha = hashlib.sha256()
+        sha.update(repr(model.check_matrix.row_supports).encode())
+        sha.update(repr(model.observables.row_supports).encode())
+        sha.update(model.priors.tobytes())
+        for extra in (None, False, True):
+            ddm = build_bb_circuit_ddm(params, t_rounds, include_extra=extra)
+            sha.update(repr(ddm.row_supports).encode())
+        assert sha.hexdigest() == digest
 
 
 class TestLowWeightTrivial:
