@@ -40,23 +40,11 @@ def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
-def _manifest_scale(config: dict):
-    if "min_sum_scale" in config:
-        return config["min_sum_scale"]
-    points = config.get("points") or []
-    scales = sorted({p.get("min_sum_scale", 0.625) for p in points})
-    if len(scales) == 1:
-        return scales[0]
-    return scales or 0.625
-
-
 def write_manifest(path: Path, config: dict, started: str, extra: dict | None = None) -> None:
     manifest = {
         "config": config,
         "tool_version": __version__,
         "rng_algorithm": noise.RNG_ALGORITHM,
-        "min_sum_scale": _manifest_scale(config),
-        "bp_kernel": min_sum_kernel(),
         "started": started,
         "finished": _now(),
     }
@@ -79,7 +67,10 @@ def _load_config_file(path: str | None) -> dict:
 
 def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
     """Flags beat config-file values; config-file values beat defaults."""
-    file_cfg = _load_config_file(getattr(args, "config", None))
+    file_cfg = _load_config_file(args.config)
+    for key in file_cfg:
+        if key not in keys:
+            raise CliError(f"{args.config}: unknown field {key!r}")
     merged = {}
     for key in keys:
         flag_val = getattr(args, key, None)
@@ -239,80 +230,70 @@ def cmd_decode(args) -> int:
          ("decoder", "bp_variant", "min_sum_scale", "max_iter", "dc_second_priors",
           "dc_masking", "seed", "p")},
         started,
-        extra={"status": status},
+        extra={"status": status, "min_sum_scale": args.min_sum_scale,
+               "bp_kernel": min_sum_kernel()},
     )
     print(f"{status}: estimate written to {args.out}")
     return 0
 
 
-_SIM_KEYS = [
-    "code", "noise", "p", "decoder", "trials", "seed", "rounds", "bp_variant",
-    "min_sum_scale", "max_iter", "dc_second_priors", "dc_masking", "threads",
-    "bb_a", "bb_b",
-]
+_SIM_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
+_REQUIRED = [f.name for f in dataclasses.fields(ExperimentConfig)
+             if f.default is dataclasses.MISSING]
 
 
-def _with_defaults(merged: dict) -> dict:
-    merged.setdefault("seed", _default_seed())
-    merged.setdefault("threads", 1)
-    return merged
-
-
-def _experiment_config(merged: dict) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**_with_defaults(merged))
-    except (TypeError, ValueError) as exc:
-        raise CliError(str(exc)) from exc
-
-
-def _emit(records: list[dict], cfgs: list[ExperimentConfig], args, started: str) -> int:
+def cmd_points(args) -> int:
+    """``simulate`` runs one point and ``sweep`` one per decoder and rate,
+    both through ``sim.sweep``."""
+    started = _now()
+    base = _merged(args, _SIM_KEYS)
+    base.setdefault("seed", _default_seed())
+    base.setdefault("threads", 1)
+    if args.command == "sweep":  # the lists replace any p and decoder of the config file
+        base["p"] = [float(t) for t in args.p.split(",")]
+        base["decoder"] = [d.strip() for d in args.decoders.split(",")]
+    for name in _REQUIRED:
+        if name not in base:
+            raise CliError(f"missing field {name!r}: give --{name} or set it in --config")
+    rates, decoders = base.pop("p"), base.pop("decoder")
+    if args.command == "simulate":
+        rates, decoders = [rates], [decoders]
+    points = sim.sweep(base, rates, decoders)  # checks every point's config first
+    cfgs = []
+    records = []
+    for cfg, stats in points:
+        cfgs.append(cfg)
+        records.append(sim.stats_record(cfg, stats))
     text = (
         sim.records_to_csv(records)
         if args.format == "csv"
         else sim.records_to_jsonl(records)
     )
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
-        write_manifest(out, {"points": [dataclasses.asdict(c) for c in cfgs]}, started)
-        if args.emit_plot_data:
-            by_decoder: dict[str, list[dict]] = {}
-            for rec in records:
-                by_decoder.setdefault(rec["decoder"], []).append(rec)
-            for decoder, recs in sorted(by_decoder.items()):
-                curve = out.with_name(f"{out.stem}_{decoder}.dat")
-                with open(curve, "w", encoding="utf-8") as f:
-                    f.write("# p failure_rate ci_low ci_high\n")
-                    for rec in sorted(recs, key=lambda r: r["p"]):
-                        f.write(
-                            f"{rec['p']:.10g} {rec['rate']:.10g} "
-                            f"{rec['ci_low']:.10g} {rec['ci_high']:.10g}\n"
-                        )
-        print(f"wrote {len(records)} rows to {out}")
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return 0
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text, encoding="utf-8")
+    write_manifest(
+        out, {"points": [dataclasses.asdict(c) for c in cfgs]}, started,
+        extra={"min_sum_scale": cfgs[0].min_sum_scale, "bp_kernel": min_sum_kernel()},
+    )
+    if args.emit_plot_data:
+        by_decoder: dict[str, list[dict]] = {}
+        for rec in records:
+            by_decoder.setdefault(rec["decoder"], []).append(rec)
+        for decoder, recs in sorted(by_decoder.items()):
+            curve = out.with_name(f"{out.stem}_{decoder}.dat")
+            with open(curve, "w", encoding="utf-8") as f:
+                f.write("# p failure_rate ci_low ci_high\n")
+                for rec in sorted(recs, key=lambda r: r["p"]):
+                    f.write(
+                        f"{rec['p']:.10g} {rec['rate']:.10g} "
+                        f"{rec['ci_low']:.10g} {rec['ci_high']:.10g}\n"
+                    )
+    print(f"wrote {len(records)} rows to {out}")
     return 0
-
-
-def cmd_simulate(args) -> int:
-    started = _now()
-    cfg = _experiment_config(_merged(args, _SIM_KEYS))
-    stats = sim.run_trials(cfg)
-    return _emit([sim.stats_record(cfg, stats)], [cfg], args, started)
-
-
-def cmd_sweep(args) -> int:
-    started = _now()
-    merged = _merged(args, [k for k in _SIM_KEYS if k not in ("p", "decoder")])
-    rates = [float(t) for t in args.p.split(",")]
-    decoders = [d.strip() for d in args.decoders.split(",")]
-    records = []
-    cfgs = []
-    for cfg, stats in sim.sweep(_with_defaults(merged), rates, decoders):
-        cfgs.append(cfg)
-        records.append(sim.stats_record(cfg, stats))
-    return _emit(records, cfgs, args, started)
 
 
 def _add_sim_flags(p: argparse.ArgumentParser, with_p: bool = True) -> None:
@@ -408,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="estimate one failure-rate point")
     _add_sim_flags(p_sim)
     p_sim.add_argument("--decoder", choices=list(DECODERS))
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=cmd_points)
 
     p_sweep = sub.add_parser("sweep", help="failure rates over a list of p values")
     _add_sim_flags(p_sweep, with_p=False)
     p_sweep.add_argument("--p", required=True, help="comma-separated rates")
     p_sweep.add_argument("--decoders", default="bp,bp-dc",
                          help="comma-separated decoder list")
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_points)
     return parser
 
 

@@ -16,12 +16,13 @@ import json
 import math
 import numbers
 import operator
+import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import noise
 from .bp import PRODUCT_SUM, BpDecoder
-from .codes import BbParams, bb_params, build_bb, build_rotated_surface
+from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     DetectorModel,
     build_bb_circuit_model,
@@ -166,20 +167,22 @@ def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] =
     raise ValueError(f"unknown code spec {spec!r} (expected surface:<d> or bb:<l>,<m>)")
 
 
-def _code_distance_hint(cfg: ExperimentConfig) -> int:
-    """Default measurement rounds: T = d where a distance is on record."""
-    from qldpc_dc.codes import known_distance
-
-    if cfg.code.startswith("surface:"):
+def measurement_rounds(cfg: ExperimentConfig) -> int:
+    """The point's measurement rounds T: 0 for code capacity, else
+    ``cfg.rounds``, else the cited distance d (2 if none is on record)."""
+    if cfg.noise == "code-capacity":
+        return 0
+    if cfg.rounds is not None:
+        return cfg.rounds
+    if cfg.code.startswith("surface:"):  # d without building the code
         return int(cfg.code.split(":")[1])
-    parsed = parse_code_spec(cfg.code, cfg.bb_a, cfg.bb_b)
-    d = known_distance(parsed)
+    d = known_distance(parse_code_spec(cfg.code, cfg.bb_a, cfg.bb_b))
     return d if d is not None else 2
 
 
 def build_model(cfg: ExperimentConfig) -> DetectorModel:
     parsed = parse_code_spec(cfg.code, cfg.bb_a, cfg.bb_b)
-    rounds = cfg.rounds if cfg.rounds is not None else _code_distance_hint(cfg)
+    rounds = measurement_rounds(cfg)
     if cfg.noise == "code-capacity":
         code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
         return code_capacity_model(code, cfg.p)
@@ -289,8 +292,10 @@ def run_trials(cfg: ExperimentConfig, model: Optional[DetectorModel] = None) -> 
     blocks = [(lo, min(lo + chunk, cfg.trials)) for lo in range(0, cfg.trials, chunk)]
     logical = 0
     nonconv = 0
+    # the pool forks all its workers at once; results do not depend on their number
+    workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
     with concurrent.futures.ProcessPoolExecutor(
-        max_workers=cfg.threads, initializer=_init_worker, initargs=(model,)
+        max_workers=workers, initializer=_init_worker, initargs=(model,)
     ) as pool:
         futures = [pool.submit(_run_worker_block, cfg, lo, hi) for lo, hi in blocks]
         for fut in futures:
@@ -315,15 +320,12 @@ def sweep(
 
 
 def stats_record(cfg: ExperimentConfig, stats: FailureStats) -> dict:
-    rounds = cfg.rounds if cfg.rounds is not None else (
-        0 if cfg.noise == "code-capacity" else _code_distance_hint(cfg)
-    )
     return {
         "code": cfg.code,
         "noise": cfg.noise,
         "decoder": cfg.decoder,
         "p": cfg.p,
-        "T": rounds,
+        "T": measurement_rounds(cfg),
         "trials": stats.trials,
         "fail_logical": stats.failures_logical,
         "fail_nonconv": stats.failures_nonconvergent,

@@ -1,6 +1,7 @@
 """CLI tests: file formats, round-trips, byte-identical reruns."""
 
 import json
+import tempfile
 
 import pytest
 
@@ -54,6 +55,25 @@ class TestCodeCommand:
         assert len(metas) == 1
         meta = json.loads(metas[0].read_text())
         assert (meta["n"], meta["k"]) == (72, 12)
+
+    def test_code_and_dem_manifests_build_no_kernel(self, tmp_path, monkeypatch):
+        """Commands that decode nothing neither compile the min-sum kernel nor
+        record one."""
+        monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        (tmp_path / "tmp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        out = tmp_path / "out"
+        assert run_cli("code", "surface", "--d", "3", "--out", str(out)) == 0
+        assert run_cli("dem", "pheno", "--code", "surface:3", "--rounds", "1",
+                       "--p", "0.01", "--out", str(out)) == 0
+        manifests = sorted(out.glob("*.manifest.json"))
+        assert len(manifests) == 2
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert "bp_kernel" not in manifest and "min_sum_scale" not in manifest
+        assert not list(tmp_path.rglob("*.so"))
+        assert bp._kernel is bp._UNLOADED
 
     def test_invalid_d_fails_with_diagnostic(self, tmp_path, capsys):
         assert run_cli("code", "surface", "--d", "4", "--out", str(tmp_path)) == 1
@@ -326,6 +346,48 @@ class TestSimulateAndSweep:
     def test_config_file_p_must_be_a_real_number(self, tmp_path, capsys, bad):
         # sweep takes its rates from --p, never from the config file
         assert_config_file_rejected(tmp_path, capsys, "simulate", bad)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field", ["code", "noise", "trials"])
+    def test_missing_field_is_one_error_line(self, tmp_path, capsys, command, field):
+        flags = {"code": "surface:3", "noise": "code-capacity", "trials": "10"}
+        del flags[field]
+        argv = [command, "--p", "0.02", "--out", str(tmp_path / "r.csv")]
+        if command == "simulate":
+            argv += ["--decoder", "bp"]
+        for name, value in flags.items():
+            argv += [f"--{name}", value]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: missing field {field!r}: give --{field} or set it in --config\n"
+        )
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unknown_config_field_rejected(self, tmp_path, capsys, command):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "code": "surface:3", "noise": "code-capacity", "p": 0.02, "decoder": "bp",
+            "trials": 5, "dc_maskng": "delete-columns",
+        }))
+        out = tmp_path / "r.csv"
+        p_flags = ["--p", "0.02"] if command == "sweep" else []
+        assert run_cli(command, "--config", str(cfg), *p_flags, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {cfg}: unknown field 'dc_maskng'\n"
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+    def test_code_capacity_row_has_no_rounds(self, tmp_path):
+        out = tmp_path / "r.csv"
+        assert run_cli(
+            "simulate", "--code", "surface:3", "--noise", "code-capacity", "--rounds", "5",
+            "--p", "0.02", "--decoder", "bp", "--trials", "10", "--out", str(out),
+        ) == 0
+        row = dict(zip(*(line.split(",") for line in out.read_text().split())))
+        assert row["T"] == "0"
 
     def test_manifest_written(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 """Monte Carlo harness tests: scoring, determinism, output formats."""
 
+import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -127,6 +128,39 @@ class TestRunTrials:
         assert pooled == single
         assert single != run_trials(cfg, built)
 
+    @pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 20), (None, 1)])
+    def test_pool_never_exceeds_blocks_or_cpus(self, monkeypatch, cpus, workers):
+        """A huge ``threads`` opens a pool of min(blocks, CPUs) workers.  A
+        fake executor runs each block inline, so no process is started."""
+        opened = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers, initializer, initargs):
+                opened.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                fut = concurrent.futures.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+        cfg = ExperimentConfig(
+            code="surface:3", noise="code-capacity", p=0.05,
+            decoder="bp-osd", trials=20, seed=3,
+        )
+        single = run_trials(cfg)
+        monkeypatch.setattr(sim, "_worker_model", None)
+        monkeypatch.setattr(sim.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
+        assert run_trials(dataclasses.replace(cfg, threads=10**6)) == single
+        assert opened == [workers]  # 20 trials make 20 one-trial blocks
+
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_validated(self, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -229,6 +263,20 @@ def test_pheno_dc_matches_osd_surface_d3():
 
 
 class TestRecords:
+    @pytest.mark.parametrize("code,noise,rounds,T", [
+        ("surface:3", "code-capacity", 5, 0),
+        ("surface:3", "pheno", 4, 4),
+        ("surface:5", "pheno", None, 5),
+        ("bb:6,6", "circuit-bb", None, 6),
+        ("bb:4,4", "pheno", None, 2),  # no distance on record
+    ])
+    def test_measurement_rounds(self, code, noise, rounds, T):
+        cfg = ExperimentConfig(
+            code=code, noise=noise, p=0.02, decoder="bp", trials=1, seed=0, rounds=rounds,
+        )
+        assert sim.measurement_rounds(cfg) == T
+        assert sim.stats_record(cfg, sim.FailureStats.from_counts(1, 0, 0))["T"] == T
+
     def test_csv_roundtrip_shape(self):
         cfg = ExperimentConfig(
             code="surface:3", noise="code-capacity", p=0.02,
