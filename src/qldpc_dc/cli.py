@@ -55,6 +55,12 @@ def write_manifest(path: Path, config: dict, started: str, extra: dict | None = 
         f.write("\n")
 
 
+def _numerics() -> dict:
+    """What decoded bytes rest on besides the config: the BP kernel, and the
+    numpy whose ``exp`` and summation order it reproduces."""
+    return {"bp_kernel": min_sum_kernel(), "numpy": np.__version__}
+
+
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
@@ -231,10 +237,17 @@ def cmd_decode(args) -> int:
           "dc_masking", "seed", "p")},
         started,
         extra={"status": status, "min_sum_scale": args.min_sum_scale,
-               "bp_kernel": min_sum_kernel()},
+               **_numerics()},
     )
     print(f"{status}: estimate written to {args.out}")
     return 0
+
+
+def _rate(token: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise CliError(f"--p: {token!r} is not a number") from None
 
 
 _SIM_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -250,7 +263,7 @@ def cmd_points(args) -> int:
     base.setdefault("seed", _default_seed())
     base.setdefault("threads", 1)
     if args.command == "sweep":  # the lists replace any p and decoder of the config file
-        base["p"] = [float(t) for t in args.p.split(",")]
+        base["p"] = [_rate(t) for t in args.p.split(",")]
         base["decoder"] = [d.strip() for d in args.decoders.split(",")]
     for name in _REQUIRED:
         if name not in base:
@@ -277,7 +290,7 @@ def cmd_points(args) -> int:
     out.write_text(text, encoding="utf-8")
     write_manifest(
         out, {"points": [dataclasses.asdict(c) for c in cfgs]}, started,
-        extra={"min_sum_scale": cfgs[0].min_sum_scale, "bp_kernel": min_sum_kernel()},
+        extra={"min_sum_scale": cfgs[0].min_sum_scale, **_numerics()},
     )
     if args.emit_plot_data:
         by_decoder: dict[str, list[dict]] = {}

@@ -159,12 +159,18 @@ class ExperimentConfig:
 def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] = None):
     """Parse "surface:<d>" or "bb:<l>,<m>" into a constructed code."""
     kind, _, rest = spec.partition(":")
+    tokens = rest.split(",")
+    if len(tokens) != {"surface": 1, "bb": 2}.get(kind):
+        raise ValueError(f"code {spec!r}: expected surface:<d> or bb:<l>,<m>")
+    sizes = []
+    for token in tokens:
+        try:
+            sizes.append(int(token))
+        except ValueError:
+            raise ValueError(f"code {spec!r}: {token!r} is not an integer") from None
     if kind == "surface":
-        return build_rotated_surface(int(rest))
-    if kind == "bb":
-        l_s, _, m_s = rest.partition(",")
-        return bb_params(int(l_s), int(m_s), bb_a, bb_b)
-    raise ValueError(f"unknown code spec {spec!r} (expected surface:<d> or bb:<l>,<m>)")
+        return build_rotated_surface(*sizes)
+    return bb_params(*sizes, bb_a, bb_b)
 
 
 def measurement_rounds(cfg: ExperimentConfig) -> int:
@@ -313,10 +319,22 @@ def sweep(
     Points come decoder-major: every rate for the first decoder, then the
     next decoder.  ``base`` holds the other ``ExperimentConfig`` fields.
     Every point's config is built, and so validated, before the first
-    point runs.
+    point runs.  The detector model depends on the rate, not on the
+    decoder, so each rate's model is built once and dropped after the last
+    decoder's point at that rate.
     """
     cfgs = [ExperimentConfig(**base, p=p, decoder=d) for d in decoders for p in rates]
-    return ((cfg, run_trials(cfg)) for cfg in cfgs)
+
+    def points():
+        models = {}  # rate index -> model, kept for the next decoder
+        for k, cfg in enumerate(cfgs):
+            j = k % len(rates)
+            model = models.pop(j) if j in models else build_model(cfg)
+            if k + len(rates) < len(cfgs):
+                models[j] = model
+            yield cfg, run_trials(cfg, model)
+
+    return points()
 
 
 def stats_record(cfg: ExperimentConfig, stats: FailureStats) -> dict:

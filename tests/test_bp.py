@@ -14,6 +14,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -406,49 +407,188 @@ def c_kernel():
     return kernel
 
 
+def planted(rng: np.random.Generator, n: int, bound: float) -> np.ndarray:
+    """n floats in [-bound, bound], most of them +-0.0, +-35, +-bound or
+    one of three tied magnitudes."""
+    tied = rng.uniform(0.0, 35.0, 3)
+    pool = np.concatenate(([0.0, -0.0, 35.0, -35.0, bound, -bound], tied, -tied))
+    out = rng.uniform(-bound, bound, n)
+    pick = rng.random(n) < 0.6
+    out[pick] = rng.choice(pool, int(pick.sum()))
+    return out
+
+
 @st.composite
-def min_sum_inputs(draw):
-    """(graph, m_vc, syn_sign_e, scale) with ties, +/-0.0 and +/-35 planted."""
-    g = TannerGraph(draw(sparse_matrices()))
-    tied = draw(st.lists(st.floats(0.0, 35.0), min_size=1, max_size=3))
-    value = st.one_of(
-        st.sampled_from([0.0, -0.0, 35.0, -35.0]),
-        st.sampled_from(tied).flatmap(lambda a: st.sampled_from([a, -a])),
-        st.floats(-35.0, 35.0),
-        st.floats(allow_nan=False, allow_infinity=False),
-    )
-    m_vc = np.array(draw(st.lists(value, min_size=g.nnz, max_size=g.nnz)), dtype=float)
-    syn_sign_e = np.array(
-        draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=g.nnz, max_size=g.nnz)),
-        dtype=float,
-    )
+def heavy_column_matrices(draw):
+    """A matrix whose column 0 is in every row: weight 9, 129, 130 or 300,
+    so the variable sum takes all three of numpy's pairwise branches."""
+    rows = draw(st.sampled_from([9, 129, 130, 300]))
+    cols = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SparseBinMatrix(rows, cols, [
+        [0] + sorted(np.flatnonzero(rng.random(cols - 1) < 0.3) + 1) for _ in range(rows)
+    ])
+
+
+@st.composite
+def min_sum_steps(draw):
+    """(graph, lam, total, m_cv, syndrome, hard, scale, test): one min-sum
+    iteration's inputs on any graph, cut columns included, with ties, +-0.0
+    and +-35 planted."""
+    h = draw(st.one_of(sparse_matrices(), heavy_column_matrices()))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=h.cols, max_size=h.cols)))
+    g = TannerGraph(h, keep if draw(st.booleans()) else None)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hard = rng.random(h.cols) < 0.5
+    parity = np.zeros(len(g.chk_seg_ids), dtype=np.uint8)
+    if g.nnz:
+        parity = (np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1).astype(np.uint8)
+    flips = (rng.random(parity.shape) < draw(st.sampled_from([0.0, 0.5]))).astype(np.uint8)
     scale = draw(st.one_of(
-        st.sampled_from([1.0, 0.625]),
+        st.sampled_from([1.0, 0.625, 5e-324, 1e308]),
         st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
     ))
-    return g, m_vc, syn_sign_e, scale
+    return (g, planted(rng, h.cols, 35.0), planted(rng, h.cols, 350.0),
+            planted(rng, g.nnz, 35.0), parity ^ flips, hard, scale, draw(st.booleans()))
 
 
 # single-edge checks (min2 = +inf) next to a check with a three-way tie at 0
 SINGLE_EDGE_CHECKS = (
     TannerGraph(SparseBinMatrix(4, 5, [(0,), (1, 2, 3), (4,), (0, 4)])),
+    np.array([0.0, 1.5, -2.0, 35.0, -0.0]),
+    np.array([-0.0, 0.0, -0.0, 0.0, 35.0]),
     np.array([-0.0, 0.0, -0.0, 0.0, 35.0, -35.0, 2.5]),
-    np.array([1.0, -1.0, 1.0, -1.0, -1.0, 1.0, -1.0]),
+    np.array([1, 0, 1, 0], dtype=np.uint8),
+    np.zeros(5, dtype=bool),
     0.625,
+    True,
+)
+
+# variable 0 gets -0.0 from both checks and has prior LLR -0.0, so its total
+# is -0.0 only if the variable sum starts pairwise_sum from -0.0, as numpy does
+NEGATIVE_ZERO_SUM = (
+    TannerGraph(SparseBinMatrix(2, 3, [(0, 1), (0, 2)])),
+    np.array([-0.0, 0.5, 0.5]),
+    np.array([1.0, 0.0, 0.0]),
+    np.zeros(4),
+    np.array([1, 1], dtype=np.uint8),
+    np.zeros(3, dtype=bool),
+    1.0,
+    False,
 )
 
 
-@given(min_sum_inputs())
+@given(min_sum_steps())
 @example(SINGLE_EDGE_CHECKS)
-@example(SINGLE_EDGE_CHECKS[:3] + (1.0,))
+@example(SINGLE_EDGE_CHECKS[:6] + (1.0, False))
+@example(NEGATIVE_ZERO_SUM)
 @settings(max_examples=500, deadline=None)
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
-    g, m_vc, syn_sign_e, scale = case
-    want = bp._min_sum_numpy(g, m_vc, syn_sign_e, scale)
-    out = np.full(g.nnz + 3, np.nan)  # a longer buffer is written only in its prefix
-    got = bp._min_sum_c(c_kernel, g, m_vc, syn_sign_e, scale, out)
-    assert got.tobytes() == want.tobytes()
-    assert np.isnan(out[g.nnz:]).all()
+    """One compiled iteration against numpy's pieces: the syndrome test,
+    the v2c update, the check update and the clipped posterior totals."""
+    g, lam, total, m_cv, syndrome, hard, scale, test = case
+    state = bp._CompiledMinSum(c_kernel, g, syndrome, lam, hard, scale)
+    state.total[:] = total
+    state.m_cv[:] = m_cv
+    parity = np.zeros_like(syndrome)
+    if g.nnz:
+        parity = np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1
+    if test and np.array_equal(parity, syndrome):
+        assert state.iterate(test)
+        assert state.total.tobytes() == total.tobytes()
+        assert state.m_cv.tobytes() == m_cv.tobytes()
+        return
+    m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
+    want_cv = bp._min_sum_numpy(g, m_vc, 1.0 - 2.0 * syndrome[g.edge_seg], scale)
+    want_total = total.copy()
+    if g.nnz:
+        sums = np.add.reduceat(want_cv[g.var_perm], g.var_seg_starts)
+        want_total[g.var_seg_ids] = np.clip(
+            lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
+    assert not state.iterate(test)
+    assert state.m_vc.tobytes() == m_vc.tobytes()
+    assert state.m_cv.tobytes() == want_cv.tobytes()
+    assert state.total.tobytes() == want_total.tobytes()
+
+
+def _pairwise(a: list) -> float:
+    """numpy's pairwise_sum, in Python."""
+    n = len(a)
+    if n < 8:
+        res = -0.0
+        for x in a:
+            res += x
+        return res
+    if n <= 128:
+        r = a[:8]
+        i = 8
+        while i < n - n % 8:
+            r = [r[j] + a[i + j] for j in range(8)]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for x in a[i:]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(a[:n2]) + _pairwise(a[n2:])
+
+
+def test_reduceat_sums_in_the_order_the_kernel_does():
+    """``min_sum.c`` sums a variable's messages as ``np.add.reduceat`` does:
+    the first term plus ``pairwise_sum`` of the rest.  This pins that order
+    on the installed numpy; the kernel copies it."""
+    rng = np.random.default_rng(2024)
+    lengths = [*range(1, 21), 127, 128, 129, 130, 300]
+    for n in lengths:
+        for _ in range(40):
+            a = rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
+            a[rng.random(n) < 0.2] = -0.0
+            a[rng.random(n) < 0.2] = 35.0
+            got = np.add.reduceat(a, [0])[0]
+            x = a.tolist()
+            want = x[0] if n == 1 else x[0] + _pairwise(x[1:])
+            assert np.float64(want).tobytes() == got.tobytes(), (
+                f"numpy {np.__version__} does not sum a length-{n} segment as "
+                "a[0] + pairwise(a[1:]); min_sum.c's variable sum assumes it does"
+            )
+
+
+@st.composite
+def decode_cases(draw):
+    """(H, priors, syndrome, scale, max_iter): any small H or one with a
+    heavy column, priors with 0 (cut), 0.5 and 1, any syndrome."""
+    h = draw(st.one_of(sparse_matrices(), heavy_column_matrices()))
+    priors = np.array(draw(st.lists(PRIORS, min_size=h.cols, max_size=h.cols)))
+    syndrome = BitVec(h.rows, draw(st.integers(0, (1 << h.rows) - 1)))
+    scale = draw(st.sampled_from([1.0, 0.625]))
+    return h, priors, syndrome, scale, draw(st.integers(1, 12))
+
+
+# an empty row with syndrome 1 never converges; one iteration only
+EMPTY_ROW_ONE_ITERATION = (
+    SparseBinMatrix(3, 4, [(0, 1), (), (2, 3)]), np.full(4, 0.2),
+    BitVec.from_support(3, [0, 1]), 0.625, 1,
+)
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@given(case=decode_cases())
+@example(case=EMPTY_ROW_ONE_ITERATION)
+@example(case=EMPTY_ROW_ONE_ITERATION[:4] + (5,))
+@settings(max_examples=200, deadline=None)
+def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
+    """Whole min-sum decodes: the same soft bytes, hard bits, convergence,
+    iterations and edge counters from the compiled and the numpy loop."""
+    h, priors, syndrome, scale, max_iter = case
+    results = []
+    for kernel in (c_kernel, None):
+        with mock.patch.object(bp, "_load_kernel", lambda: kernel):
+            dec = BpDecoder(h, MIN_SUM, scale)
+            out = dec.decode(syndrome, priors, max_iter, early_stop)
+        results.append((out.soft.tobytes(), out.hard, out.converged, out.iterations_used,
+                        dec.v2c_edge_updates, dec.c2v_edge_updates))
+    assert results[0] == results[1]
 
 
 def test_two_processes_build_one_library(c_kernel, tmp_path):

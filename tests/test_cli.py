@@ -3,6 +3,7 @@
 import json
 import tempfile
 
+import numpy as np
 import pytest
 
 from qldpc_dc import bp, noise, sim
@@ -72,6 +73,7 @@ class TestCodeCommand:
         for path in manifests:
             manifest = json.loads(path.read_text())
             assert "bp_kernel" not in manifest and "min_sum_scale" not in manifest
+            assert "numpy" not in manifest
         assert not list(tmp_path.rglob("*.so"))
         assert bp._kernel is bp._UNLOADED
 
@@ -403,6 +405,52 @@ class TestSimulateAndSweep:
         assert manifest["min_sum_scale"] == 1.0
         assert manifest["bp_kernel"] == bp.min_sum_kernel()
         assert manifest["bp_kernel"] in ("c", "numpy")
+
+    def test_decoding_manifests_record_numpy(self, tmp_path):
+        """Decoded bytes rest on numpy's exp and summation order, so every
+        command that decodes records the numpy version."""
+        code = build_rotated_surface(3)
+        save_triplet(code.hz, tmp_path / "hz.txt")
+        (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")
+        outs = [tmp_path / "e.txt", tmp_path / "one.csv", tmp_path / "many.csv"]
+        sim_flags = ["--code", "surface:3", "--noise", "code-capacity", "--trials", "5",
+                     "--bp-variant", "min-sum"]
+        assert run_cli("decode", "--dcm", str(tmp_path / "hz.txt"), "--syndrome",
+                       str(tmp_path / "syn.txt"), "--out", str(outs[0])) == 0
+        assert run_cli("simulate", *sim_flags, "--p", "0.02", "--decoder", "bp",
+                       "--out", str(outs[1])) == 0
+        assert run_cli("sweep", *sim_flags, "--p", "0.02,0.04", "--decoders", "bp",
+                       "--out", str(outs[2])) == 0
+        for out in outs:
+            manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+            assert manifest["numpy"] == np.__version__
+            assert manifest["bp_kernel"] == bp.min_sum_kernel()
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("sweep", ["--p", "0.01,abc"], "error: --p: 'abc' is not a number"),
+        ("sweep", ["--p", "0.01,,0.02"], "error: --p: '' is not a number"),
+        ("simulate", ["--code", "surface:x"], "error: code 'surface:x': 'x' is not an integer"),
+        ("simulate", ["--code", "bb:6"],
+         "error: code 'bb:6': expected surface:<d> or bb:<l>,<m>"),
+        ("simulate", ["--code", "bb:6,y"], "error: code 'bb:6,y': 'y' is not an integer"),
+    ], ids=["p-word", "p-empty", "surface-word", "bb-one-size", "bb-word"])
+    def test_malformed_rate_or_code_names_it(self, tmp_path, capsys, command, flags, message):
+        """A bad ``--p`` list or code spec is one error line naming the flag
+        or field and the bad token: exit 1, no output, no manifest."""
+        defaults = {"--code": "surface:3", "--p": "0.02"}
+        for flag, value in zip(flags[::2], flags[1::2]):
+            defaults[flag] = value
+        argv = [command, "--noise", "code-capacity", "--trials", "5", "--decoder" if
+                command == "simulate" else "--decoders", "bp"]
+        for flag, value in defaults.items():
+            argv += [flag, value]
+        out = tmp_path / "r.csv"
+        assert run_cli(*argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
 
     def test_dc_decoder_requires_priors_choice(self, tmp_path, capsys):
         code = build_rotated_surface(3)

@@ -210,6 +210,45 @@ class TestRunTrials:
         assert stats.trials == 20
 
 
+
+class TestSweep:
+    def test_builds_one_model_per_rate(self, monkeypatch):
+        """Two rates and three decoders build two models, and every point's
+        stats equal those of ``run_trials`` building its own model."""
+        built = []
+
+        def counting_build(cfg):
+            built.append(cfg.p)
+            return build_model(cfg)
+
+        build_model = sim.build_model
+        monkeypatch.setattr(sim, "build_model", counting_build)
+        base = dict(code="surface:3", noise="pheno", rounds=2, trials=40, seed=5,
+                    dc_second_priors="reset", max_iter=30)
+        points = list(sim.sweep(base, [0.01, 0.03], ["bp", "bp-dc", "bp-osd"]))
+        assert built == [0.01, 0.03]
+        monkeypatch.setattr(sim, "build_model", build_model)
+        assert [(cfg.decoder, cfg.p) for cfg, _ in points] == [
+            (d, p) for d in ("bp", "bp-dc", "bp-osd") for p in (0.01, 0.03)
+        ]
+        for cfg, stats in points:
+            assert stats == run_trials(cfg)
+        assert sum(s.failures_logical + s.failures_nonconvergent for _, s in points) > 0
+
+    def test_one_decoder_keeps_no_model(self, monkeypatch):
+        """With one decoder no model is reused, so none is kept: each point
+        builds its own as it runs."""
+        built = []
+        build_model = sim.build_model
+        monkeypatch.setattr(sim, "build_model", lambda cfg: built.append(cfg.p) or build_model(cfg))
+        points = sim.sweep(dict(code="surface:3", noise="code-capacity", trials=5, seed=1),
+                           [0.01, 0.02, 0.03], ["bp"])
+        next(points)
+        assert built == [0.01]
+        list(points)
+        assert built == [0.01, 0.02, 0.03]
+
+
 @pytest.mark.slow
 def test_dominance_surface_d5():
     """Desk-scale ordering on the d=5 surface code-capacity point."""
