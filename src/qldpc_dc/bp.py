@@ -23,29 +23,40 @@ output):
 - Syndrome test: masked hard bits are 0, so the parity over kept edges is
   the same.
 
-A min-sum iteration runs as compiled C (``min_sum.c``) when gcc can build
-it, and as numpy otherwise.  Both give the same bits.  The kernel tests the
-previous hard decision against the syndrome, then writes the v2c messages,
-the check update and the posterior totals of one iteration: subtractions,
-clips, min, abs, a sign parity, a product whose two factors of +-1 only
-set its sign and, for each variable, a sum in ``np.add.reduceat``'s own
-order.  That order is the first
-term plus numpy's ``pairwise_sum`` of the rest (a probe on numpy 2.4.6
-matched it on every random segment of lengths 1-40, 127-137, 200-300 and
-1000, and ``tests/test_bp.py`` pins it).  Only ``exp``, and so the soft
-output and the hard decision, stays in numpy, as does product-sum's
-``tanh``/``arctanh``: libm need not round as numpy does.  The numpy loop is
-the reference, the fallback without gcc and the product-sum path.  The
-shared library is built on the first min-sum decode, not at import, into a
-per-user cache keyed by the SHA-256 of the source and the compiler flags:
-``$XDG_CACHE_HOME/qldpc_dc`` (default ``~/.cache/qldpc_dc``), or a per-user
-directory under the system temp directory if that cannot be written.
+A min-sum decode runs its iteration loop in compiled C (``min_sum.c``)
+when gcc can build it, and in numpy otherwise.  Both give the same bits.
+Each iteration of the kernel tests the previous hard decision against the
+syndrome, then writes the v2c messages, the check update, the posterior
+totals and the hard bits: subtractions, clips, min, abs, a sign parity, a
+product whose two factors of +-1 only set its sign and, for each variable,
+a sum in ``np.add.reduceat``'s own order.  That order is the first term
+plus numpy's ``pairwise_sum`` of the rest (a probe on numpy 2.4.6 matched
+it on every random segment of lengths 1-40, 127-137, 200-300 and 1000, and
+``tests/test_bp.py`` pins it).  The kernel's hard bit is the sign of the
+total, which equals numpy's ``1 / (1 + exp(total)) >= 0.5`` whenever
+``|total| >= 1e-12``; when a tested total lies closer to 0 the kernel
+returns, numpy's ``exp`` decides that iteration's hard bits, and the
+kernel goes on.  So numpy's ``exp`` runs for the soft output once per
+decode, plus once per such iteration; product-sum's ``tanh``/``arctanh``
+stay in numpy too: libm need not round as numpy does.  The numpy loop is
+the reference, the fallback without gcc and the product-sum path.
+
+The shared library is built with ``-O3 -march=native -ffp-contract=off``
+on the first min-sum decode, not at import, into a per-user cache:
+``$XDG_CACHE_HOME/qldpc_dc`` (default ``~/.cache/qldpc_dc``), or a
+per-user directory under the system temp directory if that cannot be
+written.  Its name is keyed by the SHA-256 of the source, the compiler
+and its flags, the machine type and the first ``flags``/``Features`` line
+of ``/proc/cpuinfo``, so a library built for one CPU never loads on
+another that shares the cache.  Where that line cannot be read, the
+library is built without ``-march=native``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import importlib
 import math
 import os
@@ -114,6 +125,22 @@ class TannerGraph:
         self.var_seg_starts = np.asarray(vstarts, dtype=np.intp)
         self.var_seg_ids = np.asarray(vids, dtype=np.intp)
 
+    @functools.cached_property
+    def min_sum_graph(self) -> "_MinSumGraph":
+        """The sizes and index pointers ``min_sum.c`` reads, taken once per
+        graph; the arrays they point into live as long as the graph."""
+        nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
+        return _MinSumGraph(
+            nnz, n_chk, n_var,
+            _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
+            _pointer(self.var_seg_starts, np.intp, n_var),
+            _pointer(self.var_seg_ids, np.intp, n_var), _pointer(self.var_perm, np.intp, nnz),
+        )
+
+    def __getstate__(self):
+        # the kernel's pointers are this process's; a copy takes its own
+        return {k: v for k, v in self.__dict__.items() if k != "min_sum_graph"}
+
 
 @dataclass
 class BpOutput:
@@ -128,7 +155,7 @@ class BpOutput:
 
 _KERNEL_SOURCE = Path(__file__).with_name("min_sum.c")
 _CC = "gcc"
-_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")  # + -march=native, see _library
 _UNLOADED = object()
 _kernel = _UNLOADED  # the compiled iteration once tried; None if it failed
 
@@ -141,7 +168,7 @@ def _cache_dirs() -> list[Path]:
     return [Path(base) / "qldpc_dc", private] if os.path.isabs(base) else [private]
 
 
-def _cached_library(directory: Path, name: str) -> Path:
+def _cached_library(directory: Path, name: str, cflags: tuple[str, ...]) -> Path:
     """``directory/name``, compiled first if it is not there yet.
 
     The compiler writes a temporary file that is renamed into place, so
@@ -159,7 +186,7 @@ def _cached_library(directory: Path, name: str) -> Path:
         os.close(fd)
         try:
             subprocess.run(
-                [_CC, *_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE)],
+                [_CC, *cflags, "-o", tmp, str(_KERNEL_SOURCE)],
                 check=True, capture_output=True, timeout=300,
             )
             os.replace(tmp, path)
@@ -179,14 +206,54 @@ def _sha256_hex(data: bytes) -> str:
             return importlib.import_module(module).sha256(data).hexdigest()
 
 
+def _cpu_flags() -> str:
+    """The first ``flags`` (x86) or ``Features`` (Arm) line of
+    /proc/cpuinfo, or "" where there is none to read."""
+    with contextlib.suppress(OSError, UnicodeDecodeError):
+        with open("/proc/cpuinfo", encoding="ascii") as f:
+            for line in f:
+                if line.startswith(("flags", "Features")):
+                    return line.strip()
+    return ""
+
+
+def _library(source: bytes) -> tuple[str, tuple[str, ...]]:
+    """The cached library's file name and the flags that build it.
+
+    ``-march=native`` ties the library to the CPU that built it, so the
+    name hashes the CPU's flags line with the source, the compiler and its
+    flags; without that line the library is built for the generic target.
+    """
+    cpu = _cpu_flags()
+    cflags = _CFLAGS + (("-march=native",) if cpu else ())
+    key = _sha256_hex(source + repr((_CC, cflags, platform.machine(), cpu)).encode())
+    return f"min_sum_{key[:16]}.so", cflags
+
+
 class _MinSumGraph(ctypes.Structure):
     """``struct min_sum_graph`` of ``min_sum.c``: sizes, then pointers."""
 
     _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var")] + [
-        (name, ctypes.c_void_p) for name in (
-            "chk_starts", "edge_var", "var_starts", "var_ids", "var_perm",
-            "syndrome", "lam", "hard", "total", "m_vc", "m_cv")
+        (name, ctypes.c_void_p)
+        for name in ("chk_starts", "edge_var", "var_starts", "var_ids", "var_perm")
+    ]
+
+
+class _MinSumState(ctypes.Structure):
+    """``struct min_sum_state`` of ``min_sum.c``: one decode's buffers."""
+
+    _fields_ = [
+        (name, ctypes.c_void_p)
+        for name in ("graph", "syndrome", "lam", "hard", "total", "m_vc", "m_cv")
     ] + [(name, ctypes.c_double) for name in ("scale", "clamp", "total_clamp")]
+
+
+def _pointer(a: np.ndarray, dtype, n: int) -> int:
+    """The address of ``a``'s data, once ``a`` is checked to be ``n``
+    contiguous values of ``dtype``."""
+    if a.dtype != dtype or a.shape != (n,) or not a.flags.c_contiguous:
+        raise ValueError("min-sum kernel buffers do not match the graph")
+    return a.ctypes.data
 
 
 def _build_kernel():
@@ -198,15 +265,15 @@ def _build_kernel():
         source = _KERNEL_SOURCE.read_bytes()
     except OSError:
         return None
-    key = _sha256_hex(source + repr((_CC, _CFLAGS, platform.machine())).encode())
-    name = f"min_sum_{key[:16]}.so"
+    name, cflags = _library(source)
     for directory in _cache_dirs():
         try:
-            fn = ctypes.CDLL(str(_cached_library(directory, name))).min_sum_iteration
+            fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
         except (OSError, AttributeError):
             continue
-        fn.argtypes = [ctypes.POINTER(_MinSumGraph), ctypes.c_int]
-        fn.restype = ctypes.c_int
+        fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_ssize_t,
+                       ctypes.c_int]
+        fn.restype = ctypes.c_ssize_t
         return fn
     return None
 
@@ -253,39 +320,42 @@ class _CompiledMinSum:
     ``total`` starts as the prior LLRs and ``m_cv`` as +0.0, so the first
     v2c update, ``clip(total - m_cv)``, gives the prior messages bit for
     bit.  ``syndrome`` holds one bit per check segment; ``hard`` is the
-    caller's array, read by the syndrome test.
+    caller's array, which the syndrome test reads and each iteration
+    writes at the columns with edges.
     """
 
     def __init__(self, kernel, g: TannerGraph, syndrome, lam, hard, scale: float):
+        cols = g.h.cols
         self.total = lam.copy()
         self.m_vc = np.empty(g.nnz)
         self.m_cv = np.zeros(g.nnz)
-        nnz, cols = g.nnz, lam.shape[0]
-        n_chk, n_var = g.chk_seg_starts.shape[0], g.var_seg_starts.shape[0]
-
-        def ptr(a, dtype, n):
-            if a.dtype != dtype or a.shape != (n,) or not a.flags.c_contiguous:
-                raise ValueError("min-sum kernel buffers do not match the graph")
-            return a.ctypes.data
-
-        idx, f64 = np.intp, np.float64
-        self._graph = _MinSumGraph(
-            nnz, n_chk, n_var,
-            ptr(g.chk_seg_starts, idx, n_chk), ptr(g.edge_var, idx, nnz),
-            ptr(g.var_seg_starts, idx, n_var), ptr(g.var_seg_ids, idx, n_var),
-            ptr(g.var_perm, idx, nnz),
-            ptr(syndrome, np.uint8, n_chk), ptr(lam, f64, cols), ptr(hard, np.bool_, cols),
-            ptr(self.total, f64, cols), ptr(self.m_vc, f64, nnz), ptr(self.m_cv, f64, nnz),
+        self._state = _MinSumState(
+            ctypes.addressof(g.min_sum_graph),
+            _pointer(syndrome, np.uint8, len(g.chk_seg_starts)),
+            _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
+            self.total.ctypes.data, self.m_vc.ctypes.data, self.m_cv.ctypes.data,
             scale, LLR_CLAMP, _TOTAL_CLAMP,
         )
-        self._ref = ctypes.byref(self._graph)
+        self._ref = ctypes.byref(self._state)
         self._kernel = kernel
         self._keep = (g, syndrome, lam, hard)  # the arrays the pointers point into
 
-    def iterate(self, test: bool) -> bool:
-        """True, and nothing written, if ``test`` and ``hard`` satisfies every
-        check with edges; else one iteration into the buffers, and False."""
-        return self._kernel(self._ref, test) == 1
+    def run(self, start: int, max_iter: int, test: bool) -> int:
+        """Iterations ``start`` to at most ``max_iter``: ``-it`` if ``test`` and
+        the hard decision satisfied every check with edges before iteration
+        ``it``, else the last iteration run (see ``min_sum_decode``)."""
+        return self._kernel(self._ref, start, max_iter, test)
+
+
+def _soft_hard(total, cut, soft, hard) -> None:
+    """``soft = 1 / (1 + exp(total))``, 0 at the ``cut`` columns, and
+    ``hard = soft >= 0.5``, in place."""
+    np.exp(total, out=soft)
+    soft += 1.0
+    np.divide(1.0, soft, out=soft)
+    if cut is not None:
+        soft[cut] = 0.0
+    np.greater_equal(soft, 0.5, out=hard)
 
 
 def _llr(priors: np.ndarray) -> np.ndarray:
@@ -392,31 +462,22 @@ class BpDecoder:
     def _decode_compiled(
         self, kernel, g, s_dense, lam_prior, soft, hard, cut, max_iter, early_stop
     ) -> BpOutput:
-        """The min-sum loop above with one kernel call per iteration; only
-        ``exp``, the cut pinning and the hard decision stay in numpy, in
-        place.  Call ``it`` tests the hard decision of iteration ``it - 1``
-        (the priors', tested already, for the first) before it runs
-        iteration ``it``."""
+        """The min-sum loop above in ``min_sum.c``.  The kernel returns at
+        convergence, at ``max_iter``, or when a hard bit the next syndrome
+        test reads is one that only numpy's ``exp`` can decide; numpy then
+        decides that iteration's hard bits and the kernel goes on.  The soft
+        output and the final hard decision are numpy's."""
         syn = s_dense[g.chk_seg_ids]
         state = _CompiledMinSum(kernel, g, syn, lam_prior, hard, self.min_sum_scale)
-        total = state.total
-        pinned = np.flatnonzero(cut) if cut is not None else None
         # a check with no edges and syndrome 1 is never satisfied
         test = early_stop and int(s_dense.sum()) == int(syn.sum())
-        iterations = 0
-        for it in range(1, max_iter + 1):
-            if state.iterate(test):
-                converged = True
-                break
-            iterations = it
-            np.exp(total, out=soft)
-            soft += 1.0
-            np.divide(1.0, soft, out=soft)
-            if pinned is not None:
-                soft[pinned] = 0.0
-            np.greater_equal(soft, 0.5, out=hard)
-        else:
-            converged = self._syndrome_matches(g, hard, s_dense)
+        last = state.run(1, max_iter, test)
+        while 0 < last < max_iter:
+            _soft_hard(state.total, cut, soft, hard)
+            last = state.run(last + 1, max_iter, test)
+        _soft_hard(state.total, cut, soft, hard)
+        iterations = -last - 1 if last < 0 else last
+        converged = last < 0 or self._syndrome_matches(g, hard, s_dense)
         self.v2c_edge_updates = self.c2v_edge_updates = iterations * g.nnz
         return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)
 

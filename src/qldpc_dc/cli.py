@@ -265,6 +265,8 @@ def cmd_points(args) -> int:
     if args.command == "sweep":  # the lists replace any p and decoder of the config file
         base["p"] = [_rate(t) for t in args.p.split(",")]
         base["decoder"] = [d.strip() for d in args.decoders.split(",")]
+    elif args.p is not None:
+        base["p"] = _rate(args.p)
     for name in _REQUIRED:
         if name not in base:
             raise CliError(f"missing field {name!r}: give --{name} or set it in --config")
@@ -309,11 +311,9 @@ def cmd_points(args) -> int:
     return 0
 
 
-def _add_sim_flags(p: argparse.ArgumentParser, with_p: bool = True) -> None:
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--code", help="surface:<d> or bb:<l>,<m>")
     p.add_argument("--noise", choices=["code-capacity", "pheno", "circuit-bb"])
-    if with_p:
-        p.add_argument("--p", type=float, help="physical error rate")
     p.add_argument("--rounds", type=int, help="measurement rounds T (default: d)")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, help="master seed (env QLDPC_DC_SEED as fallback)")
@@ -401,11 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="estimate one failure-rate point")
     _add_sim_flags(p_sim)
+    p_sim.add_argument("--p", help="physical error rate")
     p_sim.add_argument("--decoder", choices=list(DECODERS))
     p_sim.set_defaults(func=cmd_points)
 
     p_sweep = sub.add_parser("sweep", help="failure rates over a list of p values")
-    _add_sim_flags(p_sweep, with_p=False)
+    _add_sim_flags(p_sweep)
     p_sweep.add_argument("--p", required=True, help="comma-separated rates")
     p_sweep.add_argument("--decoders", default="bp,bp-dc",
                          help="comma-separated decoder list")

@@ -1,16 +1,26 @@
-/* One iteration of normalized min-sum belief propagation (Fossorier,
+/* The iteration loop of normalized min-sum belief propagation (Fossorier,
  * Mihaljevic & Imai, 1999) on a Tanner graph in check-major edge order.
  *
  * It gives bit for bit what bp.BpDecoder's numpy loop gives for the same
- * iteration.  The v2c update is a subtraction and a clip.  The check update
- * uses only fabs, comparisons, a sign parity and the product
+ * iterations.  The v2c update is a subtraction and a clip.  The check
+ * update uses only fabs, comparisons, a sign parity and the product
  * syn_sign * sign * scale * m, which with two factors of +-1 is
  * +-(scale * m), rounded alike either way.  The posterior sum over a
  * variable's edges repeats np.add.reduceat's order exactly: the first term
  * plus numpy's pairwise_sum of the others (see var_sum).  Build with
  * -ffp-contract=off and without -ffast-math, so the compiler neither fuses
- * nor reorders the arithmetic.  exp, and so the soft output and the hard
- * decision, stays in numpy: libm's exp need not round as numpy's does.
+ * nor reorders the arithmetic; -O3 -march=native keep both.
+ *
+ * The syndrome test needs numpy's hard decision 1 / (1 + exp(total)) >= 0.5
+ * and libm's exp need not round as numpy's does, so the kernel takes the
+ * sign, total <= 0, which equals numpy's decision whenever
+ * |total| >= HARD_BAND.  For t >= 1e-12, exp(t) exceeds 1 by far more than
+ * any sane exp's error, so 1 + exp(t) > 2 and the quotient is below 0.5;
+ * t <= -1e-12 is the mirror case.  Inside the band they can differ: numpy
+ * rounds 1 + exp(t) to 2 for 0 < t <= ~3.3e-16, so soft is 0.5 and the hard
+ * bit is 1.  An iteration that leaves a tested total in the band returns,
+ * and the caller decides that iteration's hard bits with numpy.  exp, and
+ * so the soft output, stays in numpy.
  *
  * Edges e in [chk_starts[s], chk_starts[s + 1]) belong to check segment s,
  * and positions k in [var_starts[v], var_starts[v + 1]) of var_perm list
@@ -21,13 +31,19 @@
 #include <math.h>
 #include <stddef.h>
 
-struct min_sum_graph {
+#define HARD_BAND 1e-12
+
+struct min_sum_graph { /* one per Tanner graph */
     ptrdiff_t nnz, n_chk, n_var;
     const ptrdiff_t *chk_starts, *edge_var;
     const ptrdiff_t *var_starts, *var_ids, *var_perm;
+};
+
+struct min_sum_state { /* one per decode */
+    const struct min_sum_graph *graph;
     const unsigned char *syndrome; /* per check segment: its syndrome bit */
     const double *lam;             /* per column: prior LLR */
-    const unsigned char *hard;     /* per column: hard decision, 0 or 1 */
+    unsigned char *hard;           /* per column: hard decision, 0 or 1 */
     double *total;                 /* per column: posterior LLR */
     double *m_vc, *m_cv;           /* per edge: messages */
     double scale, clamp, total_clamp;
@@ -74,46 +90,48 @@ static double var_sum(const double *m, const ptrdiff_t *idx, ptrdiff_t n)
 }
 
 /* 1 when every check's parity of hard bits equals its syndrome bit. */
-static int syndrome_ok(const struct min_sum_graph *g)
+static int syndrome_ok(const struct min_sum_state *d)
 {
+    const struct min_sum_graph *g = d->graph;
     for (ptrdiff_t s = 0; s < g->n_chk; s++) {
         ptrdiff_t lo = g->chk_starts[s];
         ptrdiff_t hi = s + 1 < g->n_chk ? g->chk_starts[s + 1] : g->nnz;
-        int parity = g->syndrome[s];
+        int parity = d->syndrome[s];
         for (ptrdiff_t e = lo; e < hi; e++)
-            parity ^= g->hard[g->edge_var[e]];
+            parity ^= d->hard[g->edge_var[e]];
         if (parity)
             return 0;
     }
     return 1;
 }
 
-/* With test set, return 1 and write nothing when the hard decision
- * satisfies every check.  Otherwise run one iteration and return 0:
+/* One iteration:
  *
  *     m_vc[e]  = clip(total[edge_var[e]] - m_cv[e], clamp)
  *     m_cv[e]  = clip(syn_sign * sign * scale * (|m_vc[e]| == min1 ? min2 : min1), clamp)
  *     total[v] = clip(lam[v] + sum of m_cv over v's edges, total_clamp)
+ *     hard[v]  = total[v] <= 0
  *
  * where syn_sign is -1 when the check's syndrome bit is 1, min1 <= min2
  * are the two smallest magnitudes of the check counted with multiplicity
  * (min2 = +inf for a check with one edge), sign is -1 when an odd number
  * of the check's other messages are < 0 (so -0.0 counts as positive), and
- * only variables with edges are written.
+ * only variables with edges are written.  Returns 1 when a written total
+ * lies in the band.
  */
-int min_sum_iteration(const struct min_sum_graph *g, int test)
+static int iterate(const struct min_sum_state *d)
 {
-    if (test && syndrome_ok(g))
-        return 1;
     /* locals, so that stores through the message pointers reload nothing */
+    const struct min_sum_graph *g = d->graph;
     const ptrdiff_t nnz = g->nnz, n_chk = g->n_chk, n_var = g->n_var;
     const ptrdiff_t *restrict chk_starts = g->chk_starts, *restrict edge_var = g->edge_var;
     const ptrdiff_t *restrict var_starts = g->var_starts, *restrict var_ids = g->var_ids;
     const ptrdiff_t *restrict var_perm = g->var_perm;
-    const unsigned char *restrict syndrome = g->syndrome;
-    const double *restrict lam = g->lam;
-    double *restrict total = g->total, *restrict m_vc = g->m_vc, *restrict m_cv = g->m_cv;
-    const double scale = g->scale, clamp = g->clamp, total_clamp = g->total_clamp;
+    const unsigned char *restrict syndrome = d->syndrome;
+    const double *restrict lam = d->lam;
+    unsigned char *restrict hard = d->hard;
+    double *restrict total = d->total, *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
+    const double scale = d->scale, clamp = d->clamp, total_clamp = d->total_clamp;
 
     for (ptrdiff_t s = 0; s < n_chk; s++) {
         ptrdiff_t lo = chk_starts[s];
@@ -139,11 +157,36 @@ int min_sum_iteration(const struct min_sum_graph *g, int test)
             m_cv[e] = (neg ^ (v < 0.0)) ? -x : x;
         }
     }
+    int band = 0;
     for (ptrdiff_t v = 0; v < n_var; v++) {
         ptrdiff_t lo = var_starts[v];
         ptrdiff_t hi = v + 1 < n_var ? var_starts[v + 1] : nnz;
         ptrdiff_t j = var_ids[v];
-        total[j] = clip(lam[j] + var_sum(m_cv, var_perm + lo, hi - lo), total_clamp);
+        double t = clip(lam[j] + var_sum(m_cv, var_perm + lo, hi - lo), total_clamp);
+        total[j] = t;
+        hard[j] = t <= 0.0;
+        band |= fabs(t) < HARD_BAND;
     }
-    return 0;
+    return band;
+}
+
+/* Run iterations start, start + 1, ... (start <= max_iter, so
+ * start == max_iter runs exactly one).  With test set, each iteration
+ * first tests the hard decision left by the one before it.
+ *
+ * Returns -it when that test passed before iteration it (nothing is
+ * written then), and it after iteration it when it is max_iter or, with
+ * test set, when a total of iteration it lies in the band: the caller
+ * then decides its hard bits and calls again from it + 1.
+ */
+ptrdiff_t min_sum_decode(const struct min_sum_state *d, ptrdiff_t start,
+                         ptrdiff_t max_iter, int test)
+{
+    for (ptrdiff_t it = start;; it++) {
+        if (test && syndrome_ok(d))
+            return -it;
+        int band = iterate(d);
+        if (it >= max_iter || (test && band))
+            return it;
+    }
 }

@@ -8,6 +8,7 @@ brute-force enumeration over all error patterns.
 import hashlib
 import itertools
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -484,9 +485,11 @@ NEGATIVE_ZERO_SUM = (
 @example(NEGATIVE_ZERO_SUM)
 @settings(max_examples=500, deadline=None)
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
-    """One compiled iteration against numpy's pieces: the syndrome test,
-    the v2c update, the check update and the clipped posterior totals."""
-    g, lam, total, m_cv, syndrome, hard, scale, test = case
+    """One compiled iteration, the decode entry point with ``start ==
+    max_iter``, against numpy's pieces: the syndrome test, the v2c update,
+    the check update, the clipped posterior totals and their signs."""
+    g, lam, total, m_cv, syndrome, want_hard, scale, test = case
+    hard = want_hard.copy()  # the kernel writes into it
     state = bp._CompiledMinSum(c_kernel, g, syndrome, lam, hard, scale)
     state.total[:] = total
     state.m_cv[:] = m_cv
@@ -494,9 +497,10 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     if g.nnz:
         parity = np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1
     if test and np.array_equal(parity, syndrome):
-        assert state.iterate(test)
+        assert state.run(5, 5, test) == -5
         assert state.total.tobytes() == total.tobytes()
         assert state.m_cv.tobytes() == m_cv.tobytes()
+        assert np.array_equal(hard, want_hard)
         return
     m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
     want_cv = bp._min_sum_numpy(g, m_vc, 1.0 - 2.0 * syndrome[g.edge_seg], scale)
@@ -505,10 +509,17 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
         sums = np.add.reduceat(want_cv[g.var_perm], g.var_seg_starts)
         want_total[g.var_seg_ids] = np.clip(
             lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
-    assert not state.iterate(test)
+    t = want_total[g.var_seg_ids]
+    want_hard = want_hard.copy()
+    want_hard[g.var_seg_ids] = t <= 0.0
+    assert state.run(5, 5, test) == 5
     assert state.m_vc.tobytes() == m_vc.tobytes()
     assert state.m_cv.tobytes() == want_cv.tobytes()
     assert state.total.tobytes() == want_total.tobytes()
+    assert np.array_equal(hard, want_hard)
+    # outside the band the sign is numpy's decision
+    far = np.abs(t) >= 1e-12
+    assert np.array_equal((1.0 / (1.0 + np.exp(t)) >= 0.5)[far], (t <= 0.0)[far])
 
 
 def _pairwise(a: list) -> float:
@@ -572,10 +583,61 @@ EMPTY_ROW_ONE_ITERATION = (
 )
 
 
+def band_decode(target: float) -> tuple:
+    """(H, priors, syndrome, scale, max_iter): one check on columns 0 and 1
+    whose column 0 ends every iteration with posterior total ``target``.
+
+    Column 1's prior LLR clips to +35, so the check sends column 0
+    ``scale * 35`` with the sign of its syndrome bit, on top of column 0's
+    prior LLR: 0 for a positive target; for a negative one 2.2e-16, whose
+    prior hard bit 0 keeps an early-stopping decode from converging before
+    its first iteration.  (At -1e-300 that LLR would absorb the message, so
+    that decode starts from 0 and converges at once when it stops early.)
+    """
+    p0 = 0.5 if target >= -1e-300 else np.nextafter(0.5, 0.0)
+    lam0 = float(bp._llr(np.array([p0]))[0])
+    return (SparseBinMatrix(1, 2, [(0, 1)]), np.array([p0, 1e-20]),
+            BitVec(1, int(target < lam0)), abs(target - lam0) / 35.0, 4)
+
+
+# Totals at the edges of the band |t| < 1e-12, where the kernel leaves the
+# hard decision to numpy.  For 0 < t <= ~3.3e-16, numpy's 1 / (1 + exp(t))
+# rounds to 0.5, so its hard bit is 1 where the sign alone says 0: deciding
+# by the sign there changes when the decode converges.  A total of -0.0
+# cannot occur in a decode: log's prior LLR at 0.5 is +0.0, and +0.0 plus
+# anything that sums to zero is +0.0.
+BAND_TARGETS = [1e-300, -1e-300, 2.220446049250313e-16, 3.3e-16, -3.3e-16,
+                1e-12, -1e-12, 0.999e-12, -0.999e-12]
+BAND_DECODES = [band_decode(t) for t in BAND_TARGETS]
+# both priors 0.5: every total is +0.0
+ZERO_TOTALS = (SparseBinMatrix(1, 2, [(0, 1)]), np.array([0.5, 0.5]), BitVec(1, 1), 1.0, 4)
+
+
+def test_band_decodes_land_on_their_totals(c_kernel):
+    """Each band example reaches its total after every one of its iterations."""
+    for target, (h, priors, syndrome, scale, _) in zip(BAND_TARGETS + [0.0],
+                                                       BAND_DECODES + [ZERO_TOTALS]):
+        g = TannerGraph(h)
+        hard = np.zeros(h.cols, dtype=bool)
+        state = bp._CompiledMinSum(c_kernel, g, syndrome.to_dense()[g.chk_seg_ids],
+                                   bp._llr(priors), hard, scale)
+        for it in (1, 2, 3):
+            assert state.run(it, it, False) == it
+            assert state.total[0] == pytest.approx(target, rel=1e-9, abs=0.0)
+            assert np.signbit(state.total[0]) == np.signbit(target)
+
+
+def band_examples(test):
+    for case in BAND_DECODES + [ZERO_TOTALS]:
+        test = example(case=case)(test)
+    return test
+
+
 @pytest.mark.parametrize("early_stop", [True, False])
 @given(case=decode_cases())
 @example(case=EMPTY_ROW_ONE_ITERATION)
 @example(case=EMPTY_ROW_ONE_ITERATION[:4] + (5,))
+@band_examples
 @settings(max_examples=200, deadline=None)
 def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
     """Whole min-sum decodes: the same soft bytes, hard bits, convergence,
@@ -604,3 +666,54 @@ def test_two_processes_build_one_library(c_kernel, tmp_path):
     assert [out for out, _ in outs] == ["c\n", "c\n"]
     files = [p for p in tmp_path.rglob("*") if p.is_file()]
     assert len(files) == 1 and files[0].suffix == ".so", files
+
+
+def test_library_name_names_the_cpu(monkeypatch):
+    """-march=native ties the library to the CPU, so the CPU's flags line is
+    part of its name; without one the build is generic."""
+    source = bp._KERNEL_SOURCE.read_bytes()
+    names = set()
+    for line in ("flags\t\t: fpu sse2", "flags\t\t: fpu sse2 avx512f", ""):
+        monkeypatch.setattr(bp, "_cpu_flags", lambda line=line: line)
+        name, cflags = bp._library(source)
+        names.add(name)
+        assert cflags == bp._CFLAGS + (("-march=native",) if line else ())
+        assert "-ffast-math" not in cflags
+    assert len(names) == 3
+
+
+def test_cpu_flags_is_one_line():
+    line = bp._cpu_flags()
+    assert line == "" or line.split(":")[0].strip() in ("flags", "Features")
+    assert "\n" not in line
+
+
+def test_cached_library_loads_without_a_compiler(c_kernel, tmp_path):
+    """A second process finds the library in the cache: it loads the kernel
+    with no gcc on its PATH and never imports subprocess."""
+    src = str(Path(bp.__file__).resolve().parents[1])
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path / "cache"),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys; from qldpc_dc import bp; "
+            "print(bp.min_sum_kernel(), 'subprocess' in sys.modules)")
+    (tmp_path / "bin").mkdir()
+    outs = []
+    for path in (env.get("PATH", os.defpath), str(tmp_path / "bin")):
+        proc = subprocess.run([sys.executable, "-c", code], env={**env, "PATH": path},
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs == ["c True\n", "c False\n"]
+
+
+def test_decoder_pickles_after_a_compiled_decode(c_kernel):
+    """The graph's kernel pointers stay in the process that took them."""
+    h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
+    syndrome = BitVec.from_support(3, [0])
+    dec = BpDecoder(h, MIN_SUM, 0.625)
+    first = dec.decode(syndrome, [0.1] * 4, 20)
+    copy = pickle.loads(pickle.dumps(dec))
+    assert "min_sum_graph" not in copy.graph.__dict__
+    again = copy.decode(syndrome, [0.1] * 4, 20)
+    assert (again.soft.tobytes(), again.hard, again.iterations_used) == (
+        first.soft.tobytes(), first.hard, first.iterations_used)

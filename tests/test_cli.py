@@ -429,11 +429,14 @@ class TestSimulateAndSweep:
     @pytest.mark.parametrize("command,flags,message", [
         ("sweep", ["--p", "0.01,abc"], "error: --p: 'abc' is not a number"),
         ("sweep", ["--p", "0.01,,0.02"], "error: --p: '' is not a number"),
+        ("sweep", ["--p", "abc"], "error: --p: 'abc' is not a number"),
+        ("simulate", ["--p", "abc"], "error: --p: 'abc' is not a number"),
         ("simulate", ["--code", "surface:x"], "error: code 'surface:x': 'x' is not an integer"),
         ("simulate", ["--code", "bb:6"],
          "error: code 'bb:6': expected surface:<d> or bb:<l>,<m>"),
         ("simulate", ["--code", "bb:6,y"], "error: code 'bb:6,y': 'y' is not an integer"),
-    ], ids=["p-word", "p-empty", "surface-word", "bb-one-size", "bb-word"])
+    ], ids=["p-word", "p-empty", "sweep-p", "simulate-p", "surface-word", "bb-one-size",
+        "bb-word"])
     def test_malformed_rate_or_code_names_it(self, tmp_path, capsys, command, flags, message):
         """A bad ``--p`` list or code spec is one error line naming the flag
         or field and the bad token: exit 1, no output, no manifest."""
