@@ -23,23 +23,26 @@ output):
 - Syndrome test: masked hard bits are 0, so the parity over kept edges is
   the same.
 
-A min-sum decode runs its iteration loop in compiled C (``min_sum.c``)
-when gcc can build it, and in numpy otherwise.  Both give the same bits.
-Each iteration of the kernel tests the previous hard decision against the
-syndrome, then writes the v2c messages, the check update, the posterior
-totals and the hard bits: subtractions, clips, min, abs, a sign parity, a
-product whose two factors of +-1 only set its sign and, for each variable,
-a sum in ``np.add.reduceat``'s own order.  That order is the first term
-plus numpy's ``pairwise_sum`` of the rest (a probe on numpy 2.4.6 matched
-it on every random segment of lengths 1-40, 127-137, 200-300 and 1000, and
-``tests/test_bp.py`` pins it).  The kernel's hard bit is the sign of the
-total, which equals numpy's ``1 / (1 + exp(total)) >= 0.5`` whenever
-``|total| >= 1e-12``; when a tested total lies closer to 0 the kernel
-returns, numpy's ``exp`` decides that iteration's hard bits, and the
-kernel goes on.  So numpy's ``exp`` runs for the soft output once per
-decode, plus once per such iteration; product-sum's ``tanh``/``arctanh``
-stay in numpy too: libm need not round as numpy does.  The numpy loop is
-the reference, the fallback without gcc and the product-sum path.
+The hard decision is the sign of each posterior LLR, ``total <= 0``, for
+the prior LLRs before the first iteration and for the totals after each
+one.  The soft output ``1 / (1 + exp(total))`` is computed once, after the
+loop; a decode that converges before its first iteration returns the
+priors.  Where a total lies in (0, ~3.3e-16], numpy rounds that soft value
+to 0.5 while the hard bit is 0.
+
+A min-sum decode runs its whole iteration loop in one call into compiled
+C (``min_sum.c``) when gcc can build it, and in numpy otherwise.  Both give
+the same bits.  Each iteration of the kernel tests the previous hard
+decision against the syndrome, then writes the v2c messages, the check
+update, the posterior totals and the hard bits: subtractions, clips, min,
+abs, a sign parity, a product whose two factors of +-1 only set its sign
+and, for each variable, a sum in ``np.add.reduceat``'s own order.  That
+order is the first term plus numpy's ``pairwise_sum`` of the rest (a probe
+on numpy 2.4.6 matched it on every random segment of lengths 1-40,
+127-137, 200-300 and 1000, and ``tests/test_bp.py`` pins it).  ``exp`` and
+product-sum's ``tanh``/``arctanh`` stay in numpy: libm need not round as
+numpy does.  The numpy loop is the reference, the fallback without gcc and
+the product-sum path.
 
 The shared library is built with ``-O3 -march=native -ffp-contract=off``
 on the first min-sum decode, not at import, into a per-user cache:
@@ -144,8 +147,9 @@ class TannerGraph:
 
 @dataclass
 class BpOutput:
-    """Soft marginals, the hard decision ``soft >= 0.5`` (a tie at 0.5 is an
-    error), and termination info."""
+    """Soft marginals ``1 / (1 + exp(total))``, the hard decision
+    ``total <= 0`` (the sign of the posterior LLR; a total of 0 says 1),
+    and termination info."""
 
     soft: np.ndarray
     hard: BitVec
@@ -271,8 +275,7 @@ def _build_kernel():
             fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
         except (OSError, AttributeError):
             continue
-        fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_ssize_t,
-                       ctypes.c_int]
+        fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
         fn.restype = ctypes.c_ssize_t
         return fn
     return None
@@ -340,22 +343,19 @@ class _CompiledMinSum:
         self._kernel = kernel
         self._keep = (g, syndrome, lam, hard)  # the arrays the pointers point into
 
-    def run(self, start: int, max_iter: int, test: bool) -> int:
-        """Iterations ``start`` to at most ``max_iter``: ``-it`` if ``test`` and
-        the hard decision satisfied every check with edges before iteration
-        ``it``, else the last iteration run (see ``min_sum_decode``)."""
-        return self._kernel(self._ref, start, max_iter, test)
+    def run(self, max_iter: int, test: bool) -> int:
+        """Iterations 1 to at most ``max_iter``: ``-it`` if ``test`` and the
+        hard decision satisfied every check with edges before iteration
+        ``it``, else ``max_iter`` (see ``min_sum_decode``)."""
+        return self._kernel(self._ref, max_iter, test)
 
 
-def _soft_hard(total, cut, soft, hard) -> None:
-    """``soft = 1 / (1 + exp(total))``, 0 at the ``cut`` columns, and
-    ``hard = soft >= 0.5``, in place."""
-    np.exp(total, out=soft)
-    soft += 1.0
-    np.divide(1.0, soft, out=soft)
+def _soft(total: np.ndarray, cut) -> np.ndarray:
+    """``1 / (1 + exp(total))``, 0 at the ``cut`` columns."""
+    soft = 1.0 / (1.0 + np.exp(total))
     if cut is not None:
         soft[cut] = 0.0
-    np.greater_equal(soft, 0.5, out=hard)
+    return soft
 
 
 def _llr(priors: np.ndarray) -> np.ndarray:
@@ -418,17 +418,16 @@ class BpDecoder:
 
         s_dense = syndrome.to_dense()
         lam_prior = _llr(priors)
-        soft = priors.copy()
-        if cut is not None:
-            soft[cut] = 0.0
-        hard = soft >= 0.5
+        hard = lam_prior <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
         if early_stop and self._syndrome_matches(g, hard, s_dense):
+            soft = priors.copy()
+            if cut is not None:
+                soft[cut] = 0.0  # +0.0 for a prior of -0.0
             return BpOutput(soft, BitVec.from_dense(hard), True, 0)
         kernel = _load_kernel() if self.variant == MIN_SUM else None
         if kernel is not None:
-            return self._decode_compiled(
-                kernel, g, s_dense, lam_prior, soft, hard, cut, max_iter, early_stop
-            )
+            return self._decode_compiled(kernel, g, s_dense, lam_prior, hard, cut, max_iter,
+                                         early_stop)
 
         syn_sign_e = 1.0 - 2.0 * s_dense[g.edge_chk]
         m_vc = lam_prior[g.edge_var]
@@ -445,10 +444,7 @@ class BpDecoder:
                 seg_sums = np.add.reduceat(m_cv[g.var_perm], g.var_seg_starts)
                 total[g.var_seg_ids] += seg_sums
             total = np.clip(total, -_TOTAL_CLAMP, _TOTAL_CLAMP)
-            soft = 1.0 / (1.0 + np.exp(total))
-            if cut is not None:
-                soft[cut] = 0.0
-            hard = soft >= 0.5
+            hard = total <= 0.0
             if early_stop and self._syndrome_matches(g, hard, s_dense):
                 converged = True
                 break
@@ -457,29 +453,23 @@ class BpDecoder:
                 self.v2c_edge_updates += g.nnz
         if not early_stop:
             converged = self._syndrome_matches(g, hard, s_dense)
-        return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)
+        return BpOutput(_soft(total, cut), BitVec.from_dense(hard), converged, iterations)
 
     def _decode_compiled(
-        self, kernel, g, s_dense, lam_prior, soft, hard, cut, max_iter, early_stop
+        self, kernel, g, s_dense, lam_prior, hard, cut, max_iter, early_stop
     ) -> BpOutput:
-        """The min-sum loop above in ``min_sum.c``.  The kernel returns at
-        convergence, at ``max_iter``, or when a hard bit the next syndrome
-        test reads is one that only numpy's ``exp`` can decide; numpy then
-        decides that iteration's hard bits and the kernel goes on.  The soft
-        output and the final hard decision are numpy's."""
+        """The min-sum loop above in one call into ``min_sum.c``, which writes
+        the hard bits in place; the soft output is numpy's, as above."""
         syn = s_dense[g.chk_seg_ids]
         state = _CompiledMinSum(kernel, g, syn, lam_prior, hard, self.min_sum_scale)
         # a check with no edges and syndrome 1 is never satisfied
         test = early_stop and int(s_dense.sum()) == int(syn.sum())
-        last = state.run(1, max_iter, test)
-        while 0 < last < max_iter:
-            _soft_hard(state.total, cut, soft, hard)
-            last = state.run(last + 1, max_iter, test)
-        _soft_hard(state.total, cut, soft, hard)
+        last = state.run(max_iter, test)
         iterations = -last - 1 if last < 0 else last
         converged = last < 0 or self._syndrome_matches(g, hard, s_dense)
         self.v2c_edge_updates = self.c2v_edge_updates = iterations * g.nnz
-        return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)
+        return BpOutput(_soft(state.total, cut), BitVec.from_dense(hard), converged,
+                        iterations)
 
     def _syndrome_matches(self, g: TannerGraph, hard: np.ndarray, s_dense: np.ndarray) -> bool:
         syn_hat = np.zeros(self.h.rows, dtype=np.int64)

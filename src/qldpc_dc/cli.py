@@ -57,7 +57,8 @@ def write_manifest(path: Path, config: dict, started: str, extra: dict | None = 
 
 def _numerics() -> dict:
     """What decoded bytes rest on besides the config: the BP kernel, and the
-    numpy whose ``exp`` and summation order it reproduces."""
+    numpy whose summation order it reproduces and whose ``exp`` gives the
+    soft output."""
     return {"bp_kernel": min_sum_kernel(), "numpy": np.__version__}
 
 
@@ -65,7 +66,10 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise CliError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise CliError(f"{path}: config file must hold a JSON object")
     return data
@@ -89,7 +93,10 @@ def _merged(args: argparse.Namespace, keys: list[str]) -> dict:
 
 def _default_seed() -> int:
     env = os.environ.get("QLDPC_DC_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise CliError(f"QLDPC_DC_SEED: {env!r} is not an integer") from None
 
 
 def _write_bits(path: Path, v: BitVec) -> None:

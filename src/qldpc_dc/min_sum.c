@@ -11,16 +11,11 @@
  * -ffp-contract=off and without -ffast-math, so the compiler neither fuses
  * nor reorders the arithmetic; -O3 -march=native keep both.
  *
- * The syndrome test needs numpy's hard decision 1 / (1 + exp(total)) >= 0.5
- * and libm's exp need not round as numpy's does, so the kernel takes the
- * sign, total <= 0, which equals numpy's decision whenever
- * |total| >= HARD_BAND.  For t >= 1e-12, exp(t) exceeds 1 by far more than
- * any sane exp's error, so 1 + exp(t) > 2 and the quotient is below 0.5;
- * t <= -1e-12 is the mirror case.  Inside the band they can differ: numpy
- * rounds 1 + exp(t) to 2 for 0 < t <= ~3.3e-16, so soft is 0.5 and the hard
- * bit is 1.  An iteration that leaves a tested total in the band returns,
- * and the caller decides that iteration's hard bits with numpy.  exp, and
- * so the soft output, stays in numpy.
+ * The hard bit of a column is the sign of its posterior LLR, total <= 0, as
+ * in bp.BpDecoder's numpy loop, so a decode runs from its first iteration
+ * to convergence or max_iter in one call.  The soft output 1 / (1 + exp(t))
+ * is computed once after the loop, in numpy: libm's exp need not round as
+ * numpy's does.
  *
  * Edges e in [chk_starts[s], chk_starts[s + 1]) belong to check segment s,
  * and positions k in [var_starts[v], var_starts[v + 1]) of var_perm list
@@ -30,8 +25,6 @@
 
 #include <math.h>
 #include <stddef.h>
-
-#define HARD_BAND 1e-12
 
 struct min_sum_graph { /* one per Tanner graph */
     ptrdiff_t nnz, n_chk, n_var;
@@ -116,10 +109,9 @@ static int syndrome_ok(const struct min_sum_state *d)
  * are the two smallest magnitudes of the check counted with multiplicity
  * (min2 = +inf for a check with one edge), sign is -1 when an odd number
  * of the check's other messages are < 0 (so -0.0 counts as positive), and
- * only variables with edges are written.  Returns 1 when a written total
- * lies in the band.
+ * only variables with edges are written.
  */
-static int iterate(const struct min_sum_state *d)
+static void iterate(const struct min_sum_state *d)
 {
     /* locals, so that stores through the message pointers reload nothing */
     const struct min_sum_graph *g = d->graph;
@@ -157,7 +149,6 @@ static int iterate(const struct min_sum_state *d)
             m_cv[e] = (neg ^ (v < 0.0)) ? -x : x;
         }
     }
-    int band = 0;
     for (ptrdiff_t v = 0; v < n_var; v++) {
         ptrdiff_t lo = var_starts[v];
         ptrdiff_t hi = v + 1 < n_var ? var_starts[v + 1] : nnz;
@@ -165,28 +156,21 @@ static int iterate(const struct min_sum_state *d)
         double t = clip(lam[j] + var_sum(m_cv, var_perm + lo, hi - lo), total_clamp);
         total[j] = t;
         hard[j] = t <= 0.0;
-        band |= fabs(t) < HARD_BAND;
     }
-    return band;
 }
 
-/* Run iterations start, start + 1, ... (start <= max_iter, so
- * start == max_iter runs exactly one).  With test set, each iteration
- * first tests the hard decision left by the one before it.
+/* Run iterations 1 to max_iter (max_iter >= 1).  With test set, each
+ * iteration first tests the hard decision left by the one before it.
  *
  * Returns -it when that test passed before iteration it (nothing is
- * written then), and it after iteration it when it is max_iter or, with
- * test set, when a total of iteration it lies in the band: the caller
- * then decides its hard bits and calls again from it + 1.
+ * written then), else max_iter.
  */
-ptrdiff_t min_sum_decode(const struct min_sum_state *d, ptrdiff_t start,
-                         ptrdiff_t max_iter, int test)
+ptrdiff_t min_sum_decode(const struct min_sum_state *d, ptrdiff_t max_iter, int test)
 {
-    for (ptrdiff_t it = start;; it++) {
+    for (ptrdiff_t it = 1; it <= max_iter; it++) {
         if (test && syndrome_ok(d))
             return -it;
-        int band = iterate(d);
-        if (it >= max_iter || (test && band))
-            return it;
+        iterate(d);
     }
+    return max_iter;
 }

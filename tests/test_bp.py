@@ -485,9 +485,9 @@ NEGATIVE_ZERO_SUM = (
 @example(NEGATIVE_ZERO_SUM)
 @settings(max_examples=500, deadline=None)
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
-    """One compiled iteration, the decode entry point with ``start ==
-    max_iter``, against numpy's pieces: the syndrome test, the v2c update,
-    the check update, the clipped posterior totals and their signs."""
+    """One compiled iteration, the decode entry point with ``max_iter`` 1,
+    against numpy's pieces: the syndrome test, the v2c update, the check
+    update, the clipped posterior totals and their signs."""
     g, lam, total, m_cv, syndrome, want_hard, scale, test = case
     hard = want_hard.copy()  # the kernel writes into it
     state = bp._CompiledMinSum(c_kernel, g, syndrome, lam, hard, scale)
@@ -497,7 +497,7 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     if g.nnz:
         parity = np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1
     if test and np.array_equal(parity, syndrome):
-        assert state.run(5, 5, test) == -5
+        assert state.run(1, test) == -1
         assert state.total.tobytes() == total.tobytes()
         assert state.m_cv.tobytes() == m_cv.tobytes()
         assert np.array_equal(hard, want_hard)
@@ -509,17 +509,13 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
         sums = np.add.reduceat(want_cv[g.var_perm], g.var_seg_starts)
         want_total[g.var_seg_ids] = np.clip(
             lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
-    t = want_total[g.var_seg_ids]
     want_hard = want_hard.copy()
-    want_hard[g.var_seg_ids] = t <= 0.0
-    assert state.run(5, 5, test) == 5
+    want_hard[g.var_seg_ids] = want_total[g.var_seg_ids] <= 0.0
+    assert state.run(1, test) == 1
     assert state.m_vc.tobytes() == m_vc.tobytes()
     assert state.m_cv.tobytes() == want_cv.tobytes()
     assert state.total.tobytes() == want_total.tobytes()
     assert np.array_equal(hard, want_hard)
-    # outside the band the sign is numpy's decision
-    far = np.abs(t) >= 1e-12
-    assert np.array_equal((1.0 / (1.0 + np.exp(t)) >= 0.5)[far], (t <= 0.0)[far])
 
 
 def _pairwise(a: list) -> float:
@@ -600,12 +596,10 @@ def band_decode(target: float) -> tuple:
             BitVec(1, int(target < lam0)), abs(target - lam0) / 35.0, 4)
 
 
-# Totals at the edges of the band |t| < 1e-12, where the kernel leaves the
-# hard decision to numpy.  For 0 < t <= ~3.3e-16, numpy's 1 / (1 + exp(t))
-# rounds to 0.5, so its hard bit is 1 where the sign alone says 0: deciding
-# by the sign there changes when the decode converges.  A total of -0.0
-# cannot occur in a decode: log's prior LLR at 0.5 is +0.0, and +0.0 plus
-# anything that sums to zero is +0.0.
+# Totals at and around 0, out to +-1e-12.  For 0 < t <= ~3.3e-16, numpy's
+# 1 / (1 + exp(t)) rounds to 0.5 while the sign, the hard decision, says 0.
+# A total of -0.0 cannot occur in a decode: log's prior LLR at 0.5 is +0.0,
+# and +0.0 plus anything that sums to zero is +0.0.
 BAND_TARGETS = [1e-300, -1e-300, 2.220446049250313e-16, 3.3e-16, -3.3e-16,
                 1e-12, -1e-12, 0.999e-12, -0.999e-12]
 BAND_DECODES = [band_decode(t) for t in BAND_TARGETS]
@@ -621,10 +615,71 @@ def test_band_decodes_land_on_their_totals(c_kernel):
         hard = np.zeros(h.cols, dtype=bool)
         state = bp._CompiledMinSum(c_kernel, g, syndrome.to_dense()[g.chk_seg_ids],
                                    bp._llr(priors), hard, scale)
-        for it in (1, 2, 3):
-            assert state.run(it, it, False) == it
+        for _ in range(3):  # each call runs one more iteration on the same state
+            assert state.run(1, False) == 1
             assert state.total[0] == pytest.approx(target, rel=1e-9, abs=0.0)
             assert np.signbit(state.total[0]) == np.signbit(target)
+
+
+# product-sum: column 1's prior LLR is log(1 + 2**-52) = 2.2e-16, and the
+# check passes it on to column 0 unchanged, so both totals end at 2.2e-16
+PRODUCT_SUM_BAND = (SparseBinMatrix(1, 2, [(0, 1)]), np.array([0.5, np.nextafter(0.5, 0.0)]),
+                    BitVec(1, 0), 1.0, 4)
+
+SIGN_CASES = {  # (variant, case, hard bit of both columns)
+    "min-sum-2.2e-16": (MIN_SUM, band_decode(2.220446049250313e-16), 0),
+    "min-sum-3.3e-16": (MIN_SUM, band_decode(3.3e-16), 0),
+    "min-sum-zero": (MIN_SUM, ZERO_TOTALS, 1),
+    "product-sum-2.2e-16": (PRODUCT_SUM, PRODUCT_SUM_BAND, 0),
+    "product-sum-zero": (PRODUCT_SUM, ZERO_TOTALS, 1),
+}
+
+
+@pytest.mark.parametrize("early_stop", [True, False])
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+@pytest.mark.parametrize("name", list(SIGN_CASES))
+def test_hard_decision_is_the_sign_of_the_total(request, monkeypatch, name, kernel,
+                                                early_stop):
+    """The hard bit is ``total <= 0``.  Column 0 ends with soft output 0.5
+    in every case: a total in (0, ~3.3e-16] says 0, so the decode converges
+    after its first iteration, and a total of +0.0 says 1, so it never does."""
+    variant, (h, priors, syndrome, scale, max_iter), bit = SIGN_CASES[name]
+    if kernel == "c":
+        request.getfixturevalue("c_kernel")
+    else:
+        monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    out = BpDecoder(h, variant, scale).decode(syndrome, priors, max_iter, early_stop)
+    assert out.soft[0] == 0.5
+    assert out.hard == BitVec.from_dense(np.full(2, bit, dtype=bool))
+    assert out.converged == (bit == 0)
+    assert out.iterations_used == (1 if early_stop and bit == 0 else max_iter)
+
+
+def test_one_kernel_call_per_decode(c_kernel):
+    """A min-sum decode that runs an iteration calls ``min_sum_decode`` once,
+    with its ``max_iter``, also where totals land at or near 0; one that
+    converges before its first iteration does not call it."""
+    cfg = sim.ExperimentConfig(code="bb:6,6", noise="code-capacity", p=0.15, decoder="bp",
+                               trials=30, seed=7)
+    model = sim.build_model(cfg)
+    trials = [(model.check_matrix, model.priors,
+               noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome, 1.0, 50)
+              for t in range(cfg.trials)]
+    zero = (model.check_matrix, model.priors, BitVec.zeros(model.check_matrix.rows), 1.0, 50)
+    calls = []
+
+    def counting(state, max_iter, test):
+        calls.append(max_iter)
+        return c_kernel(state, max_iter, test)
+
+    with mock.patch.object(bp, "_load_kernel", lambda: counting):
+        for h, priors, syndrome, scale, max_iter in [*BAND_DECODES, ZERO_TOTALS,
+                                                     EMPTY_ROW_ONE_ITERATION, zero, *trials]:
+            dec = BpDecoder(h, MIN_SUM, scale)
+            for early_stop in (True, False):
+                calls.clear()
+                out = dec.decode(syndrome, priors, max_iter, early_stop)
+                assert calls == ([max_iter] if out.iterations_used else [])
 
 
 def band_examples(test):

@@ -500,6 +500,26 @@ class TestSimulateAndSweep:
         )
         assert out.read_text().strip().split("\n")[1].split(",")[-1] == "31"
 
+    def test_malformed_env_seed_names_the_variable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QLDPC_DC_SEED", "abc")
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--code", "surface:3", "--noise", "code-capacity",
+                       "--p", "0.02", "--decoder", "bp", "--trials", "5",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: QLDPC_DC_SEED: 'abc' is not an integer\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_malformed_config_json_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"code": "x", }')
+        out = tmp_path / "r.csv"
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {cfg}: not valid JSON: Expecting property name")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_jsonl_format(self, tmp_path):
         out = tmp_path / "r.jsonl"
         run_cli(
