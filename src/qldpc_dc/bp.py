@@ -30,19 +30,19 @@ loop; a decode that converges before its first iteration returns the
 priors.  Where a total lies in (0, ~3.3e-16], numpy rounds that soft value
 to 0.5 while the hard bit is 0.
 
-A min-sum decode runs its whole iteration loop in one call into compiled
-C (``min_sum.c``) when gcc can build it, and in numpy otherwise.  Both give
-the same bits.  Each iteration of the kernel tests the previous hard
-decision against the syndrome, then writes the v2c messages, the check
-update, the posterior totals and the hard bits: subtractions, clips, min,
-abs, a sign parity, a product whose two factors of +-1 only set its sign
-and, for each variable, a sum in ``np.add.reduceat``'s own order.  That
-order is the first term plus numpy's ``pairwise_sum`` of the rest (a probe
-on numpy 2.4.6 matched it on every random segment of lengths 1-40,
-127-137, 200-300 and 1000, and ``tests/test_bp.py`` pins it).  ``exp`` and
+``BpDecoder.decode`` is one driver for both variants: it tests the prior
+hard decision, runs one of two loops and ends in one epilogue.  Both loops
+keep the contract of ``min_sum_decode`` in ``min_sum.c``: each iteration
+tests the previous hard decision against the syndrome, then writes the v2c
+messages, the check update, the posterior totals and the hard bits, and
+the loop returns ``-it`` if that test passed before iteration ``it``, else
+``max_iter``.  ``_run_compiled`` runs a min-sum decode in one call into
+the compiled C when gcc can build it; it sums each variable's messages in
+``np.add.reduceat``'s order, the first term plus numpy's ``pairwise_sum``
+of the rest, which ``tests/test_bp.py`` pins.  ``_run_numpy`` gives the same bits: it is the
+reference, the fallback without gcc and the product-sum path.  ``exp`` and
 product-sum's ``tanh``/``arctanh`` stay in numpy: libm need not round as
-numpy does.  The numpy loop is the reference, the fallback without gcc and
-the product-sum path.
+numpy does.
 
 The shared library is built with ``-O3 -march=native -ffp-contract=off``
 on the first min-sum decode, not at import, into a per-user cache:
@@ -93,7 +93,6 @@ class TannerGraph:
         self.h = h
         kept = keep.tolist() if keep is not None else None
         edge_var = []
-        edge_chk = []
         seg_starts = []
         seg_chk = []
         counts = []
@@ -106,10 +105,8 @@ class TannerGraph:
                 seg_chk.append(i)
                 counts.append(len(sup))
                 edge_var.extend(sup)
-                edge_chk.extend([i] * len(sup))
         self.nnz = len(edge_var)
         self.edge_var = np.asarray(edge_var, dtype=np.intp)
-        self.edge_chk = np.asarray(edge_chk, dtype=np.intp)
         self.chk_seg_starts = np.asarray(seg_starts, dtype=np.intp)
         self.chk_seg_ids = np.asarray(seg_chk, dtype=np.intp)
         self.edge_seg = np.repeat(np.arange(len(seg_chk), dtype=np.intp), counts)
@@ -317,45 +314,72 @@ def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray
     return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
 
-class _CompiledMinSum:
-    """The buffers of one decode and the kernel that iterates on them.
+def _product_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray:
+    """Product-sum check update in numpy; ``scale`` is min-sum's and unused."""
+    t = np.tanh(0.5 * m_vc)
+    zero = t == 0.0
+    tn = np.where(zero, 1.0, t)
+    prod = np.multiply.reduceat(tn, g.chk_seg_starts)
+    zcnt = np.add.reduceat(zero.astype(np.int64), g.chk_seg_starts)
+    prod_e = prod[g.edge_seg]
+    zcnt_e = zcnt[g.edge_seg]
+    # extrinsic product: divide out own tanh unless zeros make it exact
+    r = np.where(
+        zcnt_e == 0,
+        prod_e / tn,
+        np.where(zero & (zcnt_e == 1), prod_e, 0.0),
+    )
+    r = np.clip(r * syn_sign_e, -1.0, 1.0)
+    with np.errstate(divide="ignore"):
+        m_cv = 2.0 * np.arctanh(r)
+    return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
 
-    ``total`` starts as the prior LLRs and ``m_cv`` as +0.0, so the first
+
+def _segments_match(g: TannerGraph, hard: np.ndarray, syn: np.ndarray) -> bool:
+    """True when the parity of the hard bits (bool) over each check with
+    edges is that check's syndrome bit in ``syn`` (uint8, one per check
+    segment); checks without edges are not tested."""
+    parity = np.bitwise_xor.reduceat(hard.view(np.uint8)[g.edge_var], g.chk_seg_starts)
+    return parity.tobytes() == syn.tobytes()
+
+
+def _run_compiled(kernel, g: TannerGraph, syn, lam, hard, total, m_vc, m_cv, scale: float,
+                  max_iter: int, test: bool) -> int:
+    """``min_sum_decode`` of ``min_sum.c`` on the caller's buffers.
+
+    ``syn`` holds one bit per check segment.  Each iteration writes
+    ``m_vc`` and ``m_cv``, and ``total`` and ``hard`` at the columns with
+    edges.  Starting from ``total = lam`` and ``m_cv = +0.0``, the first
     v2c update, ``clip(total - m_cv)``, gives the prior messages bit for
-    bit.  ``syndrome`` holds one bit per check segment; ``hard`` is the
-    caller's array, which the syndrome test reads and each iteration
-    writes at the columns with edges.
+    bit.  Returns ``-it`` if ``test`` and the hard decision satisfied every
+    check with edges before iteration ``it``, else ``max_iter``.
     """
-
-    def __init__(self, kernel, g: TannerGraph, syndrome, lam, hard, scale: float):
-        cols = g.h.cols
-        self.total = lam.copy()
-        self.m_vc = np.empty(g.nnz)
-        self.m_cv = np.zeros(g.nnz)
-        self._state = _MinSumState(
-            ctypes.addressof(g.min_sum_graph),
-            _pointer(syndrome, np.uint8, len(g.chk_seg_starts)),
-            _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
-            self.total.ctypes.data, self.m_vc.ctypes.data, self.m_cv.ctypes.data,
-            scale, LLR_CLAMP, _TOTAL_CLAMP,
-        )
-        self._ref = ctypes.byref(self._state)
-        self._kernel = kernel
-        self._keep = (g, syndrome, lam, hard)  # the arrays the pointers point into
-
-    def run(self, max_iter: int, test: bool) -> int:
-        """Iterations 1 to at most ``max_iter``: ``-it`` if ``test`` and the
-        hard decision satisfied every check with edges before iteration
-        ``it``, else ``max_iter`` (see ``min_sum_decode``)."""
-        return self._kernel(self._ref, max_iter, test)
+    cols = g.h.cols
+    state = _MinSumState(
+        ctypes.addressof(g.min_sum_graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
+        _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
+        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, g.nnz),
+        _pointer(m_cv, np.float64, g.nnz), scale, LLR_CLAMP, _TOTAL_CLAMP,
+    )
+    return kernel(ctypes.byref(state), max_iter, test)
 
 
-def _soft(total: np.ndarray, cut) -> np.ndarray:
-    """``1 / (1 + exp(total))``, 0 at the ``cut`` columns."""
-    soft = 1.0 / (1.0 + np.exp(total))
-    if cut is not None:
-        soft[cut] = 0.0
-    return soft
+def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_iter: int,
+               test: bool):
+    """``min_sum_decode`` in numpy, with ``check_update`` as the check
+    update: its value, then the final totals and hard bits."""
+    syn_sign_e = 1.0 - 2.0 * syn[g.edge_seg]
+    total, m_cv = lam, np.zeros(g.nnz)
+    for it in range(1, max_iter + 1):
+        if test and _segments_match(g, hard, syn):
+            return -it, total, hard
+        m_vc = np.clip(total[g.edge_var] - m_cv, -LLR_CLAMP, LLR_CLAMP)
+        m_cv = check_update(g, m_vc, syn_sign_e, scale)
+        total = lam.copy()
+        total[g.var_seg_ids] += np.add.reduceat(m_cv[g.var_perm], g.var_seg_starts)
+        total = np.clip(total, -_TOTAL_CLAMP, _TOTAL_CLAMP)
+        hard = total <= 0.0
+    return max_iter, total, hard
 
 
 def _llr(priors: np.ndarray) -> np.ndarray:
@@ -368,7 +392,9 @@ class BpDecoder:
     """Reusable decoder holding the graph; message buffers are per decode.
 
     One instance must not be shared mid-decode; distinct instances over
-    the same immutable matrix can run concurrently.
+    the same immutable matrix can run concurrently.  ``v2c_edge_updates``
+    and ``c2v_edge_updates`` count the last decode's edge updates in each
+    direction: its iterations times the edges of the graph it ran on.
     """
 
     def __init__(
@@ -386,9 +412,7 @@ class BpDecoder:
         self.variant = variant
         self.min_sum_scale = scale
         self.graph = TannerGraph(h)
-        # edge-visit counters for cost instrumentation
-        self.v2c_edge_updates = 0
-        self.c2v_edge_updates = 0
+        self.v2c_edge_updates = self.c2v_edge_updates = 0
 
     def decode(
         self,
@@ -413,91 +437,31 @@ class BpDecoder:
             if lowest == 0.0:
                 cut = priors == 0.0
                 g = TannerGraph(h, ~cut)
-        self.v2c_edge_updates = 0
-        self.c2v_edge_updates = 0
 
         s_dense = syndrome.to_dense()
-        lam_prior = _llr(priors)
-        hard = lam_prior <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
-        if early_stop and self._syndrome_matches(g, hard, s_dense):
-            soft = priors.copy()
-            if cut is not None:
-                soft[cut] = 0.0  # +0.0 for a prior of -0.0
-            return BpOutput(soft, BitVec.from_dense(hard), True, 0)
-        kernel = _load_kernel() if self.variant == MIN_SUM else None
-        if kernel is not None:
-            return self._decode_compiled(kernel, g, s_dense, lam_prior, hard, cut, max_iter,
-                                         early_stop)
-
-        syn_sign_e = 1.0 - 2.0 * s_dense[g.edge_chk]
-        m_vc = lam_prior[g.edge_var]
-        self.v2c_edge_updates += g.nnz
-        iterations = 0
-        converged = False
-        for it in range(1, max_iter + 1):
-            iterations = it
-            m_cv = self._check_update(g, m_vc, syn_sign_e)
-            self.c2v_edge_updates += g.nnz
-
-            total = lam_prior.copy()
-            if g.nnz:
-                seg_sums = np.add.reduceat(m_cv[g.var_perm], g.var_seg_starts)
-                total[g.var_seg_ids] += seg_sums
-            total = np.clip(total, -_TOTAL_CLAMP, _TOTAL_CLAMP)
-            hard = total <= 0.0
-            if early_stop and self._syndrome_matches(g, hard, s_dense):
-                converged = True
-                break
-            if it < max_iter:
-                m_vc = np.clip(total[g.edge_var] - m_cv, -LLR_CLAMP, LLR_CLAMP)
-                self.v2c_edge_updates += g.nnz
-        if not early_stop:
-            converged = self._syndrome_matches(g, hard, s_dense)
-        return BpOutput(_soft(total, cut), BitVec.from_dense(hard), converged, iterations)
-
-    def _decode_compiled(
-        self, kernel, g, s_dense, lam_prior, hard, cut, max_iter, early_stop
-    ) -> BpOutput:
-        """The min-sum loop above in one call into ``min_sum.c``, which writes
-        the hard bits in place; the soft output is numpy's, as above."""
         syn = s_dense[g.chk_seg_ids]
-        state = _CompiledMinSum(kernel, g, syn, lam_prior, hard, self.min_sum_scale)
         # a check with no edges and syndrome 1 is never satisfied
-        test = early_stop and int(s_dense.sum()) == int(syn.sum())
-        last = state.run(max_iter, test)
+        satisfiable = bool(np.count_nonzero(s_dense) == np.count_nonzero(syn))
+        test = early_stop and satisfiable
+        lam = _llr(priors)
+        hard = lam <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
+        if test and _segments_match(g, hard, syn):
+            last, total = -1, None  # converged before the first iteration
+        else:
+            kernel = _load_kernel() if self.variant == MIN_SUM else None
+            if kernel is not None:
+                total = lam.copy()
+                last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(g.nnz),
+                                     np.zeros(g.nnz), self.min_sum_scale, max_iter, test)
+            else:
+                update = _min_sum_numpy if self.variant == MIN_SUM else _product_sum_numpy
+                last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,
+                                               max_iter, test)
+
         iterations = -last - 1 if last < 0 else last
-        converged = last < 0 or self._syndrome_matches(g, hard, s_dense)
+        converged = last < 0 or (satisfiable and _segments_match(g, hard, syn))
         self.v2c_edge_updates = self.c2v_edge_updates = iterations * g.nnz
-        return BpOutput(_soft(state.total, cut), BitVec.from_dense(hard), converged,
-                        iterations)
-
-    def _syndrome_matches(self, g: TannerGraph, hard: np.ndarray, s_dense: np.ndarray) -> bool:
-        syn_hat = np.zeros(self.h.rows, dtype=np.int64)
-        if g.nnz:
-            bits = hard[g.edge_var].astype(np.int64)
-            syn_hat[g.chk_seg_ids] = np.add.reduceat(bits, g.chk_seg_starts) & 1
-        return bool(np.array_equal(syn_hat, s_dense.astype(np.int64)))
-
-    def _check_update(self, g, m_vc, syn_sign_e):
-        if self.variant == PRODUCT_SUM:
-            return self._check_update_product_sum(g, m_vc, syn_sign_e)
-        return _min_sum_numpy(g, m_vc, syn_sign_e, self.min_sum_scale)
-
-    def _check_update_product_sum(self, g, m_vc, syn_sign_e):
-        t = np.tanh(0.5 * m_vc)
-        zero = t == 0.0
-        tn = np.where(zero, 1.0, t)
-        prod = np.multiply.reduceat(tn, g.chk_seg_starts)
-        zcnt = np.add.reduceat(zero.astype(np.int64), g.chk_seg_starts)
-        prod_e = prod[g.edge_seg]
-        zcnt_e = zcnt[g.edge_seg]
-        # extrinsic product: divide out own tanh unless zeros make it exact
-        r = np.where(
-            zcnt_e == 0,
-            prod_e / tn,
-            np.where(zero & (zcnt_e == 1), prod_e, 0.0),
-        )
-        r = np.clip(r * syn_sign_e, -1.0, 1.0)
-        with np.errstate(divide="ignore"):
-            m_cv = 2.0 * np.arctanh(r)
-        return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
+        soft = priors.copy() if total is None else 1.0 / (1.0 + np.exp(total))
+        if cut is not None:
+            soft[cut] = 0.0  # +0.0 also for a prior of -0.0
+        return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)

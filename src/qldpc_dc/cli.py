@@ -27,7 +27,7 @@ from .detmodel import (
     build_pheno_model,
     find_low_weight_trivial,
 )
-from .gf2 import BitVec, TripletFormatError, load_triplet, save_triplet
+from .gf2 import BitVec, SparseBinMatrix, TripletFormatError, load_triplet, save_triplet
 from .postproc import DcConfig, InconsistentSystemError, MaskingMode, SecondRunPriors
 from .sim import DECODERS, ExperimentConfig
 
@@ -205,6 +205,25 @@ def cmd_dem(args) -> int:
     return 0
 
 
+def _load_ddm(path: str, h: SparseBinMatrix, dcm: str) -> SparseBinMatrix:
+    """The degeneracy matrix at ``path``, each of whose rows must be a
+    nonempty trivial error of ``h``: its syndrome, the XOR of ``h``'s column
+    bitmasks over its support, is 0."""
+    ddm = load_triplet(path)
+    if ddm.cols != h.cols:
+        raise CliError(f"dimension mismatch: {path} has {ddm.cols} columns "
+                       f"but the check matrix has {h.cols}")
+    col_bits = h.col_bits
+    for i, row in enumerate(ddm.row_supports):
+        syndrome = 0
+        for j in row:
+            syndrome ^= col_bits[j]
+        if syndrome or not row:
+            why = f"is not a trivial error of {dcm}: its syndrome is not 0" if row else "is empty"
+            raise CliError(f"{path}: degeneracy row {i} {why}")
+    return ddm
+
+
 def cmd_decode(args) -> int:
     started = _now()
     h = load_triplet(args.dcm)
@@ -223,6 +242,7 @@ def cmd_decode(args) -> int:
             f"dimension mismatch: {priors.shape[0]} priors "
             f"but the check matrix has {h.cols} columns"
         )
+    ddm = _load_ddm(args.ddm, h, args.dcm) if args.ddm else None
     max_iter = args.max_iter if args.max_iter is not None else h.cols
     dc_cfg = None
     if args.dc_second_priors:
@@ -233,7 +253,7 @@ def cmd_decode(args) -> int:
         )
     result = sim.decode(
         args.decoder, BpDecoder(h, args.bp_variant, args.min_sum_scale), syndrome, priors,
-        max_iter, load_triplet(args.ddm) if args.ddm else None, dc_cfg,
+        max_iter, ddm, dc_cfg,
     )
     status = result.status.value
     _write_bits(Path(args.out), result.estimate)

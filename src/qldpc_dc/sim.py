@@ -11,7 +11,9 @@ zero observed failures.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import enum
+import io
 import json
 import math
 import numbers
@@ -229,17 +231,14 @@ def decode(
     if decoder_name == "bp":
         return first_bp(bp_decoder, syndrome, priors, max_iter)[0]
     h = bp_decoder.h
-    bp_args = dict(
-        variant=bp_decoder.variant, min_sum_scale=bp_decoder.min_sum_scale, decoder=bp_decoder
-    )
     if decoder_name == "bp-osd":
-        return bp_osd_decode(h, syndrome, priors, max_iter, **bp_args)
+        return bp_osd_decode(h, syndrome, priors, max_iter, decoder=bp_decoder)
     if h_deg is None:
         raise ValueError(f"decoder {decoder_name} needs a degeneracy matrix")
     if dc_cfg is None:
         raise ValueError(f"decoder {decoder_name} requires a dc_second_priors choice")
     pipeline = bp_dc_decode if decoder_name == "bp-dc" else bp_dc_osd_decode
-    return pipeline(h, h_deg, syndrome, priors, max_iter, dc_cfg, **bp_args)
+    return pipeline(h, h_deg, syndrome, priors, max_iter, dc_cfg, decoder=bp_decoder)
 
 
 def _run_block(cfg: ExperimentConfig, model: DetectorModel, lo: int, hi: int):
@@ -361,10 +360,13 @@ def _format_value(v) -> str:
 
 
 def records_to_csv(records: Iterable[dict]) -> str:
-    lines = [CSV_HEADER]
-    for rec in records:
-        lines.append(",".join(_format_value(rec[k]) for k in CSV_HEADER.split(",")))
-    return "\n".join(lines) + "\n"
+    """Rows under ``CSV_HEADER``; a field that holds a comma, such as the
+    code ``bb:6,6``, is quoted as RFC 4180 says."""
+    keys = CSV_HEADER.split(",")
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [keys] + [[_format_value(rec[k]) for k in keys] for rec in records])
+    return out.getvalue()
 
 
 def records_to_jsonl(records: Iterable[dict]) -> str:

@@ -210,14 +210,24 @@ class TestBpDecode:
 
 class TestWorkBound:
     def test_edge_updates_bounded(self):
+        """Each iteration updates every edge once in each direction, for
+        both variants, with the numpy loop and, where gcc is installed,
+        the compiled one."""
         h = SparseBinMatrix(4, 8, [(0, 1, 2), (2, 3, 4), (4, 5, 6), (6, 7, 1)])
-        dec = BpDecoder(h)
         s = BitVec.from_support(4, [0, 2])
         max_iter = 17
-        out = dec.decode(s, np.full(8, 0.1), max_iter, early_stop=False)
-        assert out.iterations_used == max_iter
-        assert dec.v2c_edge_updates <= max_iter * h.nnz
-        assert dec.c2v_edge_updates <= max_iter * h.nnz
+        kernels = [None]
+        if shutil.which("gcc") is not None:
+            kernels.append(bp._load_kernel())
+            assert kernels[-1] is not None, "gcc is installed, but the kernel did not load"
+        for kernel in kernels:
+            for variant in (PRODUCT_SUM, MIN_SUM):
+                with mock.patch.object(bp, "_load_kernel", lambda: kernel):
+                    dec = BpDecoder(h, variant)
+                    out = dec.decode(s, np.full(8, 0.1), max_iter, early_stop=False)
+                assert out.iterations_used == max_iter
+                assert dec.v2c_edge_updates == out.iterations_used * h.nnz
+                assert dec.c2v_edge_updates == out.iterations_used * h.nnz
 
     def test_early_stop_costs_less(self):
         h = SparseBinMatrix(2, 4, [(0, 1), (2, 3)])
@@ -302,7 +312,7 @@ class TestZeroPriorRemovesColumns:
         assert g.nnz == g2.nnz
         assert np.array_equal(g.edge_var, kept[g2.edge_var])
         assert np.array_equal(g.var_seg_ids, kept[g2.var_seg_ids])
-        for name in ("edge_chk", "chk_seg_starts", "chk_seg_ids", "edge_seg",
+        for name in ("chk_seg_starts", "chk_seg_ids", "edge_seg",
                      "var_perm", "var_seg_starts"):
             assert np.array_equal(getattr(g, name), getattr(g2, name)), name
 
@@ -317,19 +327,22 @@ DIGEST_POINTS = [
 
 
 DIGEST = "526664ac471c123d9ad52e02ad96963a66dca1121674f7de06a91ebe06118d1a"
+# the same decode set with every decode run to max_iter
+DIGEST_NO_EARLY_STOP = "217b5f009ec76963a01fd232f3c2229b620cd2d9d4f5e27fac9618c7dec70e31"
 
 
-def decode_set_digest() -> str:
+def decode_set_digest(early_stop: bool = True) -> str:
     """SHA-256 of the soft outputs, hard bits, convergence and iteration
     counts of a fixed decode set: first runs on code-capacity, pheno and
     circuit models with product-sum and min-sum (scale 1.0 and 0.625), and
     for every failed first run the zero-prior second runs of degeneracy
-    cutting with reset and with posterior priors."""
+    cutting with reset and with posterior priors.  Every decode stops early
+    or none does, as ``early_stop`` says."""
     sha = hashlib.sha256()
     second_runs = 0
 
     def run(dec, syndrome, priors, max_iter):
-        out = dec.decode(syndrome, priors, max_iter)
+        out = dec.decode(syndrome, priors, max_iter, early_stop)
         sha.update(out.soft.tobytes())
         sha.update(repr((out.hard.bits, out.converged, out.iterations_used)).encode())
         return out
@@ -353,7 +366,8 @@ def decode_set_digest() -> str:
                     second[cuts] = 0.0
                     run(dec, syndrome, second, max_iter)
                     second_runs += 1
-    assert second_runs == 324
+    # without early stopping, more first runs end on a failing iteration
+    assert second_runs == (324 if early_stop else 334)
     return sha.hexdigest()
 
 
@@ -371,6 +385,18 @@ def test_decode_set_digest_numpy_kernel(monkeypatch):
     monkeypatch.setattr(bp, "_load_kernel", lambda: None)
     assert bp.min_sum_kernel() == "numpy"
     assert decode_set_digest() == DIGEST
+
+
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+def test_decode_set_digest_without_early_stop(request, monkeypatch, kernel):
+    """Every decode runs to ``max_iter`` and tests the syndrome only after
+    its last iteration, for product-sum and min-sum alike."""
+    if kernel == "c":
+        request.getfixturevalue("c_kernel")
+    else:
+        monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    assert bp.min_sum_kernel() == kernel
+    assert decode_set_digest(early_stop=False) == DIGEST_NO_EARLY_STOP
 
 
 def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
@@ -490,16 +516,19 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     update, the clipped posterior totals and their signs."""
     g, lam, total, m_cv, syndrome, want_hard, scale, test = case
     hard = want_hard.copy()  # the kernel writes into it
-    state = bp._CompiledMinSum(c_kernel, g, syndrome, lam, hard, scale)
-    state.total[:] = total
-    state.m_cv[:] = m_cv
+    got_total, got_vc, got_cv = total.copy(), np.empty(g.nnz), m_cv.copy()
+
+    def run():
+        return bp._run_compiled(c_kernel, g, syndrome, lam, hard, got_total, got_vc, got_cv,
+                                scale, 1, test)
+
     parity = np.zeros_like(syndrome)
     if g.nnz:
         parity = np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1
     if test and np.array_equal(parity, syndrome):
-        assert state.run(1, test) == -1
-        assert state.total.tobytes() == total.tobytes()
-        assert state.m_cv.tobytes() == m_cv.tobytes()
+        assert run() == -1
+        assert got_total.tobytes() == total.tobytes()
+        assert got_cv.tobytes() == m_cv.tobytes()
         assert np.array_equal(hard, want_hard)
         return
     m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
@@ -511,10 +540,10 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
             lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
     want_hard = want_hard.copy()
     want_hard[g.var_seg_ids] = want_total[g.var_seg_ids] <= 0.0
-    assert state.run(1, test) == 1
-    assert state.m_vc.tobytes() == m_vc.tobytes()
-    assert state.m_cv.tobytes() == want_cv.tobytes()
-    assert state.total.tobytes() == want_total.tobytes()
+    assert run() == 1
+    assert got_vc.tobytes() == m_vc.tobytes()
+    assert got_cv.tobytes() == want_cv.tobytes()
+    assert got_total.tobytes() == want_total.tobytes()
     assert np.array_equal(hard, want_hard)
 
 
@@ -612,13 +641,14 @@ def test_band_decodes_land_on_their_totals(c_kernel):
     for target, (h, priors, syndrome, scale, _) in zip(BAND_TARGETS + [0.0],
                                                        BAND_DECODES + [ZERO_TOTALS]):
         g = TannerGraph(h)
-        hard = np.zeros(h.cols, dtype=bool)
-        state = bp._CompiledMinSum(c_kernel, g, syndrome.to_dense()[g.chk_seg_ids],
-                                   bp._llr(priors), hard, scale)
-        for _ in range(3):  # each call runs one more iteration on the same state
-            assert state.run(1, False) == 1
-            assert state.total[0] == pytest.approx(target, rel=1e-9, abs=0.0)
-            assert np.signbit(state.total[0]) == np.signbit(target)
+        syn, lam = syndrome.to_dense()[g.chk_seg_ids], bp._llr(priors)
+        hard, total = np.zeros(h.cols, dtype=bool), lam.copy()
+        m_vc, m_cv = np.empty(g.nnz), np.zeros(g.nnz)
+        for _ in range(3):  # each call runs one more iteration on the same buffers
+            assert bp._run_compiled(c_kernel, g, syn, lam, hard, total, m_vc, m_cv, scale, 1,
+                                    False) == 1
+            assert total[0] == pytest.approx(target, rel=1e-9, abs=0.0)
+            assert np.signbit(total[0]) == np.signbit(target)
 
 
 # product-sum: column 1's prior LLR is log(1 + 2**-52) = 2.2e-16, and the

@@ -172,6 +172,47 @@ class TestDecodeCommand:
         assert "dimension mismatch" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("case", ["empty-row", "nontrivial-row"])
+    def test_bad_ddm_row_rejected_at_load(self, tmp_path, capsys, case):
+        """A DDM row that is empty, or that is not a trivial error of the
+        DCM, is an error before any decode, whatever the decoder."""
+        code = build_rotated_surface(3)
+        save_triplet(code.hz, tmp_path / "hz.txt")
+        ddm = tmp_path / "ddm.txt"
+        if case == "empty-row":
+            rows = [code.hx.row(0), (), code.hx.row(1)]
+            save_triplet(SparseBinMatrix(3, code.hx.cols, rows), ddm)
+            want = f"error: {ddm}: degeneracy row 1 is empty\n"
+        else:  # the check matrix as its own degeneracy matrix
+            save_triplet(code.hz, ddm)
+            want = (f"error: {ddm}: degeneracy row 0 is not a trivial error of "
+                    f"{tmp_path / 'hz.txt'}: its syndrome is not 0\n")
+        (tmp_path / "syn.txt").write_text("0\n" * code.hz.rows)
+        out = tmp_path / "est.txt"
+        for decoder in ("bp", "bp-dc"):
+            assert run_cli(
+                "decode", "--dcm", str(tmp_path / "hz.txt"), "--ddm", str(ddm),
+                "--syndrome", str(tmp_path / "syn.txt"), "--decoder", decoder,
+                "--dc-second-priors", "reset", "--out", str(out),
+            ) == 1
+            assert capsys.readouterr() == ("", want)
+            assert not out.exists()
+            assert not out.with_name(out.name + ".manifest.json").exists()
+
+    def test_ddm_column_mismatch_diagnostic(self, tmp_path, capsys):
+        code = build_rotated_surface(3)
+        save_triplet(code.hz, tmp_path / "hz.txt")
+        save_triplet(SparseBinMatrix(1, 4, [(0, 1)]), tmp_path / "ddm.txt")
+        (tmp_path / "syn.txt").write_text("0\n" * code.hz.rows)
+        assert run_cli(
+            "decode", "--dcm", str(tmp_path / "hz.txt"), "--ddm", str(tmp_path / "ddm.txt"),
+            "--syndrome", str(tmp_path / "syn.txt"), "--out", str(tmp_path / "est.txt"),
+        ) == 1
+        assert capsys.readouterr().err == (
+            f"error: dimension mismatch: {tmp_path / 'ddm.txt'} has 4 columns "
+            "but the check matrix has 9\n"
+        )
+
     def test_non_numeric_priors_name_the_file(self, tmp_path, capsys):
         save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
         (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")

@@ -6,7 +6,9 @@ progress lines, so any change to the rows, their order or the progress
 output shows up here.
 """
 
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -20,7 +22,7 @@ SCRIPTS = {
     "run_code_capacity.py": (
         20,
         {
-            "bb_6x6.csv": "734905fe4aacac620f779b30af888343a2ea7bf4afb8b00d855459000a1eeca5",
+            "bb_6x6.csv": "54e7bd6a96535b07d142af7f3522ac67d83d66930715f798244724ecaa56aece",
             "surface_d3.csv": "7f8ac0fe670aee6fb478f9ab3e1c1397b1557512d92d8ec8e7071c9698aac2a9",
             "surface_d5.csv": "2943b0198e529e9a590b0b457e93937f00f4f07b31c5f27050cc0d5f95387c5f",
         },
@@ -29,8 +31,8 @@ SCRIPTS = {
     "run_measurement_noise.py": (
         12,
         {
-            "circuit_bb_6x6.csv": "18ac5307f6f0d88759f9d1fec190610623d8586e6e42dd27a4e1a0bbda0fc682",
-            "pheno_bb_6x6.csv": "75dee98a7d7a4133a58b4f56f10da3f94fe2b0a36717c43e045b6554bdae40cb",
+            "circuit_bb_6x6.csv": "9e1e37e9a3ae4180d14c33585d3072fc886fc68bcc56e214d24689c6284a1028",
+            "pheno_bb_6x6.csv": "59bf64a635029d986e310894d3c1f5ee1acd21cbfdcffaef28d71ea64c8eb544",
             "pheno_surface_d3.csv": "9d3515067bec959c50f8466396d824464229dc2bdd84ce4f369aaea39fdd5a01",
         },
         "6fb14edcb3fc9af357726ee47958fbeeed4c92caa907c7c1baa9e4aadc0686f1",
@@ -59,7 +61,8 @@ def test_script_outputs_match_pins(script, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == sorted(csv_pins)
     for name, pin in csv_pins.items():
         text = (out / name).read_text()
-        fails = sum(int(f) for row in text.splitlines()[1:] for f in row.split(",")[-6:-4])
+        fails = sum(int(row["fail_logical"]) + int(row["fail_nonconv"])
+                    for row in csv.DictReader(io.StringIO(text)))
         assert fails > 0, f"{name} has no failures to pin"
         assert sha256(text.encode()) == pin, name
     *progress, last = proc.stdout.splitlines(keepends=True)

@@ -1,7 +1,9 @@
 """Monte Carlo harness tests: scoring, determinism, output formats."""
 
 import concurrent.futures
+import csv
 import dataclasses
+import io
 
 import numpy as np
 import pytest
@@ -317,15 +319,23 @@ class TestRecords:
         assert sim.stats_record(cfg, sim.FailureStats.from_counts(1, 0, 0))["T"] == T
 
     def test_csv_roundtrip_shape(self):
+        """Every row parses back to its record's fields, also where a code
+        spec such as ``bb:6,6`` holds a comma."""
         cfg = ExperimentConfig(
             code="surface:3", noise="code-capacity", p=0.02,
             decoder="bp", trials=50, seed=0,
         )
-        rec = sim.stats_record(cfg, run_trials(cfg))
-        text = sim.records_to_csv([rec])
-        header, row = text.strip().split("\n")
-        assert header == sim.CSV_HEADER
-        assert len(row.split(",")) == len(header.split(","))
+        bb = dataclasses.replace(cfg, code="bb:6,6")
+        recs = [sim.stats_record(cfg, run_trials(cfg)),
+                sim.stats_record(bb, sim.FailureStats.from_counts(50, 1, 2))]
+        text = sim.records_to_csv(recs)
+        header, *rows = csv.reader(io.StringIO(text))
+        assert ",".join(header) == sim.CSV_HEADER
+        assert text.startswith(sim.CSV_HEADER + "\n") and text.endswith("\n")
+        assert len(rows) == len(recs)
+        for rec, row in zip(recs, rows):
+            assert row == [sim._format_value(rec[k]) for k in header]
+        assert rows[1][:3] == ["bb:6,6", "code-capacity", "bp"]
 
     def test_jsonl(self):
         import json
