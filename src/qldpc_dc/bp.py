@@ -39,8 +39,12 @@ the loop returns ``-it`` if that test passed before iteration ``it``, else
 ``max_iter``.  ``_run_compiled`` runs a min-sum decode in one call into
 the compiled C when gcc can build it; it sums each variable's messages in
 ``np.add.reduceat``'s order, the first term plus numpy's ``pairwise_sum``
-of the rest, which ``tests/test_bp.py`` pins.  ``_run_numpy`` gives the same bits: it is the
-reference, the fallback without gcc and the product-sum path.  ``exp`` and
+of the rest, which ``tests/test_bp.py`` pins.  Its iteration has no
+data-dependent branch: a check pass of selects, with two running pairs of
+smallest magnitudes per check and sign-bit flips, then a variable pass
+grouped by degree (``TannerGraph.degree_order``), one loop per degree 1 to
+8.  ``_run_numpy`` gives the same bits: it is the reference, the fallback
+without gcc and the product-sum path.  ``exp`` and
 product-sum's ``tanh``/``arctanh`` stay in numpy: libm need not round as
 numpy does.
 
@@ -51,8 +55,9 @@ per-user directory under the system temp directory if that cannot be
 written.  Its name is keyed by the SHA-256 of the source, the compiler
 and its flags, the machine type and the first ``flags``/``Features`` line
 of ``/proc/cpuinfo``, so a library built for one CPU never loads on
-another that shares the cache.  Where that line cannot be read, the
-library is built without ``-march=native``.
+another that shares the cache.  Where that line cannot be read, or the
+native build fails, the library is built without ``-march=native``, under
+its own name.
 """
 
 from __future__ import annotations
@@ -126,20 +131,44 @@ class TannerGraph:
         self.var_seg_ids = np.asarray(vids, dtype=np.intp)
 
     @functools.cached_property
+    def degree_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The variable-major view in the order ``min_sum.c`` walks it:
+        ``(starts, ids, perm, ends)``, the variable segments sorted stably by
+        degree, so by degree and then by column.  ``ends[n - 1]`` is where
+        the variables of degree n end in that order, n = 1..8; those of
+        degree 9 or more follow.  Each segment lists its edges in the order
+        of ``var_perm``."""
+        deg = np.diff(self.var_seg_starts, append=self.nnz)
+        order = np.argsort(deg, kind="stable")
+        deg = deg[order]
+        starts = np.cumsum(deg) - deg
+        shift = np.repeat(self.var_seg_starts[order] - starts, deg)
+        perm = self.var_perm[np.arange(self.nnz) + shift]
+        ends = np.searchsorted(deg, np.arange(1, 9), side="right")
+        return starts, self.var_seg_ids[order], perm, ends
+
+    @functools.cached_property
     def min_sum_graph(self) -> "_MinSumGraph":
         """The sizes and index pointers ``min_sum.c`` reads, taken once per
-        graph; the arrays they point into live as long as the graph."""
+        graph; the arrays they point into live as long as the graph.
+
+        The check pass runs over the check-major edges; the variable pass
+        runs over ``degree_order``, built here on the first compiled decode
+        of the graph and not in ``__init__``, so that a decoder that never
+        runs the kernel never pays for it."""
         nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
+        starts, ids, perm, ends = self.degree_order
         return _MinSumGraph(
             nnz, n_chk, n_var,
             _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
-            _pointer(self.var_seg_starts, np.intp, n_var),
-            _pointer(self.var_seg_ids, np.intp, n_var), _pointer(self.var_perm, np.intp, nnz),
+            _pointer(starts, np.intp, n_var), _pointer(ids, np.intp, n_var),
+            _pointer(perm, np.intp, nnz), _pointer(ends, np.intp, 8),
         )
 
     def __getstate__(self):
         # the kernel's pointers are this process's; a copy takes its own
-        return {k: v for k, v in self.__dict__.items() if k != "min_sum_graph"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("min_sum_graph", "degree_order")}
 
 
 @dataclass
@@ -218,14 +247,15 @@ def _cpu_flags() -> str:
     return ""
 
 
-def _library(source: bytes) -> tuple[str, tuple[str, ...]]:
+def _library(source: bytes, native: bool = True) -> tuple[str, tuple[str, ...]]:
     """The cached library's file name and the flags that build it.
 
     ``-march=native`` ties the library to the CPU that built it, so the
     name hashes the CPU's flags line with the source, the compiler and its
-    flags; without that line the library is built for the generic target.
+    flags; without that line, or without ``native``, the library is built
+    for the generic target.
     """
-    cpu = _cpu_flags()
+    cpu = _cpu_flags() if native else ""
     cflags = _CFLAGS + (("-march=native",) if cpu else ())
     key = _sha256_hex(source + repr((_CC, cflags, platform.machine(), cpu)).encode())
     return f"min_sum_{key[:16]}.so", cflags
@@ -236,7 +266,7 @@ class _MinSumGraph(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var")] + [
         (name, ctypes.c_void_p)
-        for name in ("chk_starts", "edge_var", "var_starts", "var_ids", "var_perm")
+        for name in ("chk_starts", "edge_var", "var_starts", "var_ids", "var_perm", "group_ends")
     ]
 
 
@@ -258,23 +288,27 @@ def _pointer(a: np.ndarray, dtype, n: int) -> int:
 
 
 def _build_kernel():
-    """Compile (or find in the cache) and load ``min_sum.c``; None on failure
-    and on systems that are not POSIX."""
+    """Compile (or find in the cache) and load ``min_sum.c``, built for this
+    CPU or, if that fails, for the generic target; None if both fail and on
+    systems that are not POSIX."""
     if os.name != "posix":
         return None
     try:
         source = _KERNEL_SOURCE.read_bytes()
     except OSError:
         return None
-    name, cflags = _library(source)
-    for directory in _cache_dirs():
-        try:
-            fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
-        except (OSError, AttributeError):
-            continue
-        fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
-        fn.restype = ctypes.c_ssize_t
-        return fn
+    builds = [_library(source)]
+    if "-march=native" in builds[0][1]:
+        builds.append(_library(source, native=False))  # if the native build fails
+    for name, cflags in builds:
+        for directory in _cache_dirs():
+            try:
+                fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
+            except (OSError, AttributeError):
+                continue
+            fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
+            fn.restype = ctypes.c_ssize_t
+            return fn
     return None
 
 

@@ -5,6 +5,7 @@ the exact syndrome-conditioned posterior marginals, computed here by
 brute-force enumeration over all error patterns.
 """
 
+import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -13,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -505,8 +507,33 @@ NEGATIVE_ZERO_SUM = (
 )
 
 
+# columns of every degree from 1 to 10, interleaved, two of degrees 1, 2 and
+# 9: every specialized variable loop of min_sum.c and var_sum past the 8/9
+# boundary, with columns of one degree apart from each other
+ALL_DEGREES_COLUMNS = [3, 1, 10, 2, 9, 4, 8, 5, 7, 6, 2, 9, 1]
+ALL_DEGREES = SparseBinMatrix(12, len(ALL_DEGREES_COLUMNS), [
+    [j for j, n in enumerate(ALL_DEGREES_COLUMNS) if (i - 3 * j) * 7 % 12 < n]
+    for i in range(12)
+])
+# cut one column of degree 1, 4 and 9 each, and the one of degree 10
+ALL_DEGREES_KEEP = ~np.isin(np.arange(ALL_DEGREES.cols), [1, 2, 5, 11])
+
+
+def all_degrees_step(keep, test: bool) -> tuple:
+    """A ``min_sum_steps`` case on ``ALL_DEGREES``, columns cut where
+    ``keep`` is False."""
+    g = TannerGraph(ALL_DEGREES, keep)
+    rng = np.random.default_rng(14)
+    cols = ALL_DEGREES.cols
+    syndrome = (rng.random(len(g.chk_seg_ids)) < 0.5).astype(np.uint8)
+    return (g, planted(rng, cols, 35.0), planted(rng, cols, 350.0), planted(rng, g.nnz, 35.0),
+            syndrome, rng.random(cols) < 0.5, 0.625, test)
+
+
 @given(min_sum_steps())
 @example(SINGLE_EDGE_CHECKS)
+@example(all_degrees_step(None, True))
+@example(all_degrees_step(ALL_DEGREES_KEEP, False))
 @example(SINGLE_EDGE_CHECKS[:6] + (1.0, False))
 @example(NEGATIVE_ZERO_SUM)
 @settings(max_examples=500, deadline=None)
@@ -718,10 +745,22 @@ def band_examples(test):
     return test
 
 
+def all_degrees_decode(cut: bool) -> tuple:
+    """A ``decode_cases`` case on ``ALL_DEGREES``; with ``cut``, the columns
+    ``ALL_DEGREES_KEEP`` leaves out get prior 0."""
+    rng = np.random.default_rng(1414)
+    priors = rng.uniform(0.02, 0.3, ALL_DEGREES.cols)
+    if cut:
+        priors[~ALL_DEGREES_KEEP] = 0.0
+    return ALL_DEGREES, priors, BitVec(ALL_DEGREES.rows, 0b101100100111), 0.625, 12
+
+
 @pytest.mark.parametrize("early_stop", [True, False])
 @given(case=decode_cases())
 @example(case=EMPTY_ROW_ONE_ITERATION)
 @example(case=EMPTY_ROW_ONE_ITERATION[:4] + (5,))
+@example(case=all_degrees_decode(False))
+@example(case=all_degrees_decode(True))
 @band_examples
 @settings(max_examples=200, deadline=None)
 def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
@@ -736,6 +775,95 @@ def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
         results.append((out.soft.tobytes(), out.hard, out.converged, out.iterations_used,
                         dec.v2c_edge_updates, dec.c2v_edge_updates))
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("keep", [None, ALL_DEGREES_KEEP, np.zeros(ALL_DEGREES.cols, bool)],
+                         ids=["all", "cut", "none"])
+def test_degree_order_is_stable_by_degree(keep):
+    """``degree_order`` lists the variable segments by degree, then by
+    column, each with its own edges in ``var_perm``'s order, and ends each
+    group of degree 1 to 8 after its last variable."""
+    g = TannerGraph(ALL_DEGREES, keep)
+    starts, ids, perm, ends = g.degree_order
+    assert all(a.dtype == np.intp for a in (starts, ids, perm, ends))
+    deg = np.diff(starts, append=g.nnz)
+    assert list(zip(deg.tolist(), ids.tolist())) == sorted(
+        zip(np.diff(g.var_seg_starts, append=g.nnz).tolist(), g.var_seg_ids.tolist()))
+    assert ends.tolist() == [int(np.count_nonzero(deg <= n)) for n in range(1, 9)]
+    segments = dict(zip(g.var_seg_ids.tolist(),
+                        np.split(g.var_perm, g.var_seg_starts[1:]) if g.nnz else []))
+    for v, j in enumerate(ids.tolist()):
+        assert perm[starts[v]:starts[v] + deg[v]].tolist() == segments[j].tolist()
+    if keep is None:
+        assert sorted(deg.tolist()) == sorted(ALL_DEGREES_COLUMNS)
+
+
+def test_kernel_keeps_no_state_between_calls(c_kernel):
+    """Two threads decode different graphs through the kernel at once
+    (ctypes lets go of the GIL during each call) and get the bytes the
+    same decodes give one after the other."""
+    cfg = sim.ExperimentConfig(code="bb:6,6", noise="code-capacity", p=0.1, decoder="bp",
+                               trials=16, seed=3)
+    model = sim.build_model(cfg)
+    rng = np.random.default_rng(5)
+    jobs = [
+        (model.check_matrix, [(noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome,
+                               model.priors) for t in range(cfg.trials)]),
+        (ALL_DEGREES, [(BitVec(ALL_DEGREES.rows, int(rng.integers(1, 1 << ALL_DEGREES.rows))),
+                        all_degrees_decode(cut)[1]) for cut in (False, True) * 80]),
+    ]
+    start = threading.Barrier(len(jobs))
+
+    def decode_all(h, cases, barrier=None):
+        dec = BpDecoder(h, MIN_SUM, 0.625)
+        if barrier is not None:
+            barrier.wait()
+        outs = [dec.decode(syndrome, priors, 1000, early_stop=False) for syndrome, priors in cases]
+        return [(o.soft.tobytes(), o.hard, o.converged, o.iterations_used) for o in outs]
+
+    one_by_one = [decode_all(h, cases) for h, cases in jobs]
+    with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
+        futures = [pool.submit(decode_all, h, cases, start) for h, cases in jobs]
+        at_once = [f.result() for f in futures]
+    assert at_once == one_by_one
+
+
+def test_failed_native_build_falls_back_to_a_generic_build(c_kernel, monkeypatch, tmp_path):
+    """When the ``-march=native`` build fails, the kernel is built without
+    that flag, under its own name, and gives the same bits."""
+    source = bp._KERNEL_SOURCE.read_bytes()
+    native, native_flags = bp._library(source)
+    if "-march=native" not in native_flags:
+        pytest.skip("no CPU flags line: the library is built generic already")
+    generic, generic_flags = bp._library(source, native=False)
+    assert generic != native and generic_flags == bp._CFLAGS
+    build = bp._cached_library
+
+    def no_native_build(directory, name, cflags):
+        if "-march=native" in cflags:
+            raise OSError("the native build failed")
+        return build(directory, name, cflags)
+
+    monkeypatch.setattr(bp, "_cached_library", no_native_build)
+    monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert bp.min_sum_kernel() == "c"
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [generic]
+    assert decode_set_digest() == DIGEST
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc is not installed")
+    _, cflags = bp._library(bp._KERNEL_SOURCE.read_bytes())
+    proc = subprocess.run(
+        [bp._CC, *cflags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "min_sum.so"),
+         str(bp._KERNEL_SOURCE)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_two_processes_build_one_library(c_kernel, tmp_path):
