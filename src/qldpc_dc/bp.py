@@ -42,11 +42,13 @@ the compiled C when gcc can build it; it sums each variable's messages in
 of the rest, which ``tests/test_bp.py`` pins.  Its iteration has no
 data-dependent branch: a check pass of selects, with two running pairs of
 smallest magnitudes per check and sign-bit flips, then a variable pass
-grouped by degree (``TannerGraph.degree_order``), one loop per degree 1 to
-8.  ``_run_numpy`` gives the same bits: it is the reference, the fallback
-without gcc and the product-sum path.  ``exp`` and
-product-sum's ``tanh``/``arctanh`` stay in numpy: libm need not round as
-numpy does.
+grouped by degree, one loop per degree 1 to 8.  ``_run_numpy`` gives the
+same bits: it is the reference, the fallback without gcc and the
+product-sum path.  Both loops read one variable-major view, which
+``TannerGraph`` builds in the kernel's degree order; numpy sums each
+variable's segment on its own, so the order of the segments changes no
+bit.  ``exp`` and product-sum's ``tanh``/``arctanh`` stay in numpy: libm
+need not round as numpy does.
 
 The shared library is built with ``-O3 -march=native -ffp-contract=off``
 on the first min-sum decode, not at import, into a per-user cache:
@@ -88,10 +90,10 @@ class TannerGraph:
     """Edge-indexed view of a parity-check matrix.
 
     One edge per nonzero entry, stored check-major with columns ascending
-    within a check; a stable permutation gives the variable-major view.
-    With ``keep``, a boolean mask over columns, only kept columns get
-    edges.  Empty rows and empty columns take no part in message passing
-    (an empty row with syndrome 1 simply never converges).
+    within a check; a stable permutation gives the variable-major view,
+    grouped by degree.  With ``keep``, a boolean mask over columns, only
+    kept columns get edges.  Empty rows and empty columns take no part in
+    message passing (an empty row with syndrome 1 simply never converges).
     """
 
     def __init__(self, h: SparseBinMatrix, keep: np.ndarray | None = None):
@@ -116,59 +118,35 @@ class TannerGraph:
         self.chk_seg_ids = np.asarray(seg_chk, dtype=np.intp)
         self.edge_seg = np.repeat(np.arange(len(seg_chk), dtype=np.intp), counts)
 
-        # variable-major permutation and segments (nonempty columns only)
-        self.var_perm = np.argsort(self.edge_var, kind="stable")
-        sorted_vars = self.edge_var[self.var_perm]
-        vstarts = []
-        vids = []
-        if self.nnz:
-            boundary = np.flatnonzero(
-                np.concatenate(([True], sorted_vars[1:] != sorted_vars[:-1]))
-            )
-            vstarts = boundary
-            vids = sorted_vars[boundary]
-        self.var_seg_starts = np.asarray(vstarts, dtype=np.intp)
-        self.var_seg_ids = np.asarray(vids, dtype=np.intp)
-
-    @functools.cached_property
-    def degree_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The variable-major view in the order ``min_sum.c`` walks it:
-        ``(starts, ids, perm, ends)``, the variable segments sorted stably by
-        degree, so by degree and then by column.  ``ends[n - 1]`` is where
-        the variables of degree n end in that order, n = 1..8; those of
-        degree 9 or more follow.  Each segment lists its edges in the order
-        of ``var_perm``."""
-        deg = np.diff(self.var_seg_starts, append=self.nnz)
-        order = np.argsort(deg, kind="stable")
-        deg = deg[order]
-        starts = np.cumsum(deg) - deg
-        shift = np.repeat(self.var_seg_starts[order] - starts, deg)
-        perm = self.var_perm[np.arange(self.nnz) + shift]
-        ends = np.searchsorted(deg, np.arange(1, 9), side="right")
-        return starts, self.var_seg_ids[order], perm, ends
+        # variable-major view (nonempty columns only) in the order min_sum.c
+        # walks it: by degree, then by column, each with its edges in check
+        # order; the variables of degree n end at var_group_ends[n - 1], n = 1..8
+        deg = np.bincount(self.edge_var, minlength=h.cols)
+        self.var_perm = np.argsort(deg[self.edge_var] * h.cols + self.edge_var, kind="stable")
+        ids = np.flatnonzero(deg)
+        self.var_seg_ids = ids[np.argsort(deg[ids], kind="stable")]
+        seg_deg = deg[self.var_seg_ids]
+        self.var_seg_starts = np.cumsum(seg_deg) - seg_deg
+        self.var_group_ends = np.searchsorted(seg_deg, np.arange(1, 9), side="right")
 
     @functools.cached_property
     def min_sum_graph(self) -> "_MinSumGraph":
         """The sizes and index pointers ``min_sum.c`` reads, taken once per
-        graph; the arrays they point into live as long as the graph.
-
-        The check pass runs over the check-major edges; the variable pass
-        runs over ``degree_order``, built here on the first compiled decode
-        of the graph and not in ``__init__``, so that a decoder that never
-        runs the kernel never pays for it."""
+        graph; the arrays they point into live as long as the graph.  The
+        check pass runs over the check-major edges, the variable pass over
+        the variable-major view."""
         nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
-        starts, ids, perm, ends = self.degree_order
         return _MinSumGraph(
             nnz, n_chk, n_var,
             _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
-            _pointer(starts, np.intp, n_var), _pointer(ids, np.intp, n_var),
-            _pointer(perm, np.intp, nnz), _pointer(ends, np.intp, 8),
+            _pointer(self.var_seg_starts, np.intp, n_var),
+            _pointer(self.var_seg_ids, np.intp, n_var),
+            _pointer(self.var_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
         )
 
     def __getstate__(self):
         # the kernel's pointers are this process's; a copy takes its own
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("min_sum_graph", "degree_order")}
+        return {k: v for k, v in self.__dict__.items() if k != "min_sum_graph"}
 
 
 @dataclass
@@ -198,11 +176,17 @@ def _cache_dirs() -> list[Path]:
     return [Path(base) / "qldpc_dc", private] if os.path.isabs(base) else [private]
 
 
+class _BuildError(Exception):
+    """The compiler cannot build the source with these flags, in any directory."""
+
+
 def _cached_library(directory: Path, name: str, cflags: tuple[str, ...]) -> Path:
     """``directory/name``, compiled first if it is not there yet.
 
     The compiler writes a temporary file that is renamed into place, so
     processes building the same library at once never see a partial one.
+    Raises ``_BuildError`` when the compiler is missing or fails, and
+    ``OSError`` when the directory cannot hold the library.
     """
     directory.mkdir(mode=0o700, parents=True, exist_ok=True)
     st = directory.stat()
@@ -219,9 +203,10 @@ def _cached_library(directory: Path, name: str, cflags: tuple[str, ...]) -> Path
                 [_CC, *cflags, "-o", tmp, str(_KERNEL_SOURCE)],
                 check=True, capture_output=True, timeout=300,
             )
+        except (OSError, subprocess.SubprocessError) as exc:
+            raise _BuildError(f"{_CC} could not build {_KERNEL_SOURCE.name}") from exc
+        else:
             os.replace(tmp, path)
-        except subprocess.SubprocessError as exc:
-            raise OSError(f"{_CC} could not build {_KERNEL_SOURCE.name}") from exc
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
@@ -290,7 +275,9 @@ def _pointer(a: np.ndarray, dtype, n: int) -> int:
 def _build_kernel():
     """Compile (or find in the cache) and load ``min_sum.c``, built for this
     CPU or, if that fails, for the generic target; None if both fail and on
-    systems that are not POSIX."""
+    systems that are not POSIX.  A failed compiler run moves on to the next
+    build at once; only a directory that cannot hold or load the library
+    moves on to the next cache directory."""
     if os.name != "posix":
         return None
     try:
@@ -304,6 +291,8 @@ def _build_kernel():
         for directory in _cache_dirs():
             try:
                 fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
+            except _BuildError:
+                break
             except (OSError, AttributeError):
                 continue
             fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
@@ -326,6 +315,12 @@ def min_sum_kernel() -> str:
     return "numpy" if _load_kernel() is None else "c"
 
 
+def _clip(x: np.ndarray, c: float) -> np.ndarray:
+    """``np.clip(x, -c, c)``, the same bytes, +-0.0 included, without the
+    Python wrappers that cost more than the ufuncs on a small graph."""
+    return np.minimum(np.maximum(x, -c), c)
+
+
 def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray:
     """Normalized min-sum check update in numpy: the reference for the C kernel."""
     mag = np.abs(m_vc)
@@ -345,7 +340,7 @@ def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray
     # a huge scale may overflow to +-inf; the clip gives the same +-35 as the kernel
     with np.errstate(over="ignore"):
         m_cv = syn_sign_e * sign * scale * min_excl
-    return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
+    return _clip(m_cv, LLR_CLAMP)
 
 
 def _product_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray:
@@ -363,10 +358,10 @@ def _product_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.nda
         prod_e / tn,
         np.where(zero & (zcnt_e == 1), prod_e, 0.0),
     )
-    r = np.clip(r * syn_sign_e, -1.0, 1.0)
+    r = _clip(r * syn_sign_e, 1.0)
     with np.errstate(divide="ignore"):
         m_cv = 2.0 * np.arctanh(r)
-    return np.clip(m_cv, -LLR_CLAMP, LLR_CLAMP)
+    return _clip(m_cv, LLR_CLAMP)
 
 
 def _segments_match(g: TannerGraph, hard: np.ndarray, syn: np.ndarray) -> bool:
@@ -407,11 +402,11 @@ def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_i
     for it in range(1, max_iter + 1):
         if test and _segments_match(g, hard, syn):
             return -it, total, hard
-        m_vc = np.clip(total[g.edge_var] - m_cv, -LLR_CLAMP, LLR_CLAMP)
+        m_vc = _clip(total[g.edge_var] - m_cv, LLR_CLAMP)
         m_cv = check_update(g, m_vc, syn_sign_e, scale)
         total = lam.copy()
         total[g.var_seg_ids] += np.add.reduceat(m_cv[g.var_perm], g.var_seg_starts)
-        total = np.clip(total, -_TOTAL_CLAMP, _TOTAL_CLAMP)
+        total = _clip(total, _TOTAL_CLAMP)
         hard = total <= 0.0
     return max_iter, total, hard
 
@@ -419,7 +414,7 @@ def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_i
 def _llr(priors: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore"):
         lam = np.log((1.0 - priors) / priors)
-    return np.clip(lam, -LLR_CLAMP, LLR_CLAMP)
+    return _clip(lam, LLR_CLAMP)
 
 
 class BpDecoder:

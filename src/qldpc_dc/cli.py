@@ -27,7 +27,7 @@ from .detmodel import (
     build_pheno_model,
     find_low_weight_trivial,
 )
-from .gf2 import BitVec, SparseBinMatrix, TripletFormatError, load_triplet, save_triplet
+from .gf2 import BitVec, SparseBinMatrix, TripletFormatError, load_triplet, mat_mat_t, save_triplet
 from .postproc import DcConfig, InconsistentSystemError, MaskingMode, SecondRunPriors
 from .sim import DECODERS, ExperimentConfig
 
@@ -178,6 +178,8 @@ def _export_model(model, out: Path, stem: str, config: dict, started: str) -> No
 
 def cmd_dem(args) -> int:
     started = _now()
+    if args.model != "check-trivial" and not 0.0 < args.p < 0.5:
+        raise CliError("p must lie in (0, 0.5)")  # as simulate requires
     if args.model == "pheno":
         code_obj = sim.parse_code_spec(args.code)
         if isinstance(code_obj, BbParams):
@@ -207,17 +209,12 @@ def cmd_dem(args) -> int:
 
 def _load_ddm(path: str, h: SparseBinMatrix, dcm: str) -> SparseBinMatrix:
     """The degeneracy matrix at ``path``, each of whose rows must be a
-    nonempty trivial error of ``h``: its syndrome, the XOR of ``h``'s column
-    bitmasks over its support, is 0."""
+    nonempty trivial error of ``h``: its syndrome, a row of DDM * H^T, is 0."""
     ddm = load_triplet(path)
     if ddm.cols != h.cols:
         raise CliError(f"dimension mismatch: {path} has {ddm.cols} columns "
                        f"but the check matrix has {h.cols}")
-    col_bits = h.col_bits
-    for i, row in enumerate(ddm.row_supports):
-        syndrome = 0
-        for j in row:
-            syndrome ^= col_bits[j]
+    for i, (row, syndrome) in enumerate(zip(ddm.row_supports, mat_mat_t(ddm, h).row_supports)):
         if syndrome or not row:
             why = f"is not a trivial error of {dcm}: its syndrome is not 0" if row else "is empty"
             raise CliError(f"{path}: degeneracy row {i} {why}")

@@ -1,10 +1,10 @@
 """Sparse linear algebra over GF(2).
 
-Vectors and matrices are stored by their nonzero positions.  Rows are
-mirrored as Python integer bitmasks, so XOR-based elimination, parity
-products and row reduction run on machine words without dense scratch
-space.  All values are immutable after construction and safe to share
-across threads or worker processes.
+Vectors and matrices are stored by their nonzero positions.  A vector is
+a Python integer bitmask; a matrix's rows and columns are mirrored as
+bitmasks on first use, so products XOR columns and eliminations XOR rows
+on machine words without dense scratch space.  All values are immutable
+after construction and safe to share across threads or worker processes.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class BitVec:
 class SparseBinMatrix:
     """Immutable sparse binary matrix with row and column adjacency.
 
-    Both views are kept because Tanner-graph traversal needs row->column
-    and column->row lookups every message-passing iteration.
+    The column supports are built with the rows, and both sets of bitmasks
+    on first use: products read the columns, eliminations the rows.
     """
 
     __slots__ = (
@@ -123,7 +123,6 @@ class SparseBinMatrix:
         if len(row_supports) != rows:
             raise ValueError("row count does not match row_supports")
         cols_acc: list[list[int]] = [[] for _ in range(cols)]
-        bits = []
         for i, sup in enumerate(row_supports):
             prev = -1
             for j in sup:
@@ -133,12 +132,11 @@ class SparseBinMatrix:
                     raise ValueError(f"row {i}: column index {j} out of range")
                 cols_acc[j].append(i)
                 prev = j
-            bits.append(_bits_from_indices(sup))
         self.rows = rows
         self.cols = cols
         self._row_supports = tuple(row_supports)
         self._col_supports = tuple(tuple(c) for c in cols_acc)
-        self._row_bits = tuple(bits)
+        self._row_bits: Optional[tuple[int, ...]] = None
         self._col_bits: Optional[tuple[int, ...]] = None
 
     @classmethod
@@ -186,12 +184,16 @@ class SparseBinMatrix:
 
     @property
     def row_bits(self) -> tuple[int, ...]:
+        """Each row as a bitmask over columns, built on first use: only the
+        eliminations read them."""
+        if self._row_bits is None:
+            self._row_bits = tuple(_bits_from_indices(r) for r in self._row_supports)
         return self._row_bits
 
     @property
     def col_bits(self) -> tuple[int, ...]:
-        """Each column as a bitmask over rows, built on first use only
-        (most matrices are never eliminated by column)."""
+        """Each column as a bitmask over rows, built on first use: products
+        and ``solve`` read them."""
         if self._col_bits is None:
             self._col_bits = tuple(_bits_from_indices(c) for c in self._col_supports)
         return self._col_bits
@@ -242,29 +244,30 @@ class SparseBinMatrix:
         return f"SparseBinMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
 
 
+def _col_sum(col_bits: tuple[int, ...], support: Iterable[int]) -> int:
+    """The XOR of the column bitmasks over ``support``: v * M^T for the
+    vector v with that support, since v * M^T sums M's columns in it."""
+    out = 0
+    for j in support:
+        out ^= col_bits[j]
+    return out
+
+
 def mat_vec_t(v: BitVec, m: SparseBinMatrix) -> BitVec:
     """Compute v * M^T, the parity of v against every row of M."""
     if v.length != m.cols:
         raise ValueError(f"vector length {v.length} != matrix cols {m.cols}")
-    vb = v.bits
-    out = 0
-    for i, row_bits in enumerate(m.row_bits):
-        if (vb & row_bits).bit_count() & 1:
-            out |= 1 << i
-    return BitVec(m.rows, out)
+    return BitVec(m.rows, _col_sum(m.col_bits, v.support))
 
 
 def mat_mat_t(a: SparseBinMatrix, b: SparseBinMatrix) -> SparseBinMatrix:
-    """Compute A * B^T over GF(2)."""
+    """Compute A * B^T over GF(2), one row of A at a time."""
     if a.cols != b.cols:
         raise ValueError(f"column mismatch: {a.cols} != {b.cols}")
-    b_bits = b.row_bits
-    sups = []
-    for abits in a.row_bits:
-        sups.append(
-            tuple(j for j, bbits in enumerate(b_bits) if (abits & bbits).bit_count() & 1)
-        )
-    return SparseBinMatrix(a.rows, b.rows, sups)
+    col_bits = b.col_bits
+    return SparseBinMatrix(
+        a.rows, b.rows, [_indices_from_bits(_col_sum(col_bits, sup)) for sup in a.row_supports]
+    )
 
 
 class PivotBasis(dict):

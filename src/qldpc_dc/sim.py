@@ -57,10 +57,11 @@ class Outcome(enum.Enum):
 def check_success(
     error: BitVec, estimate: BitVec, checks: SparseBinMatrix, observables: SparseBinMatrix
 ) -> Outcome:
-    """Outcome-based scoring of one decoded trial."""
-    if mat_vec_t(estimate, checks) != mat_vec_t(error, checks):
-        return Outcome.NONCONVERGENT
+    """Outcome-based scoring of one decoded trial: the estimate misses the
+    syndrome exactly when the residual ``error ^ estimate`` has one."""
     residual = error ^ estimate
+    if mat_vec_t(residual, checks).weight():
+        return Outcome.NONCONVERGENT
     if mat_vec_t(residual, observables).weight():
         return Outcome.LOGICAL_FAILURE
     return Outcome.SUCCESS

@@ -315,7 +315,7 @@ class TestZeroPriorRemovesColumns:
         assert np.array_equal(g.edge_var, kept[g2.edge_var])
         assert np.array_equal(g.var_seg_ids, kept[g2.var_seg_ids])
         for name in ("chk_seg_starts", "chk_seg_ids", "edge_seg",
-                     "var_perm", "var_seg_starts"):
+                     "var_perm", "var_seg_starts", "var_group_ends"):
             assert np.array_equal(getattr(g, name), getattr(g2, name)), name
 
 
@@ -414,12 +414,23 @@ def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
 
 
 def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, capfd):
+    """A source the compiler rejects runs it once per build, native and
+    then generic, not once per cache directory, and leaves no file."""
     monkeypatch.setattr(bp, "_CFLAGS", bp._CFLAGS + ("-fno-such-flag",))
     monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    runs = []
+    run = subprocess.run
+
+    def counted_run(*args, **kwargs):
+        runs.append(args)
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", counted_run)
     assert bp.min_sum_kernel() == "numpy"
+    assert len(runs) == (2 if bp._cpu_flags() else 1)
     assert decode_set_digest() == DIGEST
     assert capfd.readouterr().out == ""
     assert not [p for p in tmp_path.rglob("*") if p.is_file()]  # no library, no temp file
@@ -780,20 +791,22 @@ def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
 @pytest.mark.parametrize("keep", [None, ALL_DEGREES_KEEP, np.zeros(ALL_DEGREES.cols, bool)],
                          ids=["all", "cut", "none"])
 def test_degree_order_is_stable_by_degree(keep):
-    """``degree_order`` lists the variable segments by degree, then by
-    column, each with its own edges in ``var_perm``'s order, and ends each
-    group of degree 1 to 8 after its last variable."""
+    """The variable-major view lists the variable segments by degree, then
+    by column, each with its own edges in check-major order, and
+    ``var_group_ends`` ends each group of degree 1 to 8 after its last
+    variable."""
     g = TannerGraph(ALL_DEGREES, keep)
-    starts, ids, perm, ends = g.degree_order
+    starts, ids, perm, ends = g.var_seg_starts, g.var_seg_ids, g.var_perm, g.var_group_ends
     assert all(a.dtype == np.intp for a in (starts, ids, perm, ends))
     deg = np.diff(starts, append=g.nnz)
+    columns = np.bincount(g.edge_var, minlength=ALL_DEGREES.cols)
     assert list(zip(deg.tolist(), ids.tolist())) == sorted(
-        zip(np.diff(g.var_seg_starts, append=g.nnz).tolist(), g.var_seg_ids.tolist()))
+        (int(columns[j]), j) for j in np.flatnonzero(columns).tolist())
     assert ends.tolist() == [int(np.count_nonzero(deg <= n)) for n in range(1, 9)]
-    segments = dict(zip(g.var_seg_ids.tolist(),
-                        np.split(g.var_perm, g.var_seg_starts[1:]) if g.nnz else []))
     for v, j in enumerate(ids.tolist()):
-        assert perm[starts[v]:starts[v] + deg[v]].tolist() == segments[j].tolist()
+        edges = np.flatnonzero(g.edge_var == j)
+        assert perm[starts[v]:starts[v] + deg[v]].tolist() == edges.tolist()
+    assert sorted(perm.tolist()) == list(range(g.nnz))
     if keep is None:
         assert sorted(deg.tolist()) == sorted(ALL_DEGREES_COLUMNS)
 
@@ -841,7 +854,7 @@ def test_failed_native_build_falls_back_to_a_generic_build(c_kernel, monkeypatch
 
     def no_native_build(directory, name, cflags):
         if "-march=native" in cflags:
-            raise OSError("the native build failed")
+            raise bp._BuildError("the native build failed")
         return build(directory, name, cflags)
 
     monkeypatch.setattr(bp, "_cached_library", no_native_build)

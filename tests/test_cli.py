@@ -116,6 +116,19 @@ class TestDemCommand:
         for suffix in ("dcm.txt", "obs.txt", "priors.txt", "ddm.txt", "dcm.txt.manifest.json"):
             assert (tmp_path / f"{stem}_{suffix}").exists(), suffix
 
+    @pytest.mark.parametrize("argv", [
+        ("pheno", "--code", "surface:3", "--rounds", "1"),
+        ("circuit-bb", "--l", "6", "--m", "6", "--rounds", "1"),
+    ], ids=["pheno", "circuit-bb"])
+    @pytest.mark.parametrize("p", ["0.9", "0.5", "0", "nan"])
+    def test_p_outside_the_open_half_interval_rejected(self, tmp_path, capsys, argv, p):
+        """``dem`` takes the rates ``simulate`` takes: one error line, no file."""
+        assert run_cli("dem", *argv, "--p", p, "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: p must lie in (0, 0.5)\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
     def test_check_trivial(self, tmp_path, capsys):
         run_cli(
             "dem", "pheno", "--code", "surface:3", "--rounds", "1",

@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_solve, sparse_matrices, sparse_matrices_of
@@ -155,6 +155,37 @@ class TestMatMatT:
         ]
         b = SparseBinMatrix(b_rows, a.cols, sups)
         assert mat_mat_t(a, b).transpose() == mat_mat_t(b, a)
+
+
+@st.composite
+def column_products(draw):
+    """Two matrices over the same 0 to 8 columns, each with 0 to 6 rows, and
+    a vector of that length; rows, columns and the vector may be empty."""
+    cols = draw(st.integers(0, 8))
+    subsets = st.sets(st.integers(0, cols - 1)) if cols else st.just(set())
+    a, b = draw(st.lists(subsets, max_size=6)), draw(st.lists(subsets, max_size=6))
+    return (SparseBinMatrix(len(a), cols, a), SparseBinMatrix(len(b), cols, b),
+            BitVec.from_support(cols, draw(subsets)))
+
+
+class TestColumnProducts:
+    @given(column_products())
+    @example((SparseBinMatrix.zeros(0, 3), SparseBinMatrix.zeros(2, 3), BitVec.zeros(3)))
+    @example((SparseBinMatrix.zeros(2, 0), SparseBinMatrix.zeros(0, 0), BitVec.zeros(0)))
+    @example((SparseBinMatrix(2, 3, [(0, 2), ()]), SparseBinMatrix(1, 3, [(0, 2)]),
+              BitVec.from_support(3, [0, 1, 2])))
+    @settings(max_examples=200)
+    def test_products_equal_dense_products_and_build_no_row_bits(self, case):
+        """v M^T and A B^T, as XORs of column bitmasks, equal the dense
+        (M v) % 2 and (A B^T) % 2, and never build row bitmasks."""
+        a, b, v = case
+        dense_a, dense_b = a.to_dense().astype(int), b.to_dense().astype(int)
+        assert np.array_equal(mat_vec_t(v, a).to_dense(), dense_a @ v.to_dense() % 2)
+        assert mat_vec_t(BitVec.zeros(a.cols), a) == BitVec.zeros(a.rows)
+        product = mat_mat_t(a, b)
+        assert product.shape == (a.rows, b.rows)
+        assert np.array_equal(product.to_dense(), dense_a @ dense_b.T % 2)
+        assert a._row_bits is None and b._row_bits is None
 
 
 class TestRank:

@@ -8,9 +8,11 @@ import io
 import numpy as np
 import pytest
 
-from qldpc_dc import sim
+from qldpc_dc import noise, sim
+from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import build_rotated_surface
 from qldpc_dc.gf2 import BitVec, in_rowspace, mat_vec_t
+from qldpc_dc.postproc import DcConfig, SecondRunPriors, osd0_decode
 from qldpc_dc.sim import (
     ExperimentConfig,
     Outcome,
@@ -64,6 +66,59 @@ class TestCheckSuccess:
                 assert outcome is Outcome.SUCCESS
             else:
                 assert outcome is Outcome.LOGICAL_FAILURE
+
+
+CIRCUIT_T3 = ExperimentConfig(code="bb:6,6", noise="circuit-bb", p=0.01, decoder="bp-dc-osd",
+                              trials=1, seed=16, rounds=3, dc_second_priors="reset")
+
+
+def test_scoring_equals_two_syndrome_formula():
+    """Scoring the residual ``error ^ estimate`` once per matrix gives the
+    outcome of comparing the estimate's syndrome with the error's, on
+    random pairs over a circuit model: random estimates, estimates off by
+    sums of degeneracy rows and OSD-0 estimates of the error's syndrome."""
+    model = sim.build_model(CIRCUIT_T3)
+    h, obs, ddm = model.check_matrix, model.observables, model.degeneracy_matrix
+    rng = np.random.default_rng(16)
+
+    def reference(error, estimate):
+        if mat_vec_t(estimate, h) != mat_vec_t(error, h):
+            return Outcome.NONCONVERGENT
+        if mat_vec_t(error ^ estimate, obs).weight():
+            return Outcome.LOGICAL_FAILURE
+        return Outcome.SUCCESS
+
+    seen = set()
+    for k in range(90):
+        error = noise.sample_error(model.priors, rng)
+        if k % 3 == 0:
+            estimate = noise.sample_error(model.priors, rng)
+        elif k % 3 == 1:
+            trivial = BitVec.zeros(h.cols)
+            for i in np.flatnonzero(rng.random(ddm.rows) < 0.1).tolist():
+                trivial ^= BitVec.from_support(h.cols, ddm.row(i))
+            estimate = error ^ trivial
+        else:
+            estimate = osd0_decode(h, mat_vec_t(error, h), rng.random(h.cols))
+        outcome = check_success(error, estimate, h, obs)
+        assert outcome is reference(error, estimate)
+        seen.add(outcome)
+    assert seen == set(Outcome)
+
+
+def test_trial_builds_no_row_bitmasks():
+    """Products read column bitmasks only: building a circuit model,
+    sampling, decoding through DC and OSD-0, and scoring a trial leave every
+    matrix's row bitmasks unbuilt."""
+    model = sim.build_model(CIRCUIT_T3)
+    sample = noise.make_trial(model, noise.trial_rng(CIRCUIT_T3.seed, 0))
+    result = sim.decode(
+        "bp-dc-osd", BpDecoder(model.check_matrix, MIN_SUM, 1.0), sample.syndrome,
+        model.priors, 5, model.degeneracy_matrix, DcConfig(SecondRunPriors.RESET_TO_PRIOR, 1),
+    )
+    check_success(sample.error, result.estimate, model.check_matrix, model.observables)
+    for m in (model.check_matrix, model.observables, model.degeneracy_matrix):
+        assert m._row_bits is None
 
 
 class TestWilson:
