@@ -30,25 +30,25 @@ loop; a decode that converges before its first iteration returns the
 priors.  Where a total lies in (0, ~3.3e-16], numpy rounds that soft value
 to 0.5 while the hard bit is 0.
 
-``BpDecoder.decode`` is one driver for both variants: it tests the prior
-hard decision, runs one of two loops and ends in one epilogue.  Both loops
-keep the contract of ``min_sum_decode`` in ``min_sum.c``: each iteration
-tests the previous hard decision against the syndrome, then writes the v2c
-messages, the check update, the posterior totals and the hard bits, and
-the loop returns ``-it`` if that test passed before iteration ``it``, else
-``max_iter``.  ``_run_compiled`` runs a min-sum decode in one call into
-the compiled C when gcc can build it; it sums each variable's messages in
-``np.add.reduceat``'s order, the first term plus numpy's ``pairwise_sum``
-of the rest, which ``tests/test_bp.py`` pins.  Its iteration has no
-data-dependent branch: a check pass of selects, with two running pairs of
-smallest magnitudes per check and sign-bit flips, then a variable pass
-grouped by degree, one loop per degree 1 to 8.  ``_run_numpy`` gives the
-same bits: it is the reference, the fallback without gcc and the
-product-sum path.  Both loops read one variable-major view, which
-``TannerGraph`` builds in the kernel's degree order; numpy sums each
-variable's segment on its own, so the order of the segments changes no
-bit.  ``exp`` and product-sum's ``tanh``/``arctanh`` stay in numpy: libm
-need not round as numpy does.
+``BpDecoder.decode`` is one driver for both variants: it runs one of two
+loops and ends in one epilogue; it tests nothing before the loop.  Both
+loops keep the contract of ``min_sum_decode`` in ``min_sum.c``: each
+iteration tests the previous hard decision against the syndrome, then
+writes the v2c messages, the check update, the posterior totals and the
+hard bits, and the loop returns ``-it`` if that test passed before
+iteration ``it``, else ``max_iter``.  ``_run_compiled`` runs a min-sum
+decode in one call into the compiled C when gcc can build it; it sums
+each variable's messages in ``np.add.reduceat``'s order, the first term
+plus numpy's ``pairwise_sum`` of the rest, which ``tests/test_bp.py``
+pins.  Its iteration has no data-dependent branch: a check pass of
+selects, with two running pairs of smallest magnitudes per check and
+sign-bit flips, then a variable pass grouped by degree, one loop per
+degree 1 to 8.  ``_run_numpy`` gives the same bits: it is the reference,
+the fallback without gcc and the product-sum path.  Both loops read one
+variable-major view, which ``TannerGraph`` builds in the kernel's degree
+order; numpy sums each variable's segment on its own, so the order of
+the segments changes no bit.  ``exp`` and product-sum's
+``tanh``/``arctanh`` stay in numpy: libm need not round as numpy does.
 
 The shared library is built with ``-O3 -march=native -ffp-contract=off``
 on the first min-sum decode, not at import, into a per-user cache:
@@ -474,23 +474,20 @@ class BpDecoder:
         test = early_stop and satisfiable
         lam = _llr(priors)
         hard = lam <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
-        if test and _segments_match(g, hard, syn):
-            last, total = -1, None  # converged before the first iteration
+        kernel = _load_kernel() if self.variant == MIN_SUM else None
+        if kernel is not None:
+            total = lam.copy()
+            last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(g.nnz),
+                                 np.zeros(g.nnz), self.min_sum_scale, max_iter, test)
         else:
-            kernel = _load_kernel() if self.variant == MIN_SUM else None
-            if kernel is not None:
-                total = lam.copy()
-                last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(g.nnz),
-                                     np.zeros(g.nnz), self.min_sum_scale, max_iter, test)
-            else:
-                update = _min_sum_numpy if self.variant == MIN_SUM else _product_sum_numpy
-                last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,
-                                               max_iter, test)
+            update = _min_sum_numpy if self.variant == MIN_SUM else _product_sum_numpy
+            last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,
+                                           max_iter, test)
 
         iterations = -last - 1 if last < 0 else last
         converged = last < 0 or (satisfiable and _segments_match(g, hard, syn))
         self.v2c_edge_updates = self.c2v_edge_updates = iterations * g.nnz
-        soft = priors.copy() if total is None else 1.0 / (1.0 + np.exp(total))
+        soft = priors.copy() if last == -1 else 1.0 / (1.0 + np.exp(total))
         if cut is not None:
             soft[cut] = 0.0  # +0.0 also for a prior of -0.0
         return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)

@@ -119,6 +119,8 @@ class SparseBinMatrix:
     )
 
     def __init__(self, rows: int, cols: int, row_supports: Sequence[Iterable[int]]):
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
         row_supports = [tuple(sorted(s)) for s in row_supports]
         if len(row_supports) != rows:
             raise ValueError("row count does not match row_supports")
@@ -274,13 +276,16 @@ class PivotBasis(dict):
     """Echelon basis of a GF(2) span, as {pivot column: bitmask row}.
 
     Rows go in in order; each is reduced against the basis so far and, if
-    anything is left, joins it with its lowest set bit as pivot.  With
+    anything is left below ``width``, joins it with its lowest set bit as
+    pivot.  Bits from ``width`` up are tags that ride along with the row
+    operations but are never pivots: ``solve`` tags each column.  With
     ``full``, every basis row is then cleared in all other pivot columns,
     which makes the basis the span's unique reduced echelon form.
     """
 
-    def __init__(self, rows: Iterable[int] = (), full: bool = False):
+    def __init__(self, rows: Iterable[int] = (), full: bool = False, width: float = float("inf")):
         super().__init__()
+        self.width = width
         for bits in rows:
             self.add(bits)
         if full:
@@ -294,9 +299,11 @@ class PivotBasis(dict):
 
     def add(self, bits: int) -> bool:
         """Reduce a row against the basis and keep what is left; False when
-        nothing is left, that is, when the row already lies in the span."""
+        nothing is left below ``width``: the row's untagged part is in the span."""
         while bits:
             col = (bits & -bits).bit_length() - 1
+            if col >= self.width:
+                return False
             if col not in self:
                 self[col] = bits
                 return True
@@ -325,13 +332,13 @@ def solve(
 ) -> Optional[BitVec]:
     """Solve x * M^T = s with greedy pivoting in the given column order.
 
-    Columns, read as bitmasks over rows, are taken in ``pivot_order``.
-    Each is reduced against an echelon basis of the columns kept so far,
-    keyed by lowest set row bit, while a second bitmask tracks which
-    original columns it is the sum of.  A column that reduces to zero
-    depends on earlier ones and is no pivot.  The syndrome is kept reduced
-    against the basis as it grows, and the search stops as soon as it
-    reduces to zero; its column set is the solution.
+    Columns, read as bitmasks over rows, go into a ``PivotBasis`` in
+    ``pivot_order``.  The k-th is tagged with bit ``rows + k``, as
+    ``inverse`` tags the rows of [M | I], so a basis row's tags say which
+    columns it is the sum of.  A column that reduces to zero below the
+    rows depends on earlier ones and is no pivot.  The syndrome is kept
+    reduced against the basis as it grows, and the search stops as soon as
+    no row bit of it is left; its tags are then the solution.
 
     The pivot columns are the greedy independent set of columns in
     ``pivot_order``: a column is a pivot iff it is not in the span of the
@@ -345,32 +352,22 @@ def solve(
     order = np.asarray(pivot_order)
     if order.shape != (m.cols,) or not np.array_equal(np.sort(order), np.arange(m.cols)):
         raise ValueError("pivot_order must be a permutation of column indices")
+    rows, col_bits, cols = m.rows, m.col_bits, order.tolist()
+    row_mask = (1 << rows) - 1
     syn = s.bits
-    x = 0
-    col_bits = m.col_bits
-    basis: dict[int, tuple[int, int]] = {}  # lowest row bit -> (rows, columns)
-    for col in order.tolist():
-        if not syn:
+    basis = PivotBasis(width=rows)
+    for k, col in enumerate(cols):
+        if not syn & row_mask:
             break
-        bits = col_bits[col]
-        combo = 1 << col
-        while bits:
-            low = bits & -bits
-            entry = basis.get(low)
-            if entry is None:
-                basis[low] = (bits, combo)
+        basis.add(col_bits[col] | 1 << (rows + k))
+        while syn & row_mask:
+            row = basis.get((syn & -syn).bit_length() - 1)
+            if row is None:
                 break
-            bits ^= entry[0]
-            combo ^= entry[1]
-        while syn:
-            entry = basis.get(syn & -syn)
-            if entry is None:
-                break
-            syn ^= entry[0]
-            x ^= entry[1]
-    if syn:
+            syn ^= row
+    if syn & row_mask:
         return None
-    return BitVec(m.cols, x)
+    return BitVec(m.cols, _bits_from_indices(cols[k] for k in _indices_from_bits(syn >> rows)))
 
 
 def in_rowspace(v: BitVec, m: SparseBinMatrix) -> bool:
@@ -409,6 +406,8 @@ def load_triplet(path) -> SparseBinMatrix:
         rows, cols, nnz = (int(t) for t in head)
     except ValueError as exc:
         raise TripletFormatError(f"{path}: line 1: non-integer header") from exc
+    if min(rows, cols, nnz) < 0:
+        raise TripletFormatError(f"{path}: line 1: negative size")
     entries = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():

@@ -97,12 +97,6 @@ def first_bp(
     return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,)), out
 
 
-def _expand(values: np.ndarray, kept: np.ndarray, cols: int) -> np.ndarray:
-    out = np.zeros(cols, dtype=values.dtype)
-    out[kept] = values
-    return out
-
-
 def _run_dc(
     dec: BpDecoder,
     h_deg: SparseBinMatrix,
@@ -126,18 +120,16 @@ def _run_dc(
     base = priors if cfg.second_run_priors is SecondRunPriors.RESET_TO_PRIOR else out1.soft
 
     if cfg.masking_mode is MaskingMode.ZERO_PRIORS:
-        p2 = np.array(base, dtype=float)
+        p2 = base.copy()
         p2[list(cuts)] = 0.0
         out2 = dec.decode(syndrome, p2, max_iter)
-        estimate = out2.hard
-        soft2 = out2.soft
+        estimate, soft2 = out2.hard, out2.soft
     else:
         h2, kept = h.without_columns(cuts)
-        out2 = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(
-            syndrome, np.asarray(base, dtype=float)[kept], max_iter
-        )
-        estimate = BitVec.from_dense(_expand(out2.hard.to_dense(), kept, h.cols))
-        soft2 = _expand(out2.soft, kept, h.cols)
+        out2 = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(syndrome, base[kept], max_iter)
+        estimate = BitVec.from_support(h.cols, kept[list(out2.hard.support)].tolist())
+        soft2 = np.zeros(h.cols)
+        soft2[kept] = out2.soft
 
     status = DecodeStatus.CONVERGED_AFTER_DC if out2.converged else DecodeStatus.FAILED
     result = DecodeResult(
@@ -167,14 +159,26 @@ def bp_dc_decode(
     return result
 
 
-def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft) -> BitVec:
-    """Order-0 ordered statistics: pivot on most-probable-error columns first."""
+def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> BitVec:
+    """Order-0 ordered statistics: pivot on most-probable-error columns first.
+
+    The ``cut`` columns go last.  ``gf2.solve`` stops once the syndrome is
+    spanned, so it touches a cut column, and this raises, exactly when the
+    other columns cannot span it; else the solution is OSD-0's on H
+    without the cut columns, whose order among themselves is unchanged.
+    """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h.cols,):
         raise ValueError(f"soft length {soft.shape} != matrix cols {h.cols}")
-    x = gf2.solve(h, syndrome, np.argsort(-soft, kind="stable"))
-    if x is None:
-        raise InconsistentSystemError("syndrome not in the row space of H^T")
+    order = np.argsort(-soft, kind="stable")
+    if cut:
+        is_cut = np.zeros(h.cols, dtype=bool)
+        is_cut[list(cut)] = True
+        order = order[np.argsort(is_cut[order], kind="stable")]
+    x = gf2.solve(h, syndrome, order)
+    if x is None or not cut.isdisjoint(x.support):
+        where = "span of H's uncut columns" if cut else "row space of H^T"
+        raise InconsistentSystemError(f"syndrome not in the {where}")
     return x
 
 
@@ -209,17 +213,15 @@ def bp_dc_osd_decode(
     min_sum_scale: float = 0.625,
     decoder: BpDecoder | None = None,
 ) -> DecodeResult:
-    """BP+DC, then OSD-0 on the cut-reduced matrix if the second BP fails."""
+    """BP+DC, then OSD-0 on H's uncut columns if the second BP fails."""
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
     result, soft2 = _run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
     if result.status is not DecodeStatus.FAILED:
         return result
-    h2, kept = h.without_columns(result.cut_indices)
     try:
-        x = osd0_decode(h2, syndrome, np.asarray(soft2)[kept])
+        estimate = osd0_decode(h, syndrome, soft2, result.cut_indices)
     except InconsistentSystemError:
         return result  # cuts removed every solution; an honest failure
-    estimate = BitVec.from_dense(_expand(x.to_dense(), kept, h.cols))
     return DecodeResult(
         estimate, DecodeStatus.CONVERGED_AFTER_OSD, result.cut_indices,
         result.bp_iterations,

@@ -1,7 +1,7 @@
 """Shared test oracles: random acyclic instances, exhaustive posteriors,
-the row-elimination OSD-0 solver that ``gf2.solve`` replaced, greedy
-logical-weight reduction, and the Hypothesis strategy for small sparse
-matrices."""
+the row-elimination OSD-0 solver that ``gf2.solve`` replaced, OSD-0 after
+degeneracy cutting on the cut-reduced matrix, greedy logical-weight
+reduction, and the Hypothesis strategy for small sparse matrices."""
 
 from typing import Optional, Sequence
 
@@ -111,6 +111,21 @@ def reference_solve(
         if rhs[r]:
             x |= 1 << col
     return BitVec(m.cols, x)
+
+
+def reference_osd0_without_columns(
+    h: SparseBinMatrix, s: BitVec, soft, cut
+) -> Optional[BitVec]:
+    """OSD-0 after degeneracy cutting as ``bp_dc_osd_decode`` once ran it:
+    drop the cut columns, solve on the reduced matrix in the order of its
+    soft values, then expand the solution to full width.  Returns None
+    when the uncut columns cannot span ``s``."""
+    reduced, kept = h.without_columns(cut)
+    order = np.argsort(-np.asarray(soft, dtype=float)[kept], kind="stable")
+    x = reference_solve(reduced, s, order.tolist())
+    if x is None:
+        return None
+    return BitVec.from_support(h.cols, kept[list(x.support)].tolist())
 
 
 def reduce_logical_weight(v: BitVec, stabilizers: SparseBinMatrix) -> BitVec:

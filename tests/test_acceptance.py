@@ -30,12 +30,20 @@ from qldpc_dc.detmodel import (
 from qldpc_dc.gf2 import BitVec, mat_mat_t
 from qldpc_dc.postproc import (
     DcConfig,
+    DecodeStatus,
     MaskingMode,
     SecondRunPriors,
     bp_dc_decode,
     dc_cut_indices,
 )
-from qldpc_dc.sim import ExperimentConfig, intervals_overlap, run_trials
+from qldpc_dc.sim import (
+    ExperimentConfig,
+    build_model,
+    decode,
+    default_max_iter,
+    intervals_overlap,
+    run_trials,
+)
 
 pytestmark = pytest.mark.acceptance
 
@@ -288,6 +296,48 @@ def test_criterion_7_desk_scale_statistics():
     )
     elapsed = time.monotonic() - t0
     report("7 runtime < 15 min", elapsed < 900, f"{elapsed:.0f}s")
+
+
+def test_circuit_level_trial_contracts():
+    """Trial by trial on bb:6,6 circuit T=3, at the paper's max_iter: where
+    BP converges, BP+DC returns BP's result; where BP+DC converges,
+    BP+DC+OSD returns BP+DC's; and DC rescues some of BP's failures.  The
+    trials are ``run_trials``'s: samples and DC seeds come from each
+    trial's own generator."""
+    cfg = ExperimentConfig(
+        code="bb:6,6", noise="circuit-bb", rounds=3, p=0.01, decoder="bp",
+        trials=40, seed=3, bp_variant=MIN_SUM, min_sum_scale=BB_ACCEPTANCE_SCALE,
+    )
+    model = build_model(cfg)
+    max_iter = default_max_iter(cfg, model)
+    dec = BpDecoder(model.check_matrix, MIN_SUM, BB_ACCEPTANCE_SCALE)
+    same_as_bp = same_as_dc = bp_failed = rescued = 0
+    for t in range(cfg.trials):
+        rng = noise.trial_rng(cfg.seed, t)
+        sample = noise.make_trial(model, rng)
+        dc_cfg = DcConfig(SecondRunPriors.RESET_TO_PRIOR, int(rng.integers(0, 2**63)))
+        bp, dc, dc_osd = (
+            decode(name, dec, sample.syndrome, model.priors, max_iter,
+                   model.degeneracy_matrix, dc_cfg)
+            for name in ("bp", "bp-dc", "bp-dc-osd")
+        )
+        if bp.status is DecodeStatus.CONVERGED_FIRST_BP:
+            same_as_bp += (dc.estimate, dc.status, dc.bp_iterations) == (
+                bp.estimate, bp.status, bp.bp_iterations)
+        else:
+            bp_failed += 1
+            rescued += dc.status is DecodeStatus.CONVERGED_AFTER_DC
+        if dc.status is not DecodeStatus.FAILED:
+            same_as_dc += (dc_osd.estimate, dc_osd.status, dc_osd.cut_indices,
+                           dc_osd.bp_iterations) == (
+                dc.estimate, dc.status, dc.cut_indices, dc.bp_iterations)
+    converged = cfg.trials - bp_failed
+    report("circuit bb72 T=3: BP+DC == BP where BP converges",
+           same_as_bp == converged, f"{same_as_bp}/{converged}")
+    report("circuit bb72 T=3: BP+DC+OSD == BP+DC where BP+DC converges",
+           same_as_dc == converged + rescued, f"{same_as_dc}/{converged + rescued}")
+    report("circuit bb72 T=3: DC rescues some BP failures",
+           0 < rescued < bp_failed, f"{rescued} of {bp_failed}")
 
 
 def test_criterion_8_dc_contracts():

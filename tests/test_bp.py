@@ -401,6 +401,23 @@ def test_decode_set_digest_without_early_stop(request, monkeypatch, kernel):
     assert decode_set_digest(early_stop=False) == DIGEST_NO_EARLY_STOP
 
 
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+def test_converged_before_first_iteration_returns_the_priors(request, monkeypatch, kernel):
+    """The loop's first syndrome test passes: no iteration runs, the soft
+    output is the priors bit for bit, a cut column's 0.0 included."""
+    if kernel == "c":
+        request.getfixturevalue("c_kernel")
+    else:
+        monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    h = SparseBinMatrix(2, 4, [(0, 1), (2, 3)])
+    priors = np.array([0.1, 0.7, 0.0, 0.3])
+    for variant in (PRODUCT_SUM, MIN_SUM):
+        out = BpDecoder(h, variant).decode(BitVec.from_support(2, [0]), priors, 10)
+        assert out.converged and out.iterations_used == 0
+        assert out.soft.tobytes() == np.array([0.1, 0.7, 0.0, 0.3]).tobytes()
+        assert out.hard == BitVec.from_support(4, [1])
+
+
 def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
     """scale * 35 overflows at scale 1e308; the numpy kernel clips the
     result to +-35 like the C kernel, and must say nothing about it."""
@@ -724,9 +741,10 @@ def test_hard_decision_is_the_sign_of_the_total(request, monkeypatch, name, kern
 
 
 def test_one_kernel_call_per_decode(c_kernel):
-    """A min-sum decode that runs an iteration calls ``min_sum_decode`` once,
-    with its ``max_iter``, also where totals land at or near 0; one that
-    converges before its first iteration does not call it."""
+    """A min-sum decode calls ``min_sum_decode`` once, with its
+    ``max_iter``, also where totals land at or near 0 and where it
+    converges before its first iteration: the kernel's first syndrome test
+    is the only test of the prior hard decision."""
     cfg = sim.ExperimentConfig(code="bb:6,6", noise="code-capacity", p=0.15, decoder="bp",
                                trials=30, seed=7)
     model = sim.build_model(cfg)
@@ -735,6 +753,7 @@ def test_one_kernel_call_per_decode(c_kernel):
               for t in range(cfg.trials)]
     zero = (model.check_matrix, model.priors, BitVec.zeros(model.check_matrix.rows), 1.0, 50)
     calls = []
+    before_first = 0
 
     def counting(state, max_iter, test):
         calls.append(max_iter)
@@ -747,7 +766,9 @@ def test_one_kernel_call_per_decode(c_kernel):
             for early_stop in (True, False):
                 calls.clear()
                 out = dec.decode(syndrome, priors, max_iter, early_stop)
-                assert calls == ([max_iter] if out.iterations_used else [])
+                assert calls == [max_iter]
+                before_first += out.converged and out.iterations_used == 0
+    assert before_first > 0
 
 
 def band_examples(test):

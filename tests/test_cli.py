@@ -149,6 +149,15 @@ class TestDemCommand:
         ) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["2 -5 0", "-1 3 0"])
+    def test_negative_size_header_is_one_error_line(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header + "\n")
+        assert run_cli("dem", "check-trivial", "--dcm", str(bad), "--obs", str(bad)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 1: negative size\n"
+        assert captured.out == ""
+
 
 class TestDecodeCommand:
     def test_roundtrip_decode(self, tmp_path):
@@ -238,6 +247,22 @@ class TestDecodeCommand:
             "--priors", str(priors), "--out", str(out),
         ) == 1
         assert capsys.readouterr().err == f"error: {priors}: priors must be numbers\n"
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("header", ["2 -5 0", "-1 3 0"])
+    def test_negative_size_header_is_one_error_line(self, tmp_path, capsys, header):
+        bad = tmp_path / "bad.txt"
+        bad.write_text(header + "\n")
+        (tmp_path / "syn.txt").write_text("0\n0\n")
+        out = tmp_path / "est.txt"
+        assert run_cli(
+            "decode", "--dcm", str(bad), "--syndrome", str(tmp_path / "syn.txt"),
+            "--out", str(out),
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 1: negative size\n"
+        assert captured.out == ""
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
 

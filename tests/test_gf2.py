@@ -427,3 +427,15 @@ class TestTripletFormat:
         path.write_text("2 2 1\n5 0\n")
         with pytest.raises(TripletFormatError, match="line 2"):
             load_triplet(path)
+
+    @pytest.mark.parametrize("header", ["2 -5 0", "-1 3 0", "2 2 -1"])
+    def test_negative_size_reports_line_1(self, tmp_path, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n")
+        with pytest.raises(TripletFormatError, match=r"line 1: negative size"):
+            load_triplet(path)
+
+    @pytest.mark.parametrize("rows, cols", [(2, -5), (-1, 3)])
+    def test_matrix_rejects_negative_dimensions(self, rows, cols):
+        with pytest.raises(ValueError, match="nonnegative"):
+            SparseBinMatrix(rows, cols, [()] * max(rows, 0))

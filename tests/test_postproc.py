@@ -1,10 +1,16 @@
 """Degeneracy cutting and OSD tests, including the DC locality contract."""
 
+import collections
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qldpc_dc import noise
-from qldpc_dc.bp import MIN_SUM, BpDecoder
+from helpers import reference_osd0_without_columns, sparse_matrices
+from qldpc_dc import noise, sim
+from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder
 from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import code_capacity_model
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, in_rowspace, mat_vec_t
@@ -197,6 +203,42 @@ class TestOsd0:
         with pytest.raises(InconsistentSystemError):
             osd0_decode(h, BitVec.from_support(2, [0]), [0.5, 0.5])
 
+    def test_messages_name_the_row_space_or_the_uncut_columns(self):
+        h = SparseBinMatrix(2, 3, [(0,), (1,)])
+        with pytest.raises(InconsistentSystemError, match="row space"):
+            osd0_decode(SparseBinMatrix(2, 2, [(0,), (0,)]), BitVec.from_support(2, [0]),
+                        [0.5, 0.5], frozenset())
+        with pytest.raises(InconsistentSystemError, match="uncut columns"):
+            osd0_decode(h, BitVec.from_support(2, [0]), [0.5, 0.5, 0.5], frozenset({0}))
+
+    def test_cut_columns_are_taken_last(self):
+        """Column 0 is the most probable error, but cut; columns 1 and 2
+        span the syndrome without it."""
+        h = SparseBinMatrix(2, 3, [(0, 1), (0, 2)])
+        s = BitVec.from_support(2, [0, 1])
+        assert osd0_decode(h, s, [0.9, 0.1, 0.1]) == BitVec.from_support(3, [0])
+        assert osd0_decode(h, s, [0.9, 0.1, 0.1], frozenset({0})) == BitVec.from_support(3, [1, 2])
+
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=300)
+    def test_cut_matches_osd0_on_the_reduced_matrix(self, h, data):
+        """Any syndrome, so inconsistent systems are drawn too; any cut, the
+        empty cut and the all-columns cut drawn often; soft values from a
+        small set, so ties are drawn too."""
+        s = BitVec(h.rows, data.draw(st.integers(0, (1 << h.rows) - 1)))
+        soft = data.draw(
+            st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9]), min_size=h.cols, max_size=h.cols)
+        )
+        cut = frozenset(data.draw(st.one_of(
+            st.just(set()), st.just(set(range(h.cols))), st.sets(st.integers(0, h.cols - 1))
+        )))
+        expected = reference_osd0_without_columns(h, s, soft, cut)
+        if expected is None:
+            with pytest.raises(InconsistentSystemError):
+                osd0_decode(h, s, soft, cut)
+        else:
+            assert osd0_decode(h, s, soft, cut) == expected
+
 
 class TestComposedPipelines:
     def setup_method(self):
@@ -253,3 +295,51 @@ class TestComposedPipelines:
             if checked >= 10:
                 break
         assert checked >= 10
+
+
+# (code, noise, rounds, p, variant, min_sum_scale, trials, max_iter): both BP
+# runs stop so early that OSD-0 runs on most trials, and on surface:5 pheno
+# the cuts of some trials leave the syndrome outside the uncut columns' span
+DC_OSD_POINTS = [
+    ("bb:6,6", "circuit-bb", 3, 0.01, MIN_SUM, 1.0, 30, 5),
+    ("bb:6,6", "code-capacity", None, 0.1, PRODUCT_SUM, 0.625, 60, 3),
+    ("surface:5", "pheno", 3, 0.08, MIN_SUM, 1.0, 60, 2),
+]
+DC_OSD_DIGEST = "41e7299bec7b13d2d2b442579149dd662bce09dfdb39abe9c0150babdd89499c"
+
+
+def test_bp_dc_osd_digest():
+    """SHA-256 of the status, estimate bits, cuts and BP iterations of
+    BP+DC+OSD on a fixed trial set, with both second-run priors and both
+    masking modes.  The digest was computed when OSD-0 after DC solved on
+    the cut-reduced matrix, so it checks that pivoting on H's uncut
+    columns changes no bit."""
+    sha = hashlib.sha256()
+    statuses = collections.Counter()
+    for code, noise_model, rounds, p, variant, scale, trials, max_iter in DC_OSD_POINTS:
+        cfg = sim.ExperimentConfig(
+            code=code, noise=noise_model, rounds=rounds, p=p, decoder="bp",
+            trials=trials, seed=5,
+        )
+        model = sim.build_model(cfg)
+        dec = BpDecoder(model.check_matrix, variant, scale)
+        for t in range(trials):
+            syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            for second in SecondRunPriors:
+                for masking in MaskingMode:
+                    res = bp_dc_osd_decode(
+                        model.check_matrix, model.degeneracy_matrix, syndrome, model.priors,
+                        max_iter, DcConfig(second, t, masking), decoder=dec,
+                    )
+                    statuses[res.status] += 1
+                    sha.update(repr((
+                        res.status.value, res.estimate.bits, sorted(res.cut_indices),
+                        res.bp_iterations,
+                    )).encode())
+    assert statuses == {
+        DecodeStatus.CONVERGED_FIRST_BP: 60,
+        DecodeStatus.CONVERGED_AFTER_DC: 86,
+        DecodeStatus.CONVERGED_AFTER_OSD: 418,
+        DecodeStatus.FAILED: 36,
+    }
+    assert sha.hexdigest() == DC_OSD_DIGEST
