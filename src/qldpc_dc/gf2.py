@@ -300,9 +300,10 @@ class PivotBasis(dict):
     def add(self, bits: int) -> bool:
         """Reduce a row against the basis and keep what is left; False when
         nothing is left below ``width``: the row's untagged part is in the span."""
+        width = self.width
         while bits:
             col = (bits & -bits).bit_length() - 1
-            if col >= self.width:
+            if col >= width:
                 return False
             if col not in self:
                 self[col] = bits
@@ -352,11 +353,11 @@ def solve(
     order = np.asarray(pivot_order)
     if order.shape != (m.cols,) or not np.array_equal(np.sort(order), np.arange(m.cols)):
         raise ValueError("pivot_order must be a permutation of column indices")
-    rows, col_bits, cols = m.rows, m.col_bits, order.tolist()
+    rows, col_bits = m.rows, m.col_bits
     row_mask = (1 << rows) - 1
     syn = s.bits
     basis = PivotBasis(width=rows)
-    for k, col in enumerate(cols):
+    for k, col in enumerate(map(int, order)):  # converts only the columns it reaches
         if not syn & row_mask:
             break
         basis.add(col_bits[col] | 1 << (rows + k))
@@ -367,7 +368,7 @@ def solve(
             syn ^= row
     if syn & row_mask:
         return None
-    return BitVec(m.cols, _bits_from_indices(cols[k] for k in _indices_from_bits(syn >> rows)))
+    return BitVec.from_support(m.cols, order[list(_indices_from_bits(syn >> rows))].tolist())
 
 
 def in_rowspace(v: BitVec, m: SparseBinMatrix) -> bool:

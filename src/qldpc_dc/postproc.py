@@ -176,7 +176,7 @@ def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> 
         is_cut[list(cut)] = True
         order = order[np.argsort(is_cut[order], kind="stable")]
     x = gf2.solve(h, syndrome, order)
-    if x is None or not cut.isdisjoint(x.support):
+    if x is None or cut and not cut.isdisjoint(x.support):
         where = "span of H's uncut columns" if cut else "row space of H^T"
         raise InconsistentSystemError(f"syndrome not in the {where}")
     return x
