@@ -4,7 +4,8 @@
 Reproduces the desk-scale comparison between BP, BP+DC, BP+OSD and
 BP+DC+OSD.  Surface codes run product-sum BP with posterior second-run
 priors; bicycle codes run plain min-sum with prior-reset second runs.
-Output: one CSV per code family plus per-decoder curve files.
+Output: one CSV per code (surface_d<d>.csv, bb_<l>x<m>.csv), one row per
+decoder and p.
 """
 
 import argparse

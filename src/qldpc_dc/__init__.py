@@ -48,6 +48,7 @@ from .postproc import (
     bp_osd_decode,
     dc_cut_indices,
     osd0_decode,
+    run_pipeline,
 )
 from .sim import (
     ExperimentConfig,

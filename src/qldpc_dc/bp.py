@@ -466,6 +466,7 @@ class BpDecoder:
             if lowest == 0.0:
                 cut = priors == 0.0
                 g = TannerGraph(h, ~cut)
+                priors = priors + 0.0  # -0.0 -> +0.0, whose LLR is +inf, not log(-inf)
 
         s_dense = syndrome.to_dense()
         syn = s_dense[g.chk_seg_ids]
@@ -489,5 +490,5 @@ class BpDecoder:
         self.v2c_edge_updates = self.c2v_edge_updates = iterations * g.nnz
         soft = priors.copy() if last == -1 else 1.0 / (1.0 + np.exp(total))
         if cut is not None:
-            soft[cut] = 0.0  # +0.0 also for a prior of -0.0
+            soft[cut] = 0.0
         return BpOutput(soft, BitVec.from_dense(hard), converged, iterations)

@@ -152,15 +152,6 @@ class SparseBinMatrix:
         return cls(rows, cols, [acc.get(i, ()) for i in range(rows)])
 
     @classmethod
-    def from_dense(cls, arr) -> "SparseBinMatrix":
-        arr = np.asarray(arr) % 2
-        return cls(
-            arr.shape[0],
-            arr.shape[1],
-            [np.flatnonzero(row).tolist() for row in arr],
-        )
-
-    @classmethod
     def identity(cls, n: int) -> "SparseBinMatrix":
         return cls(n, n, [(i,) for i in range(n)])
 

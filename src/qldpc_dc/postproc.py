@@ -1,4 +1,4 @@
-"""Post-processing for BP: degeneracy cutting, OSD-0, and composed pipelines.
+"""Post-processing for BP: degeneracy cutting, OSD-0, and the staged pipeline.
 
 Degeneracy cutting removes, for every degeneracy row, the supported
 variable with the lowest estimated error probability, then reruns BP once
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .bp import PRODUCT_SUM, BpDecoder, BpOutput
+from .bp import PRODUCT_SUM, BpDecoder
 from .gf2 import BitVec, SparseBinMatrix
 
 
@@ -88,77 +88,6 @@ def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> fr
     return frozenset(cuts)
 
 
-def first_bp(
-    dec: BpDecoder, syndrome: BitVec, priors, max_iter: int
-) -> tuple[DecodeResult, BpOutput]:
-    """The first BP run of every pipeline; its result is final if BP converged."""
-    out = dec.decode(syndrome, np.asarray(priors, dtype=float), max_iter)
-    status = DecodeStatus.CONVERGED_FIRST_BP if out.converged else DecodeStatus.FAILED
-    return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,)), out
-
-
-def _run_dc(
-    dec: BpDecoder,
-    h_deg: SparseBinMatrix,
-    syndrome: BitVec,
-    priors,
-    max_iter: int,
-    cfg: DcConfig,
-) -> tuple[DecodeResult, np.ndarray | None]:
-    """Shared BP+DC pipeline on ``dec``'s matrix and BP settings; also
-    returns the second run's full-width soft."""
-    h = dec.h
-    if h.cols != h_deg.cols:
-        raise ValueError("check and degeneracy matrices disagree on column count")
-    priors = np.asarray(priors, dtype=float)
-    first, out1 = first_bp(dec, syndrome, priors, max_iter)
-    if out1.converged:
-        return first, None
-
-    rng = _dc_rng(cfg.rng_seed)
-    cuts = dc_cut_indices(h_deg, out1.soft, rng)
-    base = priors if cfg.second_run_priors is SecondRunPriors.RESET_TO_PRIOR else out1.soft
-
-    if cfg.masking_mode is MaskingMode.ZERO_PRIORS:
-        p2 = base.copy()
-        p2[list(cuts)] = 0.0
-        out2 = dec.decode(syndrome, p2, max_iter)
-        estimate, soft2 = out2.hard, out2.soft
-    else:
-        h2, kept = h.without_columns(cuts)
-        out2 = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(syndrome, base[kept], max_iter)
-        estimate = BitVec.from_support(h.cols, kept[list(out2.hard.support)].tolist())
-        soft2 = np.zeros(h.cols)
-        soft2[kept] = out2.soft
-
-    status = DecodeStatus.CONVERGED_AFTER_DC if out2.converged else DecodeStatus.FAILED
-    result = DecodeResult(
-        estimate, status, cuts, (out1.iterations_used, out2.iterations_used)
-    )
-    return result, soft2
-
-
-def bp_dc_decode(
-    h: SparseBinMatrix,
-    h_deg: SparseBinMatrix,
-    syndrome: BitVec,
-    priors,
-    max_iter: int,
-    cfg: DcConfig,
-    variant: str = PRODUCT_SUM,
-    min_sum_scale: float = 0.625,
-    decoder: BpDecoder | None = None,
-) -> DecodeResult:
-    """BP, then a single degeneracy cut and one BP rerun if BP failed.
-
-    A given ``decoder`` supplies the BP settings of both runs, and
-    ``variant``/``min_sum_scale`` are then ignored.
-    """
-    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    result, _ = _run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
-    return result
-
-
 def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> BitVec:
     """Order-0 ordered statistics: pivot on most-probable-error columns first.
 
@@ -182,6 +111,89 @@ def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> 
     return x
 
 
+def run_pipeline(
+    dec: BpDecoder,
+    syndrome: BitVec,
+    priors,
+    max_iter: int,
+    h_deg: SparseBinMatrix | None = None,
+    dc_cfg: DcConfig | None = None,
+    osd: bool = False,
+) -> DecodeResult:
+    """Decode one syndrome through the stages BP, DC, OSD-0, in that order.
+
+    BP runs on ``dec``'s matrix with its settings.  If it fails, a
+    ``dc_cfg`` adds one degeneracy cut on ``h_deg`` and a second BP run,
+    and then ``osd`` adds OSD-0 on the last run's soft output, with the
+    cut columns taken last.  A stage runs only if the ones before it
+    failed.  This is the one place that decides how a trial ended.  With
+    no DC stage an inconsistent syndrome raises ``InconsistentSystemError``
+    from OSD-0; after a cut it is an honest failure.
+    """
+    h = dec.h
+    if dc_cfg is not None and h_deg is None:
+        raise ValueError("the DC stage needs a degeneracy matrix")
+    if dc_cfg is not None and h.cols != h_deg.cols:
+        raise ValueError("check and degeneracy matrices disagree on column count")
+    priors = np.asarray(priors, dtype=float)
+    out = dec.decode(syndrome, priors, max_iter)
+    estimate, soft, cuts = out.hard, out.soft, frozenset()
+    iterations = (out.iterations_used,)
+    if out.converged:
+        return DecodeResult(estimate, DecodeStatus.CONVERGED_FIRST_BP, cuts, iterations)
+
+    if dc_cfg is not None:
+        cuts = dc_cut_indices(h_deg, soft, _dc_rng(dc_cfg.rng_seed))
+        base = priors if dc_cfg.second_run_priors is SecondRunPriors.RESET_TO_PRIOR else soft
+        if dc_cfg.masking_mode is MaskingMode.ZERO_PRIORS:
+            p2 = base.copy()
+            p2[list(cuts)] = 0.0
+            out = dec.decode(syndrome, p2, max_iter)
+            estimate, soft = out.hard, out.soft
+        else:
+            h2, kept = h.without_columns(cuts)
+            out = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(
+                syndrome, base[kept], max_iter
+            )
+            estimate = BitVec.from_support(h.cols, kept[list(out.hard.support)].tolist())
+            soft = np.zeros(h.cols)
+            soft[kept] = out.soft
+        iterations += (out.iterations_used,)
+        if out.converged:
+            return DecodeResult(estimate, DecodeStatus.CONVERGED_AFTER_DC, cuts, iterations)
+
+    if osd:
+        try:
+            x = osd0_decode(h, syndrome, soft, cuts)
+        except InconsistentSystemError:
+            if dc_cfg is None:
+                raise
+        else:
+            return DecodeResult(x, DecodeStatus.CONVERGED_AFTER_OSD, cuts, iterations)
+    return DecodeResult(estimate, DecodeStatus.FAILED, cuts, iterations)
+
+
+def bp_dc_decode(
+    h: SparseBinMatrix,
+    h_deg: SparseBinMatrix,
+    syndrome: BitVec,
+    priors,
+    max_iter: int,
+    cfg: DcConfig,
+    variant: str = PRODUCT_SUM,
+    min_sum_scale: float = 0.625,
+    decoder: BpDecoder | None = None,
+) -> DecodeResult:
+    """BP, then a single degeneracy cut and one BP rerun if BP failed.
+
+    Kept, as are the two wrappers below, for the call shapes that
+    ``perfbench/workloads.py`` and the acceptance suite use.  A given
+    ``decoder`` supplies the matrix and BP settings of every stage.
+    """
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    return run_pipeline(dec, syndrome, priors, max_iter, h_deg, cfg)
+
+
 def bp_osd_decode(
     h: SparseBinMatrix,
     syndrome: BitVec,
@@ -193,13 +205,7 @@ def bp_osd_decode(
 ) -> DecodeResult:
     """BP with OSD-0 fallback on the first run's soft output."""
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    first, out = first_bp(dec, syndrome, priors, max_iter)
-    if out.converged:
-        return first
-    estimate = osd0_decode(h, syndrome, out.soft)
-    return DecodeResult(
-        estimate, DecodeStatus.CONVERGED_AFTER_OSD, frozenset(), (out.iterations_used,)
-    )
+    return run_pipeline(dec, syndrome, priors, max_iter, osd=True)
 
 
 def bp_dc_osd_decode(
@@ -215,14 +221,4 @@ def bp_dc_osd_decode(
 ) -> DecodeResult:
     """BP+DC, then OSD-0 on H's uncut columns if the second BP fails."""
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    result, soft2 = _run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
-    if result.status is not DecodeStatus.FAILED:
-        return result
-    try:
-        estimate = osd0_decode(h, syndrome, soft2, result.cut_indices)
-    except InconsistentSystemError:
-        return result  # cuts removed every solution; an honest failure
-    return DecodeResult(
-        estimate, DecodeStatus.CONVERGED_AFTER_OSD, result.cut_indices,
-        result.bp_iterations,
-    )
+    return run_pipeline(dec, syndrome, priors, max_iter, h_deg, cfg, osd=True)

@@ -40,7 +40,7 @@ from .postproc import (
     bp_dc_decode,
     bp_dc_osd_decode,
     bp_osd_decode,
-    first_bp,
+    run_pipeline,
 )
 
 DECODERS = ("bp", "bp-dc", "bp-osd", "bp-dc-osd")
@@ -224,13 +224,13 @@ def decode(
 ) -> DecodeResult:
     """Decode one syndrome with one of DECODERS.
 
-    The only place that branches on a decoder name.  The check matrix, BP
-    variant and min-sum scale are those of ``bp_decoder``.  The pipelines
-    are looked up as module globals at call time, so a caller may swap
-    them (to time or trace them).
+    The only place that branches on a decoder name, each a set of stages
+    of ``run_pipeline``.  The check matrix, BP variant and min-sum scale
+    are those of ``bp_decoder``.  Its wrappers are looked up as module
+    globals at call time, so a caller may swap them (to time or trace them).
     """
     if decoder_name == "bp":
-        return first_bp(bp_decoder, syndrome, priors, max_iter)[0]
+        return run_pipeline(bp_decoder, syndrome, priors, max_iter)
     h = bp_decoder.h
     if decoder_name == "bp-osd":
         return bp_osd_decode(h, syndrome, priors, max_iter, decoder=bp_decoder)

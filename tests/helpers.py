@@ -1,14 +1,28 @@
 """Shared test oracles: random acyclic instances, exhaustive posteriors,
 the row-elimination OSD-0 solver that ``gf2.solve`` replaced, OSD-0 after
-degeneracy cutting on the cut-reduced matrix, greedy logical-weight
-reduction, and the Hypothesis strategy for small sparse matrices."""
+degeneracy cutting on the cut-reduced matrix, the three decode pipelines
+as they were before ``postproc.run_pipeline`` replaced them, greedy
+logical-weight reduction, and the Hypothesis strategy for small sparse
+matrices."""
 
 from typing import Optional, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
+from qldpc_dc.bp import PRODUCT_SUM, BpDecoder
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix
+from qldpc_dc.postproc import (
+    DcConfig,
+    DecodeResult,
+    DecodeStatus,
+    InconsistentSystemError,
+    MaskingMode,
+    SecondRunPriors,
+    _dc_rng,
+    dc_cut_indices,
+    osd0_decode,
+)
 
 
 @st.composite
@@ -126,6 +140,98 @@ def reference_osd0_without_columns(
     if x is None:
         return None
     return BitVec.from_support(h.cols, kept[list(x.support)].tolist())
+
+
+def reference_first_bp(dec: BpDecoder, syndrome: BitVec, priors, max_iter: int):
+    """The first BP run of every pipeline; its result is final if BP converged."""
+    out = dec.decode(syndrome, np.asarray(priors, dtype=float), max_iter)
+    status = DecodeStatus.CONVERGED_FIRST_BP if out.converged else DecodeStatus.FAILED
+    return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,)), out
+
+
+def reference_run_dc(
+    dec: BpDecoder,
+    h_deg: SparseBinMatrix,
+    syndrome: BitVec,
+    priors,
+    max_iter: int,
+    cfg: DcConfig,
+):
+    """Shared BP+DC pipeline on ``dec``'s matrix and BP settings; also
+    returns the second run's full-width soft."""
+    h = dec.h
+    if h.cols != h_deg.cols:
+        raise ValueError("check and degeneracy matrices disagree on column count")
+    priors = np.asarray(priors, dtype=float)
+    first, out1 = reference_first_bp(dec, syndrome, priors, max_iter)
+    if out1.converged:
+        return first, None
+
+    rng = _dc_rng(cfg.rng_seed)
+    cuts = dc_cut_indices(h_deg, out1.soft, rng)
+    base = priors if cfg.second_run_priors is SecondRunPriors.RESET_TO_PRIOR else out1.soft
+
+    if cfg.masking_mode is MaskingMode.ZERO_PRIORS:
+        p2 = base.copy()
+        p2[list(cuts)] = 0.0
+        out2 = dec.decode(syndrome, p2, max_iter)
+        estimate, soft2 = out2.hard, out2.soft
+    else:
+        h2, kept = h.without_columns(cuts)
+        out2 = BpDecoder(h2, dec.variant, dec.min_sum_scale).decode(syndrome, base[kept], max_iter)
+        estimate = BitVec.from_support(h.cols, kept[list(out2.hard.support)].tolist())
+        soft2 = np.zeros(h.cols)
+        soft2[kept] = out2.soft
+
+    status = DecodeStatus.CONVERGED_AFTER_DC if out2.converged else DecodeStatus.FAILED
+    result = DecodeResult(
+        estimate, status, cuts, (out1.iterations_used, out2.iterations_used)
+    )
+    return result, soft2
+
+
+def reference_bp_dc_decode(
+    h, h_deg, syndrome, priors, max_iter, cfg,
+    variant=PRODUCT_SUM, min_sum_scale=0.625, decoder=None,
+) -> DecodeResult:
+    """BP, then a single degeneracy cut and one BP rerun if BP failed."""
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    result, _ = reference_run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
+    return result
+
+
+def reference_bp_osd_decode(
+    h, syndrome, priors, max_iter,
+    variant=PRODUCT_SUM, min_sum_scale=0.625, decoder=None,
+) -> DecodeResult:
+    """BP with OSD-0 fallback on the first run's soft output."""
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    first, out = reference_first_bp(dec, syndrome, priors, max_iter)
+    if out.converged:
+        return first
+    estimate = osd0_decode(h, syndrome, out.soft)
+    return DecodeResult(
+        estimate, DecodeStatus.CONVERGED_AFTER_OSD, frozenset(), (out.iterations_used,)
+    )
+
+
+def reference_bp_dc_osd_decode(
+    h, h_deg, syndrome, priors, max_iter, cfg,
+    variant=PRODUCT_SUM, min_sum_scale=0.625, decoder=None,
+) -> DecodeResult:
+    """BP+DC, then OSD-0 on H's uncut columns if the second BP fails."""
+    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
+    result, soft2 = reference_run_dc(dec, h_deg, syndrome, priors, max_iter, cfg)
+    if result.status is not DecodeStatus.FAILED:
+        return result
+    try:
+        estimate = osd0_decode(h, syndrome, soft2, result.cut_indices)
+    except InconsistentSystemError:
+        return result  # cuts removed every solution; an honest failure
+    return DecodeResult(
+        estimate, DecodeStatus.CONVERGED_AFTER_OSD, result.cut_indices,
+        result.bp_iterations,
+    )
 
 
 def reduce_logical_weight(v: BitVec, stabilizers: SparseBinMatrix) -> BitVec:

@@ -418,6 +418,33 @@ def test_converged_before_first_iteration_returns_the_priors(request, monkeypatc
         assert out.hard == BitVec.from_support(4, [1])
 
 
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+def test_negative_zero_prior_is_a_cut_column_and_warns_nothing(request, monkeypatch, kernel):
+    """A prior of -0.0 cuts its column exactly as +0.0 does: the same
+    bytes out, a soft output of +0.0, hard bit 0, and no warning."""
+    if kernel == "c":
+        request.getfixturevalue("c_kernel")
+    else:
+        monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    h = SparseBinMatrix(2, 4, [(0, 1, 2), (1, 2, 3)])
+    plus, minus = np.array([0.1, 0.7, 0.0, 0.3]), np.array([0.1, 0.7, -0.0, 0.3])
+    for variant in (PRODUCT_SUM, MIN_SUM):
+        dec = BpDecoder(h, variant)
+        for bits in ((), (0,), (1,), (0, 1)):
+            s = BitVec.from_support(2, bits)
+            for max_iter, early_stop in ((1, True), (10, True), (10, False)):
+                want = dec.decode(s, plus, max_iter, early_stop)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = dec.decode(s, minus, max_iter, early_stop)
+                assert got.soft.tobytes() == want.soft.tobytes()
+                assert not np.signbit(got.soft[2])
+                assert got.hard == want.hard and got.hard[2] == 0
+                assert (got.converged, got.iterations_used) == (
+                    want.converged, want.iterations_used
+                )
+
+
 def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
     """scale * 35 overflows at scale 1e308; the numpy kernel clips the
     result to +-35 like the C kernel, and must say nothing about it."""

@@ -25,7 +25,7 @@ from qldpc_dc.gf2 import (
     save_triplet,
     solve,
 )
-from qldpc_dc.postproc import first_bp, osd0_decode
+from qldpc_dc.postproc import osd0_decode
 
 
 def dense_mat_vec(v: BitVec, m: SparseBinMatrix) -> np.ndarray:
@@ -313,7 +313,7 @@ class TestSolve:
         bp_failures = 0
         for t in range(cfg.trials):
             syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
-            _, out = first_bp(dec, syndrome, model.priors, cfg.max_iter)
+            out = dec.decode(syndrome, model.priors, cfg.max_iter)
             if out.converged:
                 continue
             bp_failures += 1

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_osd0_without_columns, sparse_matrices
+from helpers import (
+    reference_bp_dc_decode,
+    reference_bp_dc_osd_decode,
+    reference_bp_osd_decode,
+    reference_first_bp,
+    reference_osd0_without_columns,
+    sparse_matrices,
+)
 from qldpc_dc import noise, sim
 from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder
 from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
@@ -25,6 +32,7 @@ from qldpc_dc.postproc import (
     bp_osd_decode,
     dc_cut_indices,
     osd0_decode,
+    run_pipeline,
 )
 
 
@@ -343,3 +351,123 @@ def test_bp_dc_osd_digest():
         DecodeStatus.FAILED: 36,
     }
     assert sha.hexdigest() == DC_OSD_DIGEST
+
+
+def _outcome(fn, *args, **kwargs):
+    """A decode's result fields, or the type and message of what it raised."""
+    try:
+        res = fn(*args, **kwargs)
+    except Exception as exc:  # exceptions are compared too
+        return ("raised", type(exc), str(exc))
+    return (res.estimate, res.status, res.cut_indices, res.bp_iterations)
+
+
+@st.composite
+def pipeline_cases(draw):
+    """(H, h_deg, syndrome, priors, max_iter, dc seed).  Half the syndromes
+    are any bits, so inconsistent ones too, and half an error's.  h_deg
+    may have no rows, and 1 time in 10 has an empty row or one column too
+    many.  Priors include 0.0, and BP gets few iterations, so every stage
+    runs."""
+    h = draw(sparse_matrices(max_rows=6, max_cols=8))
+    deg_cols = h.cols + (draw(st.integers(0, 9)) == 7)
+    min_support = int(draw(st.integers(0, 9)) != 7)
+    deg_rows = [
+        draw(st.sets(st.integers(0, deg_cols - 1), min_size=min_support, max_size=3))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    h_deg = SparseBinMatrix(len(deg_rows), deg_cols, deg_rows)
+    if draw(st.booleans()):
+        syndrome = BitVec(h.rows, draw(st.integers(0, (1 << h.rows) - 1)))
+    else:
+        syndrome = mat_vec_t(BitVec(h.cols, draw(st.integers(0, (1 << h.cols) - 1))), h)
+    priors = np.array(draw(st.lists(
+        st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.2, 0.3, 0.45]),
+        min_size=h.cols, max_size=h.cols,
+    )))
+    return h, h_deg, syndrome, priors, draw(st.integers(1, 6)), draw(st.integers(0, 2**63))
+
+
+@given(pipeline_cases())
+@settings(max_examples=300, deadline=None)
+def test_run_pipeline_matches_the_separate_pipelines(case):
+    """``run_pipeline``, reached through ``sim.decode`` and the wrappers,
+    gives what the separate pipelines it replaced gave: the same estimate,
+    status, cuts and BP iterations, or the same exception, for all four
+    decoders, both BP variants, both second-run priors and both masking
+    modes."""
+    h, h_deg, syndrome, priors, max_iter, seed = case
+    for variant in (PRODUCT_SUM, MIN_SUM):
+        dec = BpDecoder(h, variant, 0.75)
+        got = _outcome(sim.decode, "bp", dec, syndrome, priors, max_iter)
+        assert got == _outcome(lambda: reference_first_bp(dec, syndrome, priors, max_iter)[0])
+        assert got == _outcome(run_pipeline, dec, syndrome, priors, max_iter)
+        assert _outcome(sim.decode, "bp-osd", dec, syndrome, priors, max_iter) == _outcome(
+            reference_bp_osd_decode, h, syndrome, priors, max_iter, decoder=dec
+        )
+        for second in SecondRunPriors:
+            for masking in MaskingMode:
+                cfg = DcConfig(second, seed, masking)
+                for name, reference in (
+                    ("bp-dc", reference_bp_dc_decode),
+                    ("bp-dc-osd", reference_bp_dc_osd_decode),
+                ):
+                    got = _outcome(
+                        sim.decode, name, dec, syndrome, priors, max_iter, h_deg, cfg
+                    )
+                    assert got == _outcome(
+                        reference, h, h_deg, syndrome, priors, max_iter, cfg, decoder=dec
+                    )
+
+
+def test_run_pipeline_dc_stage_needs_a_degeneracy_matrix():
+    dec = BpDecoder(SparseBinMatrix(1, 2, [(0, 1)]))
+    with pytest.raises(ValueError, match="degeneracy matrix"):
+        run_pipeline(dec, BitVec.from_support(1, [0]), [0.1, 0.1], 5,
+                     dc_cfg=DcConfig(SecondRunPriors.RESET_TO_PRIOR))
+
+
+# SHA-256 of BP, BP+OSD and BP+DC through sim.decode on DC_OSD_POINTS' trials,
+# pinned when each decoder was a separate pipeline function
+SIM_DECODE_DIGEST = "66f00304673a5732cb2ef16fdd80eafeb48024bb5077a9627ceacf4ba9c3c1e8"
+
+
+def test_sim_decode_digest():
+    """Per-trial status, estimate bits, cuts and BP iterations of ``bp``,
+    ``bp-osd`` and ``bp-dc`` (both second-run priors, both masking modes)
+    through ``sim.decode``; ``bp-dc-osd`` is pinned by DC_OSD_DIGEST."""
+    sha = hashlib.sha256()
+    statuses = collections.Counter()
+    for code, noise_model, rounds, p, variant, scale, trials, max_iter in DC_OSD_POINTS:
+        cfg = sim.ExperimentConfig(
+            code=code, noise=noise_model, rounds=rounds, p=p, decoder="bp",
+            trials=trials, seed=5,
+        )
+        model = sim.build_model(cfg)
+        dec = BpDecoder(model.check_matrix, variant, scale)
+        for t in range(trials):
+            syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            runs = [("bp", None), ("bp-osd", None)] + [
+                ("bp-dc", DcConfig(second, t, masking))
+                for second in SecondRunPriors
+                for masking in MaskingMode
+            ]
+            for name, dc_cfg in runs:
+                res = sim.decode(
+                    name, dec, syndrome, model.priors, max_iter, model.degeneracy_matrix, dc_cfg
+                )
+                statuses[name, res.status.value] += 1
+                sha.update(repr((
+                    name, res.status.value, res.estimate.bits, sorted(res.cut_indices),
+                    res.bp_iterations,
+                )).encode())
+    assert statuses == {
+        ("bp", "converged-first-bp"): 15,
+        ("bp", "failed"): 135,
+        ("bp-osd", "converged-first-bp"): 15,
+        ("bp-osd", "converged-after-osd"): 135,
+        ("bp-dc", "converged-first-bp"): 60,
+        ("bp-dc", "converged-after-dc"): 86,
+        ("bp-dc", "failed"): 454,
+    }
+    assert sha.hexdigest() == SIM_DECODE_DIGEST
