@@ -44,7 +44,6 @@ from .postproc import (
     MaskingMode,
     SecondRunPriors,
     bp_dc_decode,
-    bp_dc_osd_decode,
     bp_osd_decode,
     dc_cut_indices,
     osd0_decode,

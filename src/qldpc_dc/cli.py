@@ -20,13 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, noise, sim
-from .bp import BpDecoder, min_sum_kernel
-from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
-from .detmodel import (
-    build_bb_circuit_model,
-    build_pheno_model,
-    find_low_weight_trivial,
-)
+from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder, min_sum_kernel
+from .codes import BbParams, build_bb, known_distance
+from .detmodel import find_low_weight_trivial
 from .gf2 import BitVec, SparseBinMatrix, TripletFormatError, load_triplet, mat_mat_t, save_triplet
 from .postproc import DcConfig, InconsistentSystemError, MaskingMode, SecondRunPriors
 from .sim import DECODERS, ExperimentConfig
@@ -132,32 +128,27 @@ def _read_priors(path: str) -> np.ndarray:
         raise CliError(f"{path}: priors must be numbers") from exc
 
 
+_CODE_KEYS = ("code", "bb_a", "bb_b")  # what sim.parse_code_spec reads
+_MODEL_KEYS = (*_CODE_KEYS, "noise", "rounds", "p")  # what sim.build_model reads
+
+
 def cmd_code(args) -> int:
     started = _now()
+    parsed = sim.parse_code_spec(args.code, args.bb_a, args.bb_b)
+    code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if args.family == "surface":
-        code = build_rotated_surface(args.d)
-        config = {"family": "surface", "d": args.d}
-    else:
-        params = bb_params(args.l, args.m, args.a, args.b)
-        code = build_bb(params)
-        config = {
-            "family": "bb", "l": args.l, "m": args.m,
-            "a": [f"{b}{e}" for b, e in params.a_monomials],
-            "b": [f"{b}{e}" for b, e in params.b_monomials],
-        }
     for name, mat in (("hx", code.hx), ("hz", code.hz), ("ox", code.ox), ("oz", code.oz)):
         save_triplet(mat, out / f"{code.label}_{name}.txt")
     meta = {"n": code.n, "k": code.k, "label": code.label}
-    d = known_distance(params if args.family == "bb" else code)
+    d = known_distance(parsed)
     if d is not None:
         meta["cited_distance"] = d
     meta_path = out / f"{code.label}_meta.json"
     with open(meta_path, "w", encoding="utf-8") as f:
         json.dump(meta, f, indent=2, sort_keys=True)
         f.write("\n")
-    write_manifest(meta_path, config, started)
+    write_manifest(meta_path, {k: getattr(args, k) for k in _CODE_KEYS}, started)
     print(f"wrote {code.label} (n={code.n}, k={code.k}) to {out}")
     return 0
 
@@ -177,27 +168,24 @@ def _export_model(model, out: Path, stem: str, config: dict, started: str) -> No
 
 
 def cmd_dem(args) -> int:
+    """Export the detector model that ``simulate`` decodes at the same
+    noise, code spec, rounds and p."""
     started = _now()
-    if args.model != "check-trivial" and not 0.0 < args.p < 0.5:
+    if not 0.0 < args.p < 0.5:
         raise CliError("p must lie in (0, 0.5)")  # as simulate requires
-    if args.model == "pheno":
-        code_obj = sim.parse_code_spec(args.code)
-        if isinstance(code_obj, BbParams):
-            code_obj = build_bb(code_obj)
-        model = build_pheno_model(code_obj, args.rounds, args.p)
-        stem = f"pheno_{code_obj.label}_T{args.rounds}"
-        config = {"model": "pheno", "code": args.code, "rounds": args.rounds, "p": args.p}
-        _export_model(model, Path(args.out), stem, config, started)
-        return 0
-    if args.model == "circuit-bb":
-        params = bb_params(args.l, args.m, args.a, args.b)
-        model = build_bb_circuit_model(params, args.rounds, args.p)
-        stem = f"circuit_bb_l{args.l}m{args.m}_T{args.rounds}"
-        config = {"model": "circuit-bb", "l": args.l, "m": args.m,
-                  "rounds": args.rounds, "p": args.p}
-        _export_model(model, Path(args.out), stem, config, started)
-        return 0
-    # check-trivial
+    model = sim.build_model(args)
+    rounds = sim.measurement_rounds(args)
+    label = model.metadata["code"]  # e.g. surface-d3 or bb-72-12-l6m6
+    if args.noise == "circuit-bb":  # named by l and m only, as circuit_bb_l6m6_T6
+        stem = f"circuit_bb_{label.rsplit('-', 1)[1]}_T{rounds}"
+    else:
+        stem = f"pheno_{label}_T{rounds}"
+    config = {k: getattr(args, k) for k in _MODEL_KEYS} | {"rounds": rounds}
+    _export_model(model, Path(args.out), stem, config, started)
+    return 0
+
+
+def cmd_check_trivial(args) -> int:
     h = load_triplet(args.dcm)
     obs = load_triplet(args.obs)
     trivial = find_low_weight_trivial(h, obs, args.wmax)
@@ -277,6 +265,9 @@ def _rate(token: str) -> float:
 _SIM_KEYS = [f.name for f in dataclasses.fields(ExperimentConfig)]
 _REQUIRED = [f.name for f in dataclasses.fields(ExperimentConfig)
              if f.default is dataclasses.MISSING]
+# decode's decoder flags default to the values a Monte Carlo point defaults to
+_DECODE_DEFAULTS = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)
+                    if f.name in ("bp_variant", "min_sum_scale", "dc_masking")}
 
 
 def cmd_points(args) -> int:
@@ -335,23 +326,31 @@ def cmd_points(args) -> int:
     return 0
 
 
-def _add_sim_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--code", help="surface:<d> or bb:<l>,<m>")
-    p.add_argument("--noise", choices=["code-capacity", "pheno", "circuit-bb"])
-    p.add_argument("--rounds", type=int, help="measurement rounds T (default: d)")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int, help="master seed (env QLDPC_DC_SEED as fallback)")
-    p.add_argument("--threads", type=int, help="worker processes (default 1)")
-    p.add_argument("--bp-variant", dest="bp_variant",
-                   choices=["product-sum", "min-sum"])
+def _add_code_flags(p: argparse.ArgumentParser, required: bool, rounds: bool) -> None:
+    """The code spec, as ``sim.parse_code_spec`` reads it, and the rounds T."""
+    p.add_argument("--code", required=required, help="surface:<d> or bb:<l>,<m>")
+    p.add_argument("--bb-a", dest="bb_a", help="BB A monomials, e.g. x3,y1,y2")
+    p.add_argument("--bb-b", dest="bb_b", help="BB B monomials, e.g. y3,x1,x2")
+    if rounds:
+        p.add_argument("--rounds", type=int, help="measurement rounds T (default: d)")
+
+
+def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--bp-variant", dest="bp_variant", choices=[PRODUCT_SUM, MIN_SUM])
     p.add_argument("--min-sum-scale", dest="min_sum_scale", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--dc-second-priors", dest="dc_second_priors",
-                   choices=["posterior", "reset"])
-    p.add_argument("--dc-masking", dest="dc_masking",
-                   choices=["zero-priors", "delete-columns"])
-    p.add_argument("--bb-a", dest="bb_a", help="BB A monomials, e.g. x3,y1,y2")
-    p.add_argument("--bb-b", dest="bb_b", help="BB B monomials, e.g. y3,x1,x2")
+                   choices=[m.value for m in SecondRunPriors])
+    p.add_argument("--dc-masking", dest="dc_masking", choices=[m.value for m in MaskingMode])
+    p.add_argument("--seed", type=int, help="seed (env QLDPC_DC_SEED as fallback)")
+
+
+def _add_sim_flags(p: argparse.ArgumentParser) -> None:
+    _add_code_flags(p, required=False, rounds=True)
+    _add_decoder_flags(p)
+    p.add_argument("--noise", choices=["code-capacity", "pheno", "circuit-bb"])
+    p.add_argument("--trials", type=int)
+    p.add_argument("--threads", type=int, help="worker processes (default 1)")
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--out", help="output file (stdout if omitted)")
@@ -367,41 +366,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_code = sub.add_parser("code", help="construct a code and export its matrices")
-    code_sub = p_code.add_subparsers(dest="family", required=True)
-    p_surface = code_sub.add_parser("surface")
-    p_surface.add_argument("--d", type=int, required=True)
-    p_surface.add_argument("--out", default=".")
-    p_surface.set_defaults(func=cmd_code)
-    p_bb = code_sub.add_parser("bb")
-    p_bb.add_argument("--l", type=int, required=True)
-    p_bb.add_argument("--m", type=int, required=True)
-    p_bb.add_argument("--a", help="A monomials, e.g. x3,y1,y2")
-    p_bb.add_argument("--b", help="B monomials, e.g. y3,x1,x2")
-    p_bb.add_argument("--out", default=".")
-    p_bb.set_defaults(func=cmd_code)
+    _add_code_flags(p_code, required=True, rounds=False)
+    p_code.add_argument("--out", default=".")
+    p_code.set_defaults(func=cmd_code)
 
     p_dem = sub.add_parser("dem", help="build detector error models")
-    dem_sub = p_dem.add_subparsers(dest="model", required=True)
-    p_pheno = dem_sub.add_parser("pheno")
-    p_pheno.add_argument("--code", required=True, help="surface:<d> or bb:<l>,<m>")
-    p_pheno.add_argument("--rounds", type=int, required=True)
-    p_pheno.add_argument("--p", type=float, required=True)
-    p_pheno.add_argument("--out", default=".")
-    p_pheno.set_defaults(func=cmd_dem)
-    p_cbb = dem_sub.add_parser("circuit-bb")
-    p_cbb.add_argument("--l", type=int, required=True)
-    p_cbb.add_argument("--m", type=int, required=True)
-    p_cbb.add_argument("--a", help="A monomials")
-    p_cbb.add_argument("--b", help="B monomials")
-    p_cbb.add_argument("--rounds", type=int, required=True)
-    p_cbb.add_argument("--p", type=float, required=True)
-    p_cbb.add_argument("--out", default=".")
-    p_cbb.set_defaults(func=cmd_dem)
+    dem_sub = p_dem.add_subparsers(dest="noise", required=True)
+    for name in ("pheno", "circuit-bb"):
+        p_model = dem_sub.add_parser(name)
+        _add_code_flags(p_model, required=True, rounds=True)
+        p_model.add_argument("--p", type=float, required=True)
+        p_model.add_argument("--out", default=".")
+        p_model.set_defaults(func=cmd_dem)
     p_triv = dem_sub.add_parser("check-trivial")
     p_triv.add_argument("--dcm", required=True, help="detector check matrix file")
     p_triv.add_argument("--obs", required=True, help="observable matrix file")
     p_triv.add_argument("--wmax", type=int, default=3)
-    p_triv.set_defaults(func=cmd_dem)
+    p_triv.set_defaults(func=cmd_check_trivial)
 
     p_dec = sub.add_parser("decode", help="decode one syndrome from files")
     p_dec.add_argument("--dcm", required=True)
@@ -411,17 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--p", type=float, default=0.01,
                        help="uniform prior when --priors is absent")
     p_dec.add_argument("--decoder", choices=list(DECODERS), default="bp")
-    p_dec.add_argument("--bp-variant", dest="bp_variant",
-                       choices=["product-sum", "min-sum"], default="product-sum")
-    p_dec.add_argument("--min-sum-scale", dest="min_sum_scale", type=float, default=0.625)
-    p_dec.add_argument("--max-iter", dest="max_iter", type=int)
-    p_dec.add_argument("--dc-second-priors", dest="dc_second_priors",
-                       choices=["posterior", "reset"])
-    p_dec.add_argument("--dc-masking", dest="dc_masking",
-                       choices=["zero-priors", "delete-columns"], default="zero-priors")
-    p_dec.add_argument("--seed", type=int)
+    _add_decoder_flags(p_dec)
     p_dec.add_argument("--out", required=True)
-    p_dec.set_defaults(func=cmd_decode)
+    p_dec.set_defaults(func=cmd_decode, **_DECODE_DEFAULTS)
 
     p_sim = sub.add_parser("simulate", help="estimate one failure-rate point")
     _add_sim_flags(p_sim)

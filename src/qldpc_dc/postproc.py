@@ -186,9 +186,9 @@ def bp_dc_decode(
 ) -> DecodeResult:
     """BP, then a single degeneracy cut and one BP rerun if BP failed.
 
-    Kept, as are the two wrappers below, for the call shapes that
-    ``perfbench/workloads.py`` and the acceptance suite use.  A given
-    ``decoder`` supplies the matrix and BP settings of every stage.
+    Kept, as is ``bp_osd_decode``, for the call shapes that
+    ``perfbench/`` and the acceptance suite use.  A given ``decoder``
+    supplies the matrix and BP settings of every stage.
     """
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
     return run_pipeline(dec, syndrome, priors, max_iter, h_deg, cfg)
@@ -207,18 +207,3 @@ def bp_osd_decode(
     dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
     return run_pipeline(dec, syndrome, priors, max_iter, osd=True)
 
-
-def bp_dc_osd_decode(
-    h: SparseBinMatrix,
-    h_deg: SparseBinMatrix,
-    syndrome: BitVec,
-    priors,
-    max_iter: int,
-    cfg: DcConfig,
-    variant: str = PRODUCT_SUM,
-    min_sum_scale: float = 0.625,
-    decoder: BpDecoder | None = None,
-) -> DecodeResult:
-    """BP+DC, then OSD-0 on H's uncut columns if the second BP fails."""
-    dec = decoder if decoder is not None else BpDecoder(h, variant, min_sum_scale)
-    return run_pipeline(dec, syndrome, priors, max_iter, h_deg, cfg, osd=True)

@@ -38,7 +38,6 @@ from .postproc import (
     MaskingMode,
     SecondRunPriors,
     bp_dc_decode,
-    bp_dc_osd_decode,
     bp_osd_decode,
     run_pipeline,
 )
@@ -160,11 +159,14 @@ class ExperimentConfig:
 
 
 def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] = None):
-    """Parse "surface:<d>" or "bb:<l>,<m>" into a constructed code."""
+    """Parse "surface:<d>" into a constructed code, or "bb:<l>,<m>" with
+    optional A and B monomials into ``BbParams``."""
     kind, _, rest = spec.partition(":")
     tokens = rest.split(",")
     if len(tokens) != {"surface": 1, "bb": 2}.get(kind):
         raise ValueError(f"code {spec!r}: expected surface:<d> or bb:<l>,<m>")
+    if kind == "surface" and (bb_a is not None or bb_b is not None):
+        raise ValueError(f"code {spec!r}: bb_a and bb_b apply only to bb:<l>,<m> codes")
     sizes = []
     for token in tokens:
         try:
@@ -176,9 +178,11 @@ def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] =
     return bb_params(*sizes, bb_a, bb_b)
 
 
-def measurement_rounds(cfg: ExperimentConfig) -> int:
+def measurement_rounds(cfg) -> int:
     """The point's measurement rounds T: 0 for code capacity, else
-    ``cfg.rounds``, else the cited distance d (2 if none is on record)."""
+    ``cfg.rounds``, else the cited distance d (2 if none is on record).
+    Reads ``noise``, ``rounds``, ``code``, ``bb_a`` and ``bb_b`` of an
+    ``ExperimentConfig`` or of the CLI's parsed arguments."""
     if cfg.noise == "code-capacity":
         return 0
     if cfg.rounds is not None:
@@ -189,19 +193,22 @@ def measurement_rounds(cfg: ExperimentConfig) -> int:
     return d if d is not None else 2
 
 
-def build_model(cfg: ExperimentConfig) -> DetectorModel:
+def build_model(cfg) -> DetectorModel:
+    """The one dispatch from a noise name to its model builder.  Reads
+    ``code``, ``bb_a``, ``bb_b``, ``noise``, ``p`` and, through
+    ``measurement_rounds``, ``rounds`` of an ``ExperimentConfig`` or of
+    the CLI's parsed arguments."""
     parsed = parse_code_spec(cfg.code, cfg.bb_a, cfg.bb_b)
     rounds = measurement_rounds(cfg)
-    if cfg.noise == "code-capacity":
-        code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
-        return code_capacity_model(code, cfg.p)
-    if cfg.noise == "pheno":
-        code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
-        return build_pheno_model(code, rounds, cfg.p)
     if cfg.noise == "circuit-bb":
         if not isinstance(parsed, BbParams):
             raise ValueError("circuit-bb noise requires a bb:<l>,<m> code spec")
         return build_bb_circuit_model(parsed, rounds, cfg.p)
+    code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
+    if cfg.noise == "code-capacity":
+        return code_capacity_model(code, cfg.p)
+    if cfg.noise == "pheno":
+        return build_pheno_model(code, rounds, cfg.p)
     raise ValueError(f"unknown noise model {cfg.noise!r}")
 
 
@@ -226,8 +233,9 @@ def decode(
 
     The only place that branches on a decoder name, each a set of stages
     of ``run_pipeline``.  The check matrix, BP variant and min-sum scale
-    are those of ``bp_decoder``.  Its wrappers are looked up as module
-    globals at call time, so a caller may swap them (to time or trace them).
+    are those of ``bp_decoder``.  The ``bp-dc`` and ``bp-osd`` wrappers are
+    looked up as module globals at call time, so a caller may swap them
+    (to time or trace them).
     """
     if decoder_name == "bp":
         return run_pipeline(bp_decoder, syndrome, priors, max_iter)
@@ -238,8 +246,9 @@ def decode(
         raise ValueError(f"decoder {decoder_name} needs a degeneracy matrix")
     if dc_cfg is None:
         raise ValueError(f"decoder {decoder_name} requires a dc_second_priors choice")
-    pipeline = bp_dc_decode if decoder_name == "bp-dc" else bp_dc_osd_decode
-    return pipeline(h, h_deg, syndrome, priors, max_iter, dc_cfg, decoder=bp_decoder)
+    if decoder_name == "bp-dc":
+        return bp_dc_decode(h, h_deg, syndrome, priors, max_iter, dc_cfg, decoder=bp_decoder)
+    return run_pipeline(bp_decoder, syndrome, priors, max_iter, h_deg, dc_cfg, osd=True)
 
 
 def _run_block(cfg: ExperimentConfig, model: DetectorModel, lo: int, hi: int):

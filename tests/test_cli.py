@@ -1,13 +1,16 @@
 """CLI tests: file formats, round-trips, byte-identical reruns."""
 
+import hashlib
 import json
+import shlex
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qldpc_dc import bp, noise, sim
-from qldpc_dc.cli import main
+from qldpc_dc.cli import build_parser, main
 from qldpc_dc.codes import build_rotated_surface
 from qldpc_dc.gf2 import SparseBinMatrix, load_triplet, mat_vec_t, save_triplet, BitVec
 
@@ -38,7 +41,7 @@ def assert_config_file_rejected(tmp_path, capsys, command, bad):
 
 class TestCodeCommand:
     def test_surface_export(self, tmp_path):
-        assert run_cli("code", "surface", "--d", "3", "--out", str(tmp_path)) == 0
+        assert run_cli("code", "--code", "surface:3", "--out", str(tmp_path)) == 0
         meta = json.loads((tmp_path / "surface-d3_meta.json").read_text())
         assert meta == {"n": 9, "k": 1, "label": "surface-d3", "cited_distance": 3}
         code = build_rotated_surface(3)
@@ -49,8 +52,8 @@ class TestCodeCommand:
 
     def test_bb_export(self, tmp_path):
         assert run_cli(
-            "code", "bb", "--l", "6", "--m", "6",
-            "--a", "x3,y1,y2", "--b", "y3,x1,x2", "--out", str(tmp_path),
+            "code", "--code", "bb:6,6",
+            "--bb-a", "x3,y1,y2", "--bb-b", "y3,x1,x2", "--out", str(tmp_path),
         ) == 0
         metas = list(tmp_path.glob("*_meta.json"))
         assert len(metas) == 1
@@ -65,7 +68,7 @@ class TestCodeCommand:
         (tmp_path / "tmp").mkdir()
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         out = tmp_path / "out"
-        assert run_cli("code", "surface", "--d", "3", "--out", str(out)) == 0
+        assert run_cli("code", "--code", "surface:3", "--out", str(out)) == 0
         assert run_cli("dem", "pheno", "--code", "surface:3", "--rounds", "1",
                        "--p", "0.01", "--out", str(out)) == 0
         manifests = sorted(out.glob("*.manifest.json"))
@@ -78,7 +81,7 @@ class TestCodeCommand:
         assert bp._kernel is bp._UNLOADED
 
     def test_invalid_d_fails_with_diagnostic(self, tmp_path, capsys):
-        assert run_cli("code", "surface", "--d", "4", "--out", str(tmp_path)) == 1
+        assert run_cli("code", "--code", "surface:4", "--out", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
 
 
@@ -97,7 +100,7 @@ class TestDemCommand:
 
     def test_circuit_bb_export(self, tmp_path):
         assert run_cli(
-            "dem", "circuit-bb", "--l", "6", "--m", "6", "--rounds", "1",
+            "dem", "circuit-bb", "--code", "bb:6,6", "--rounds", "1",
             "--p", "0.001", "--out", str(tmp_path),
         ) == 0
         dcm = load_triplet(tmp_path / "circuit_bb_l6m6_T1_dcm.txt")
@@ -106,7 +109,7 @@ class TestDemCommand:
     @pytest.mark.parametrize("argv,stem", [
         (("pheno", "--code", "surface:3", "--rounds", "1", "--p", "0.01"),
          "pheno_surface-d3_T1"),
-        (("circuit-bb", "--l", "6", "--m", "6", "--rounds", "1", "--p", "0.001"),
+        (("circuit-bb", "--code", "bb:6,6", "--rounds", "1", "--p", "0.001"),
          "circuit_bb_l6m6_T1"),
     ], ids=["pheno", "circuit-bb"])
     def test_empty_out_writes_to_cwd(self, tmp_path, monkeypatch, capsys, argv, stem):
@@ -118,7 +121,7 @@ class TestDemCommand:
 
     @pytest.mark.parametrize("argv", [
         ("pheno", "--code", "surface:3", "--rounds", "1"),
-        ("circuit-bb", "--l", "6", "--m", "6", "--rounds", "1"),
+        ("circuit-bb", "--code", "bb:6,6", "--rounds", "1"),
     ], ids=["pheno", "circuit-bb"])
     @pytest.mark.parametrize("p", ["0.9", "0.5", "0", "nan"])
     def test_p_outside_the_open_half_interval_rejected(self, tmp_path, capsys, argv, p):
@@ -157,6 +160,133 @@ class TestDemCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {bad}: line 1: negative size\n"
         assert captured.out == ""
+
+
+    def test_pheno_bb_monomials_match_build_model(self, tmp_path):
+        """``dem pheno`` takes the monomials ``simulate`` takes and writes
+        the model ``simulate`` decodes at the same point."""
+        mono = {"bb_a": "x1,y2,y3", "bb_b": "y3,x1,x2"}  # a [[72, 8]] code
+        assert run_cli(
+            "dem", "pheno", "--code", "bb:6,6", "--bb-a", mono["bb_a"],
+            "--bb-b", mono["bb_b"], "--rounds", "1", "--p", "0.002", "--out", str(tmp_path),
+        ) == 0
+        model = sim.build_model(sim.ExperimentConfig(
+            code="bb:6,6", noise="pheno", rounds=1, p=0.002, decoder="bp", trials=1,
+            seed=0, **mono,
+        ))
+        stem = tmp_path / "pheno_bb-72-8-l6m6_T1"
+        assert load_triplet(f"{stem}_dcm.txt") == model.check_matrix
+        assert load_triplet(f"{stem}_obs.txt") == model.observables
+        assert load_triplet(f"{stem}_ddm.txt") == model.degeneracy_matrix
+        priors = [float(x) for x in Path(f"{stem}_priors.txt").read_text().split()]
+        assert priors == model.priors.tolist()
+
+    def test_circuit_bb_needs_a_bb_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli("dem", "circuit-bb", "--code", "surface:3", "--p", "0.001",
+                       "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: circuit-bb noise requires a bb:<l>,<m> code spec\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_rounds_default_to_d(self, tmp_path):
+        assert run_cli("dem", "pheno", "--code", "surface:3", "--p", "0.01",
+                       "--out", str(tmp_path)) == 0
+        assert load_triplet(tmp_path / "pheno_surface-d3_T3_dcm.txt").rows == (3 + 1) * 4
+        manifest = json.loads(
+            (tmp_path / "pheno_surface-d3_T3_dcm.txt.manifest.json").read_text())
+        assert manifest["config"]["rounds"] == 3
+
+
+# SHA-256 over the name and bytes of every file an export writes but its
+# manifest: the triplet, priors and meta files.  Pinned with the spellings
+# `code surface --d 3`, `code bb --l 6 --m 6 --a A --b B`, `code bb --l 9 --m 6`
+# and `dem circuit-bb --l 6 --m 6 [--a A --b B]` before both commands took a
+# code spec.
+EXPORT_DIGESTS = {
+    "code-surface3": (
+        ("code", "--code", "surface:3"),
+        "af989da08d3501587f4ea06259b89e5acf3bda2ee10ffe14cbd9af024423dd7e"),
+    "code-bb66-monomials": (
+        ("code", "--code", "bb:6,6", "--bb-a", "x3,y2,y1", "--bb-b", "y3,x2,x1"),
+        "3fe4cb18db4de64d722df4fed7599dd69342f862ca937fabfe2b37f8b23a0b56"),
+    "code-bb96": (
+        ("code", "--code", "bb:9,6"),
+        "2bb7208997f7e10bea7cdcc320e3fabeb21524774ab0d2a51d1123d887446e73"),
+    "pheno-surface3-T2": (
+        ("dem", "pheno", "--code", "surface:3", "--rounds", "2", "--p", "0.01"),
+        "52396d5345d316ea5154fad823c228d92cc95e7254aec6da435c5ec95b4c0e6d"),
+    "pheno-bb66-T1": (
+        ("dem", "pheno", "--code", "bb:6,6", "--rounds", "1", "--p", "0.002"),
+        "63e600e1947fa0a9a87da0972cff2b8f90dde728d01b10e673d400b5f73e0aac"),
+    "circuit-bb66-T1": (
+        ("dem", "circuit-bb", "--code", "bb:6,6", "--rounds", "1", "--p", "0.001"),
+        "01f546077b06d1483cca55d0ba8d4e021b54c0f95b4aad3c983652973c18ce67"),
+    "circuit-bb66-T2-monomials": (
+        ("dem", "circuit-bb", "--code", "bb:6,6", "--bb-a", "x3,y2,y1", "--bb-b", "y3,x2,x1",
+         "--rounds", "2", "--p", "0.003"),
+        "e674cd5328d4454792ce5c73e147b8b1072be9571e6ab14edb5d192878426b75"),
+}
+
+
+@pytest.mark.parametrize("name", EXPORT_DIGESTS)
+def test_exports_match_pinned_digests(tmp_path, name):
+    argv, digest = EXPORT_DIGESTS[name]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    sha = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        if not path.name.endswith(".manifest.json"):
+            sha.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+    assert sha.hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ("code", "--code", "surface:3", "--bb-a", "x3,y1,y2"),
+    ("dem", "pheno", "--code", "surface:3", "--bb-b", "y3,x1,x2", "--p", "0.01"),
+    ("simulate", "--code", "surface:3", "--bb-a", "x3,y1,y2", "--noise", "code-capacity",
+     "--p", "0.02", "--decoder", "bp", "--trials", "5"),
+    ("sweep", "--code", "surface:3", "--bb-b", "y3,x1,x2", "--noise", "pheno",
+     "--p", "0.02", "--decoders", "bp", "--trials", "5"),
+    ("simulate", "--config"),
+], ids=["code", "dem", "simulate", "sweep", "config-file"])
+def test_monomials_with_a_surface_code_rejected(tmp_path, capsys, argv):
+    """Monomials apply to BB codes only: given with a surface code they are
+    one error line and exit 1, not dropped while the manifest records them."""
+    if argv[-1] == "--config":
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "code": "surface:3", "noise": "code-capacity", "p": 0.02, "decoder": "bp",
+            "trials": 5, "bb_a": "x3,y1,y2",
+        }))
+        argv = (*argv, str(cfg))
+    out = tmp_path / "out"
+    assert run_cli(*argv, "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: code 'surface:3': bb_a and bb_b apply only to bb:<l>,<m> codes\n")
+    assert captured.out == ""
+    assert not out.exists()
+    assert not out.with_name(out.name + ".manifest.json").exists()
+
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of every ``qldpc-dc`` line in README's CLI block, with
+    continuation lines joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("qldpc-dc ")]
+
+
+def test_readme_cli_block_shows_every_command():
+    commands = {argv[0] for argv in readme_cli_examples()}
+    assert commands == {"code", "dem", "decode", "simulate", "sweep"}
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=" ".join)
+def test_readme_cli_examples_parse(argv):
+    """Every README example names flags the parser knows."""
+    build_parser().parse_args(argv)
 
 
 class TestDecodeCommand:

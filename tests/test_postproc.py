@@ -28,7 +28,6 @@ from qldpc_dc.postproc import (
     MaskingMode,
     SecondRunPriors,
     bp_dc_decode,
-    bp_dc_osd_decode,
     bp_osd_decode,
     dc_cut_indices,
     osd0_decode,
@@ -278,7 +277,7 @@ class TestComposedPipelines:
         h_deg = SparseBinMatrix(1, 2, [(0,)])
         s = BitVec.from_support(2, [0])
         cfg = DcConfig(second_run_priors=SecondRunPriors.RESET_TO_PRIOR, rng_seed=0)
-        res = bp_dc_osd_decode(h, h_deg, s, np.full(2, 0.4), 1, cfg)
+        res = run_pipeline(BpDecoder(h), s, np.full(2, 0.4), 1, h_deg, cfg, osd=True)
         assert res.status is DecodeStatus.FAILED
         assert res.cut_indices == {0}
 
@@ -287,15 +286,13 @@ class TestComposedPipelines:
         # then OSD on the cut-reduced system must still satisfy s
         code = build_bb(bb_params(6, 6))
         model = code_capacity_model(code, 0.05)
+        dec = BpDecoder(code.hz, MIN_SUM, 1.0)
         checked = 0
         for t in range(400):
             rng = noise.trial_rng(11, t)
             sample = noise.make_trial(model, rng)
             cfg = DcConfig(second_run_priors=SecondRunPriors.RESET_TO_PRIOR, rng_seed=t)
-            res = bp_dc_osd_decode(
-                code.hz, code.hx, sample.syndrome, model.priors, 72, cfg,
-                variant=MIN_SUM, min_sum_scale=1.0,
-            )
+            res = sim.decode("bp-dc-osd", dec, sample.syndrome, model.priors, 72, code.hx, cfg)
             if res.status is DecodeStatus.CONVERGED_AFTER_OSD:
                 checked += 1
                 assert mat_vec_t(res.estimate, code.hz) == sample.syndrome
@@ -335,9 +332,9 @@ def test_bp_dc_osd_digest():
             syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
             for second in SecondRunPriors:
                 for masking in MaskingMode:
-                    res = bp_dc_osd_decode(
-                        model.check_matrix, model.degeneracy_matrix, syndrome, model.priors,
-                        max_iter, DcConfig(second, t, masking), decoder=dec,
+                    res = sim.decode(
+                        "bp-dc-osd", dec, syndrome, model.priors, max_iter,
+                        model.degeneracy_matrix, DcConfig(second, t, masking),
                     )
                     statuses[res.status] += 1
                     sha.update(repr((
