@@ -40,10 +40,17 @@ iteration ``it``, else ``max_iter``.  ``_run_compiled`` runs a min-sum
 decode in one call into the compiled C when gcc can build it; it sums
 each variable's messages in ``np.add.reduceat``'s order, the first term
 plus numpy's ``pairwise_sum`` of the rest, which ``tests/test_bp.py``
-pins.  Its iteration has no data-dependent branch: a check pass of
-selects, with two running pairs of smallest magnitudes per check and
-sign-bit flips, then a variable pass grouped by degree, one loop per
-degree 1 to 8.  ``_run_numpy`` gives the same bits: it is the reference,
+pins.  Its iteration has no data-dependent branch.  The check pass runs
+``_lanes()`` (8) checks at once, one per SIMD lane: ``min_sum_graph``
+sorts the checks by degree, deals them into blocks of 8 and lays the
+messages out as slots ``blk_starts[b] + 8 * i + k`` (edge i of the check
+in lane k), padding the last block of each degree with lanes whose slots
+no variable reads.  Each lane runs its own check's edges in check-major
+order with the scalar selects, one running pair of smallest magnitudes,
+the sign parity and the sign-bit flip, and nothing crosses lanes, so
+every message keeps its bits.  Then a variable pass grouped by degree,
+one loop per degree 1 to 8, reads the slots.  ``_run_numpy`` gives the
+same bits on the check-major edges: it is the reference,
 the fallback without gcc and the product-sum path.  Both loops read one
 variable-major view, which ``TannerGraph`` builds in the kernel's degree
 order; numpy sums each variable's segment on its own, so the order of
@@ -71,6 +78,7 @@ import importlib
 import math
 import os
 import platform
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,31 +100,28 @@ class TannerGraph:
     One edge per nonzero entry, stored check-major with columns ascending
     within a check; a stable permutation gives the variable-major view,
     grouped by degree.  With ``keep``, a boolean mask over columns, only
-    kept columns get edges.  Empty rows and empty columns take no part in
+    kept columns get edges: the full graph's edges filtered by
+    ``keep[edge_var]``.  Empty rows and empty columns take no part in
     message passing (an empty row with syndrome 1 simply never converges).
     """
 
     def __init__(self, h: SparseBinMatrix, keep: np.ndarray | None = None):
         self.h = h
-        kept = keep.tolist() if keep is not None else None
-        edge_var = []
-        seg_starts = []
-        seg_chk = []
-        counts = []
-        for i, sup in enumerate(h.row_supports):
-            if kept is not None:
-                sup = [j for j in sup if kept[j]]
-            if sup:
-                # check-major segments (nonempty checks only)
-                seg_starts.append(len(edge_var))
-                seg_chk.append(i)
-                counts.append(len(sup))
-                edge_var.extend(sup)
+        starts, edge_var = h.csr
+        if keep is None:
+            counts = np.diff(starts)
+        else:
+            kept = np.asarray(keep, dtype=bool)[edge_var]
+            edge_var = edge_var[kept]
+            run = np.concatenate(([0], np.cumsum(kept)))
+            counts = run[starts[1:]] - run[starts[:-1]]
+        # check-major segments (nonempty checks only)
+        self.chk_seg_ids = np.flatnonzero(counts)
+        counts = counts[self.chk_seg_ids]
         self.nnz = len(edge_var)
-        self.edge_var = np.asarray(edge_var, dtype=np.intp)
-        self.chk_seg_starts = np.asarray(seg_starts, dtype=np.intp)
-        self.chk_seg_ids = np.asarray(seg_chk, dtype=np.intp)
-        self.edge_seg = np.repeat(np.arange(len(seg_chk), dtype=np.intp), counts)
+        self.edge_var = edge_var
+        self.chk_seg_starts = np.cumsum(counts) - counts
+        self.edge_seg = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
 
         # variable-major view (nonempty columns only) in the order min_sum.c
         # walks it: by degree, then by column, each with its edges in check
@@ -131,18 +136,50 @@ class TannerGraph:
 
     @functools.cached_property
     def min_sum_graph(self) -> "_MinSumGraph":
-        """The sizes and index pointers ``min_sum.c`` reads, taken once per
-        graph; the arrays they point into live as long as the graph.  The
-        check pass runs over the check-major edges, the variable pass over
-        the variable-major view."""
-        nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
-        return _MinSumGraph(
-            nnz, n_chk, n_var,
+        """What ``min_sum.c`` reads, built once per graph on its first
+        compiled decode: sizes, pointers and the slot layout of the check
+        pass.
+
+        The checks are sorted by degree (stably) and dealt, ``_lanes()`` at
+        a time, into blocks; the last block of each degree is padded with
+        lanes that run no check.  Edge i of the check in lane k of block b
+        has slot ``blk_starts[b] + lanes * i + k``; ``edge_slot`` maps the
+        check-major edges to their slots, ``n_slot`` counts the slots, and
+        the kernel's ``var_perm`` lists slots.  A padded slot reads column
+        0 and the syndrome bit of check segment 0, and no variable reads it.
+        """
+        lanes, nnz = _lanes(), self.nnz
+        n_chk, n_var = len(self.chk_seg_starts), len(self.var_seg_starts)
+        seg_deg = np.diff(self.chk_seg_starts, append=nnz)
+        order = np.argsort(seg_deg, kind="stable")
+        degrees, first, count = np.unique(seg_deg[order], return_index=True, return_counts=True)
+        padded = -(-count // lanes) * lanes
+        cls = np.repeat(np.arange(len(degrees)), count)
+        # each sorted check's lane in the run of blocks, counted across padded blocks
+        pos = (np.cumsum(padded) - padded)[cls] + np.arange(n_chk) - first[cls]
+        blk_deg = np.repeat(degrees, padded // lanes)
+        blk_starts = np.concatenate(([0], np.cumsum(blk_deg * lanes))).astype(np.intp)
+        base = np.empty(n_chk, dtype=np.intp)
+        base[order] = blk_starts[pos // lanes] + pos % lanes
+        edge_slot = base[self.edge_seg] + lanes * (np.arange(nnz) - self.chk_seg_starts[self.edge_seg])
+        n_slot, n_blk = int(blk_starts[-1]), len(blk_deg)
+        slot_var = np.zeros(n_slot, dtype=np.intp)
+        slot_var[edge_slot] = self.edge_var
+        blk_chk = np.zeros(n_blk * lanes, dtype=np.intp)
+        blk_chk[pos] = order
+        slot_perm = edge_slot[self.var_perm]
+        graph = _MinSumGraph(
+            nnz, n_chk, n_var, n_blk,
             _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
+            _pointer(blk_starts, np.intp, n_blk + 1), _pointer(blk_chk, np.intp, n_blk * lanes),
+            _pointer(slot_var, np.intp, n_slot),
             _pointer(self.var_seg_starts, np.intp, n_var),
             _pointer(self.var_seg_ids, np.intp, n_var),
-            _pointer(self.var_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
+            _pointer(slot_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
         )
+        graph.edge_slot, graph.n_slot = edge_slot, n_slot
+        graph.arrays = (blk_starts, blk_chk, slot_var, slot_perm)  # alive as long as the pointers
+        return graph
 
     def __getstate__(self):
         # the kernel's pointers are this process's; a copy takes its own
@@ -249,10 +286,18 @@ def _library(source: bytes, native: bool = True) -> tuple[str, tuple[str, ...]]:
 class _MinSumGraph(ctypes.Structure):
     """``struct min_sum_graph`` of ``min_sum.c``: sizes, then pointers."""
 
-    _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var")] + [
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var", "n_blk")] + [
         (name, ctypes.c_void_p)
-        for name in ("chk_starts", "edge_var", "var_starts", "var_ids", "var_perm", "group_ends")
+        for name in ("chk_starts", "edge_var", "blk_starts", "blk_chk", "slot_var",
+                     "var_starts", "var_ids", "var_perm", "group_ends")
     ]
+
+
+@functools.cache
+def _lanes() -> int:
+    """``LANES`` of ``min_sum.c``: the checks its check pass runs at once."""
+    source = _KERNEL_SOURCE.read_text(encoding="ascii")
+    return int(re.search(r"^#define LANES (\d+)", source, re.MULTILINE).group(1))
 
 
 class _MinSumState(ctypes.Structure):
@@ -376,19 +421,21 @@ def _run_compiled(kernel, g: TannerGraph, syn, lam, hard, total, m_vc, m_cv, sca
                   max_iter: int, test: bool) -> int:
     """``min_sum_decode`` of ``min_sum.c`` on the caller's buffers.
 
-    ``syn`` holds one bit per check segment.  Each iteration writes
+    ``syn`` holds one bit per check segment; ``m_vc`` and ``m_cv`` hold one
+    message per slot of ``g.min_sum_graph`` (its ``edge_slot`` maps the
+    check-major edges to slots).  Each iteration writes every slot of
     ``m_vc`` and ``m_cv``, and ``total`` and ``hard`` at the columns with
     edges.  Starting from ``total = lam`` and ``m_cv = +0.0``, the first
     v2c update, ``clip(total - m_cv)``, gives the prior messages bit for
     bit.  Returns ``-it`` if ``test`` and the hard decision satisfied every
     check with edges before iteration ``it``, else ``max_iter``.
     """
-    cols = g.h.cols
+    cols, graph = g.h.cols, g.min_sum_graph
     state = _MinSumState(
-        ctypes.addressof(g.min_sum_graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
+        ctypes.addressof(graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
         _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
-        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, g.nnz),
-        _pointer(m_cv, np.float64, g.nnz), scale, LLR_CLAMP, _TOTAL_CLAMP,
+        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, graph.n_slot),
+        _pointer(m_cv, np.float64, graph.n_slot), scale, LLR_CLAMP, _TOTAL_CLAMP,
     )
     return kernel(ctypes.byref(state), max_iter, test)
 
@@ -477,9 +524,9 @@ class BpDecoder:
         hard = lam <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
         kernel = _load_kernel() if self.variant == MIN_SUM else None
         if kernel is not None:
-            total = lam.copy()
-            last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(g.nnz),
-                                 np.zeros(g.nnz), self.min_sum_scale, max_iter, test)
+            total, slots = lam.copy(), g.min_sum_graph.n_slot
+            last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(slots),
+                                 np.zeros(slots), self.min_sum_scale, max_iter, test)
         else:
             update = _min_sum_numpy if self.variant == MIN_SUM else _product_sum_numpy
             last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,

@@ -171,10 +171,11 @@ def cmd_dem(args) -> int:
     """Export the detector model that ``simulate`` decodes at the same
     noise, code spec, rounds and p."""
     started = _now()
-    if not 0.0 < args.p < 0.5:
-        raise CliError("p must lie in (0, 0.5)")  # as simulate requires
-    model = sim.build_model(args)
-    rounds = sim.measurement_rounds(args)
+    # checked as simulate's flags are; a model reads none of the decoder fields
+    cfg = ExperimentConfig(**{k: getattr(args, k) for k in _MODEL_KEYS}, decoder="bp", trials=1,
+                           seed=0)
+    model = sim.build_model(cfg)
+    rounds = sim.measurement_rounds(cfg)
     label = model.metadata["code"]  # e.g. surface-d3 or bb-72-12-l6m6
     if args.noise == "circuit-bb":  # named by l and m only, as circuit_bb_l6m6_T6
         stem = f"circuit_bb_{label.rsplit('-', 1)[1]}_T{rounds}"

@@ -132,10 +132,9 @@ def bb_block_permutations(params: BbParams) -> tuple[list[list[int]], list[list[
     return a, b
 
 
-def build_bb(params: BbParams) -> CssCode:
-    """Bivariate bicycle code with H_X = [A|B], H_Z = [B^T|A^T], n = 2lm."""
+def bb_check_matrices(params: BbParams) -> tuple[SparseBinMatrix, SparseBinMatrix]:
+    """H_X = [A|B] and H_Z = [B^T|A^T] of a bivariate bicycle code."""
     s = params.l * params.m
-    n = 2 * s
     a_perms, b_perms = bb_block_permutations(params)
     a_inv = [_invert(p) for p in a_perms]
     b_inv = [_invert(p) for p in b_perms]
@@ -152,9 +151,20 @@ def build_bb(params: BbParams) -> CssCode:
         row_bt = {p[i] for p in b_inv}
         row_at = {p[i] + s for p in a_inv}
         hz_rows.append(sorted(row_bt | row_at))
-    hx = SparseBinMatrix(s, n, hx_rows)
-    hz = SparseBinMatrix(s, n, hz_rows)
+    return SparseBinMatrix(s, 2 * s, hx_rows), SparseBinMatrix(s, 2 * s, hz_rows)
+
+
+def build_bb(params: BbParams) -> CssCode:
+    """Bivariate bicycle code with H_X = [A|B], H_Z = [B^T|A^T], n = 2lm;
+    monomials that leave no logical qubit (k = 0) are refused."""
+    hx, hz = bb_check_matrices(params)
+    n = hx.cols
     k = n - rank(hx) - rank(hz)
+    if k == 0:
+        a, b = (",".join(f"{base}{e}" for base, e in mono)
+                for mono in (params.a_monomials, params.b_monomials))
+        raise ValueError(f"bb:{params.l},{params.m} with A={a}, B={b} encodes no "
+                         "logical qubit (k=0)")
     ox, oz = compute_logicals(hx, hz)
     code = CssCode(n=n, k=k, hx=hx, hz=hz, ox=ox, oz=oz,
                    label=f"bb-{n}-{k}-l{params.l}m{params.m}")

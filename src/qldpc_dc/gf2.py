@@ -9,6 +9,7 @@ after construction and safe to share across threads or worker processes.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -115,7 +116,7 @@ class SparseBinMatrix:
     """
 
     __slots__ = (
-        "rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits"
+        "rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits", "_csr", "_ell"
     )
 
     def __init__(self, rows: int, cols: int, row_supports: Sequence[Iterable[int]]):
@@ -140,6 +141,8 @@ class SparseBinMatrix:
         self._col_supports = tuple(tuple(c) for c in cols_acc)
         self._row_bits: Optional[tuple[int, ...]] = None
         self._col_bits: Optional[tuple[int, ...]] = None
+        self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._ell: Optional[np.ndarray] = None
 
     @classmethod
     def from_entries(
@@ -190,6 +193,32 @@ class SparseBinMatrix:
         if self._col_bits is None:
             self._col_bits = tuple(_bits_from_indices(c) for c in self._col_supports)
         return self._col_bits
+
+    @property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, cols)``, intp arrays built on first use: row i's
+        support is ``cols[starts[i]:starts[i + 1]]``.  Tanner graphs read
+        them."""
+        if self._csr is None:
+            sups = self._row_supports
+            starts = np.array([0, *itertools.accumulate(map(len, sups))], dtype=np.intp)
+            cols = np.fromiter(itertools.chain.from_iterable(sups), np.intp, count=starts[-1])
+            self._csr = (starts, cols)
+        return self._csr
+
+    @property
+    def ell(self) -> np.ndarray:
+        """The rows in ELLPACK form, built on first use: an intp array of
+        shape (largest row weight, rows) whose column i lists row i's
+        support in order, padded with ``cols``.  The DC cut reads it."""
+        if self._ell is None:
+            starts, cols = self.csr
+            weight = np.diff(starts)
+            ell = np.full((weight.max(initial=0), self.rows), self.cols, dtype=np.intp)
+            ell[np.arange(len(cols)) - np.repeat(starts[:-1], weight),
+                np.repeat(np.arange(self.rows), weight)] = cols
+            self._ell = ell
+        return self._ell
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._row_supports[i]

@@ -1,18 +1,28 @@
 /* The iteration loop of normalized min-sum belief propagation (Fossorier,
- * Mihaljevic & Imai, 1999) on a Tanner graph in check-major edge order.
+ * Mihaljevic & Imai, 1999) on a Tanner graph.
  *
  * It gives bit for bit what bp._run_numpy gives for the same iterations,
  * and no branch of an iteration depends on a message: only the graph's
- * segment lengths steer its loops.  The v2c update is a subtraction and a
- * clip, two selects.  The check update uses only fabs,
- * selects, a sign parity and the product syn_sign * sign * scale * m,
- * which with two factors of +-1 is +-(scale * m), rounded alike either
- * way; the sign is set by flipping the sign bit, which is -x bit for bit.
- * Each check's two smallest magnitudes are kept as two running pairs, one
- * over its even edges and one over its odd edges, merged as
- * min1 = min(a1, b1), min2 = min(max(a1, b1), min(a2, b2)): min and max
- * only select values, so the pair is the check's two smallest with
- * multiplicity, whatever the grouping.
+ * segment lengths steer its loops.
+ *
+ * The check pass runs LANES checks at once, one per lane of GCC's vector
+ * extensions.  The checks are grouped by degree into blocks of LANES, and
+ * the messages of a block lie in slots blk_starts[b] + LANES * i + k: edge
+ * i of the check in lane k, so one vector load takes edge i of every
+ * check.  The last block of each degree is padded with lanes that run no
+ * check: they read column 0 and write only their own slots, which no
+ * variable reads.  Each lane runs its own check's edges in check-major
+ * order, and every vector operation is the scalar one per lane, with no
+ * merge across lanes and no scalar tail: the v2c update is a subtraction
+ * and a clip, two selects; the two smallest magnitudes are kept with
+ * multiplicity as min2 = min(max(a, min1), min2), min1 = min(a, min1) (min
+ * and max only select values); the sign parity is an XOR; and the output
+ * is syn_sign * sign * scale * m, which with two factors of +-1 is
+ * +-(scale * m), rounded alike either way, the sign set by flipping the
+ * sign bit, which is -x bit for bit.  Selects are bitwise blends of the
+ * comparisons' masks, so each lane gets the bits the scalar x < y ? x : y
+ * gives.  Without -march=native the compiler lowers the same operations
+ * to narrower vectors, with the same bits.
  *
  * The posterior sum over a variable's edges repeats np.add.reduceat's
  * order exactly: the first term plus numpy's pairwise_sum of the others
@@ -31,12 +41,15 @@
  * is computed once after the loop, in numpy: libm's exp need not round as
  * numpy's does.  The kernel keeps no state between calls.
  *
- * Edges e in [chk_starts[s], chk_starts[s + 1]) belong to check segment s.
- * The variables are in a stable order by degree: positions k in
- * [var_starts[v], var_starts[v + 1]) of var_perm list the edges of
- * variable var_ids[v], and the variables of degree n end at
- * group_ends[n - 1], n = 1..8.  The last segment of each ends at nnz, and
- * every segment holds at least one edge.
+ * The syndrome test reads the check-major edges: edges e in
+ * [chk_starts[s], chk_starts[s + 1]) belong to check segment s, of column
+ * edge_var[e].  Block b holds the slots [blk_starts[b], blk_starts[b + 1]),
+ * a multiple of LANES; its lane k runs check segment blk_chk[LANES * b + k]
+ * and slot t reads column slot_var[t].  The variables are in a stable order
+ * by degree: positions k in [var_starts[v], var_starts[v + 1]) of var_perm
+ * list the slots of the edges of variable var_ids[v], and the variables of
+ * degree n end at group_ends[n - 1], n = 1..8.  The last segment of each
+ * ends at nnz, and every segment holds at least one edge.
  */
 
 #include <math.h>
@@ -44,9 +57,12 @@
 #include <stdint.h>
 #include <string.h>
 
+#define LANES 8 /* checks per block; bp._lanes reads this line */
+
 struct min_sum_graph { /* one per Tanner graph */
-    ptrdiff_t nnz, n_chk, n_var;
-    const ptrdiff_t *chk_starts, *edge_var;
+    ptrdiff_t nnz, n_chk, n_var, n_blk;
+    const ptrdiff_t *chk_starts, *edge_var;           /* check-major edges */
+    const ptrdiff_t *blk_starts, *blk_chk, *slot_var; /* blocks of LANES checks */
     const ptrdiff_t *var_starts, *var_ids, *var_perm; /* variables by degree */
     const ptrdiff_t *group_ends;                      /* 8 entries */
 };
@@ -57,20 +73,9 @@ struct min_sum_state { /* one per decode */
     const double *lam;             /* per column: prior LLR */
     unsigned char *hard;           /* per column: hard decision, 0 or 1 */
     double *total;                 /* per column: posterior LLR */
-    double *m_vc, *m_cv;           /* per edge: messages */
+    double *m_vc, *m_cv;           /* per slot: messages */
     double scale, clamp, total_clamp;
 };
-
-/* Selects, so that gcc emits minsd and maxsd; no input here is NaN. */
-static inline double min_of(double x, double y)
-{
-    return x < y ? x : y;
-}
-
-static inline double max_of(double x, double y)
-{
-    return x > y ? x : y;
-}
 
 /* x clipped to [-c, c]; for every non-NaN x, +-0.0 included, the value of
  * x > c ? c : x < -c ? -c : x. */
@@ -80,14 +85,72 @@ static inline double clip(double x, double c)
     return x < -c ? -c : x;
 }
 
-/* x with its sign bit flipped when neg is 1: -x bit for bit. */
-static inline double negate_if(double x, int neg)
+/* Every function below that takes or returns a vector is static, so no
+ * vector crosses the library's ABI, whatever the target's vector width. */
+#pragma GCC diagnostic ignored "-Wpsabi"
+
+/* LANES doubles, and LANES 64-bit masks of all ones (true) or zeros, as the
+ * comparisons of two vdoubles give them; casts between the two reinterpret
+ * the bits. */
+typedef double vdouble __attribute__((vector_size(LANES * sizeof(double))));
+typedef int64_t vmask __attribute__((vector_size(LANES * sizeof(int64_t))));
+
+static inline vdouble splat(double x)
 {
-    uint64_t bits;
-    memcpy(&bits, &x, sizeof bits);
-    bits ^= (uint64_t)neg << 63;
-    memcpy(&x, &bits, sizeof x);
-    return x;
+    vdouble v = {0};
+    for (int k = 0; k < LANES; k++)
+        v[k] = x;
+    return v;
+}
+
+/* Unaligned loads and stores of LANES consecutive doubles. */
+static inline vdouble load(const double *p)
+{
+    vdouble v;
+    memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store(double *p, vdouble v)
+{
+    memcpy(p, &v, sizeof v);
+}
+
+/* Lane k of x where mask lane k is true, else lane k of y: the bits of one
+ * or the other, as the scalar c ? x : y selects them. */
+static inline vdouble select(vmask mask, vdouble x, vdouble y)
+{
+    return (vdouble)((mask & (vmask)x) | (~mask & (vmask)y));
+}
+
+/* Per lane: x < y ? x : y, x > y ? x : y and the scalar clip above; no
+ * input here is NaN. */
+static inline vdouble vmin(vdouble x, vdouble y)
+{
+    return select((vmask)(x < y), x, y);
+}
+
+static inline vdouble vmax(vdouble x, vdouble y)
+{
+    return select((vmask)(x > y), x, y);
+}
+
+static inline vdouble vclip(vdouble x, vdouble c)
+{
+    x = select((vmask)(x > c), c, x);
+    return select((vmask)(x < -c), -c, x);
+}
+
+/* fabs per lane, and x with its sign bit flipped where neg is true (-x bit
+ * for bit): both touch only the sign bit. */
+static inline vdouble vabs(vdouble x)
+{
+    return (vdouble)((vmask)x & INT64_MAX);
+}
+
+static inline vdouble negate_if(vdouble x, vmask neg)
+{
+    return (vdouble)((vmask)x ^ (neg & INT64_MIN));
 }
 
 /* numpy's pairwise_sum over m[idx[0..n-1]], n >= 1: sequential from -0.0
@@ -172,67 +235,74 @@ static inline void var_group(const struct min_sum_state *d, ptrdiff_t v0, ptrdif
     }
 }
 
-/* One iteration:
+/* The check update of every block:
  *
- *     m_vc[e]  = clip(total[edge_var[e]] - m_cv[e], clamp)
- *     m_cv[e]  = clip(syn_sign * sign * scale * (|m_vc[e]| == min1 ? min2 : min1), clamp)
- *     total[v] = clip(lam[v] + sum of m_cv over v's edges, total_clamp)
- *     hard[v]  = total[v] <= 0
+ *     m_vc[t]  = clip(total[slot_var[t]] - m_cv[t], clamp)
+ *     m_cv[t]  = clip(syn_sign * sign * scale * (|m_vc[t]| == min1 ? min2 : min1), clamp)
  *
  * where syn_sign is -1 when the check's syndrome bit is 1, min1 <= min2
  * are the two smallest magnitudes of the check counted with multiplicity
- * (min2 = +inf for a check with one edge), sign is -1 when an odd number
- * of the check's other messages are < 0 (so -0.0 counts as positive), and
- * only variables with edges are written.
+ * (min2 = +inf for a check with one edge), and sign is -1 when an odd
+ * number of the check's other messages are < 0 (so -0.0 counts as
+ * positive).
  */
-static void iterate(const struct min_sum_state *d)
+static void check_pass(const struct min_sum_state *d)
 {
     /* locals, so that stores through the message pointers reload nothing */
     const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t nnz = g->nnz, n_chk = g->n_chk, n_var = g->n_var;
-    const ptrdiff_t *restrict chk_starts = g->chk_starts, *restrict edge_var = g->edge_var;
-    const ptrdiff_t *restrict var_starts = g->var_starts, *restrict var_ids = g->var_ids;
-    const ptrdiff_t *restrict var_perm = g->var_perm, *restrict ends = g->group_ends;
+    const ptrdiff_t n_blk = g->n_blk;
+    const ptrdiff_t *restrict blk_starts = g->blk_starts, *restrict blk_chk = g->blk_chk;
+    const ptrdiff_t *restrict slot_var = g->slot_var;
     const unsigned char *restrict syndrome = d->syndrome;
-    const double *restrict lam = d->lam;
-    unsigned char *restrict hard = d->hard;
-    double *restrict total = d->total, *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
-    const double scale = d->scale, clamp = d->clamp, total_clamp = d->total_clamp;
+    const double *restrict total = d->total;
+    double *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
+    const vdouble scale = splat(d->scale), clamp = splat(d->clamp), zero = splat(0.0);
 
-    for (ptrdiff_t s = 0; s < n_chk; s++) {
-        ptrdiff_t lo = chk_starts[s];
-        ptrdiff_t hi = s + 1 < n_chk ? chk_starts[s + 1] : nnz;
-        /* the two smallest magnitudes over the even (a) and odd (b) edges */
-        double a1 = INFINITY, a2 = INFINITY, b1 = INFINITY, b2 = INFINITY;
-        int neg = syndrome[s];
-        ptrdiff_t e = lo;
-        for (; e + 1 < hi; e += 2) {
-            double v = clip(total[edge_var[e]] - m_cv[e], clamp);
-            double w = clip(total[edge_var[e + 1]] - m_cv[e + 1], clamp);
-            double a = fabs(v), b = fabs(w);
-            m_vc[e] = v;
-            m_vc[e + 1] = w;
-            neg ^= (v < 0.0) ^ (w < 0.0);
-            a2 = min_of(max_of(a, a1), a2);
-            a1 = min_of(a, a1);
-            b2 = min_of(max_of(b, b1), b2);
-            b1 = min_of(b, b1);
+    for (ptrdiff_t b = 0; b < n_blk; b++) {
+        const ptrdiff_t lo = blk_starts[b], hi = blk_starts[b + 1];
+        vdouble min1 = splat(INFINITY), min2 = min1;
+        vmask neg = {0};
+        for (int k = 0; k < LANES; k++)
+            neg[k] = -(int64_t)syndrome[blk_chk[LANES * b + k]];
+        for (ptrdiff_t t = lo; t < hi; t += LANES) {
+            vdouble v = {0};
+            for (int k = 0; k < LANES; k++)
+                v[k] = total[slot_var[t + k]];
+            v = vclip(v - load(m_cv + t), clamp);
+            store(m_vc + t, v);
+            neg ^= (vmask)(v < zero);
+            vdouble a = vabs(v);
+            min2 = vmin(vmax(a, min1), min2);
+            min1 = vmin(a, min1);
         }
-        if (e < hi) {
-            double v = clip(total[edge_var[e]] - m_cv[e], clamp);
-            double a = fabs(v);
-            m_vc[e] = v;
-            neg ^= v < 0.0;
-            a2 = min_of(max_of(a, a1), a2);
-            a1 = min_of(a, a1);
-        }
-        double min1 = min_of(a1, b1), min2 = min_of(max_of(a1, b1), min_of(a2, b2));
-        double out1 = clip(scale * min1, clamp), out2 = clip(scale * min2, clamp);
-        for (e = lo; e < hi; e++) {
-            double v = m_vc[e];
-            m_cv[e] = negate_if(fabs(v) == min1 ? out2 : out1, neg ^ (v < 0.0));
+        vdouble out1 = vclip(scale * min1, clamp), out2 = vclip(scale * min2, clamp);
+        for (ptrdiff_t t = lo; t < hi; t += LANES) {
+            vdouble v = load(m_vc + t);
+            vdouble m = select((vmask)(vabs(v) == min1), out2, out1);
+            store(m_cv + t, negate_if(m, neg ^ (vmask)(v < zero)));
         }
     }
+}
+
+/* One iteration: the check pass, then
+ *
+ *     total[v] = clip(lam[v] + sum of m_cv over v's edges, total_clamp)
+ *     hard[v]  = total[v] <= 0
+ *
+ * where only variables with edges are written.
+ */
+static void iterate(const struct min_sum_state *d)
+{
+    const struct min_sum_graph *g = d->graph;
+    const ptrdiff_t nnz = g->nnz, n_var = g->n_var;
+    const ptrdiff_t *restrict var_starts = g->var_starts, *restrict var_ids = g->var_ids;
+    const ptrdiff_t *restrict var_perm = g->var_perm, *restrict ends = g->group_ends;
+    const double *restrict lam = d->lam, *restrict m_cv = d->m_cv;
+    unsigned char *restrict hard = d->hard;
+    double *restrict total = d->total;
+    const double total_clamp = d->total_clamp;
+
+    check_pass(d);
     var_group(d, 0, ends[0], 1);
     var_group(d, ends[0], ends[1], 2);
     var_group(d, ends[1], ends[2], 3);

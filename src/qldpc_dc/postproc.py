@@ -63,29 +63,33 @@ def _dc_rng(seed: int) -> np.random.Generator:
 def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> frozenset:
     """Lowest-probability variable per degeneracy row, ties drawn uniformly.
 
-    Only soft values inside each row's support are read.
+    Only soft values inside each row's support are read.  Every row's
+    minimum and ties are found at once, over ``h_deg.ell``; a row whose
+    minimum is tied then draws ``rng.integers(len(ties))`` over its tied
+    columns in column order, one call per tied row in row order.
     """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h_deg.cols,):
         raise ValueError(f"soft length {soft.shape} != degeneracy cols {h_deg.cols}")
-    cuts = set()
-    for i, support in enumerate(h_deg.row_supports):
-        if not support:
-            raise ValueError(f"degeneracy row {i} has empty support")
-        best = None
-        ties: list[int] = []
-        for idx in support:
-            v = soft[idx]
-            if best is None or v < best:
-                best = v
-                ties = [idx]
-            elif v == best:
-                ties.append(idx)
-        if len(ties) == 1:
-            cuts.add(ties[0])
-        else:
-            cuts.add(ties[int(rng.integers(len(ties)))])
-    return frozenset(cuts)
+    cols = h_deg.ell
+    vals = np.append(soft, np.inf)[cols]  # a padded entry is never a minimum
+    mins = vals.min(axis=0, initial=np.inf)
+    if not (mins < np.inf).all():
+        i = int(np.argmin(mins < np.inf))
+        what = "has empty support" if not h_deg.row(i) else "has a NaN or infinite soft value"
+        raise ValueError(f"degeneracy row {i} {what}")
+    is_min = vals == mins
+    counts = np.count_nonzero(is_min, axis=0)
+    one = counts == 1
+    picked = np.zeros(h_deg.cols, dtype=bool)
+    picked[(cols * is_min)[:, one].sum(axis=0)] = True
+    tied = np.flatnonzero(~one)
+    ties = cols[:, tied].T[is_min[:, tied].T].tolist()  # row by row, columns ascending
+    start = 0
+    for n in counts[tied].tolist():
+        picked[ties[start + int(rng.integers(n))]] = True
+        start += n
+    return frozenset(np.flatnonzero(picked).tolist())
 
 
 def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> BitVec:

@@ -1,7 +1,8 @@
 """Shared test oracles: random acyclic instances, exhaustive posteriors,
 the row-elimination OSD-0 solver that ``gf2.solve`` replaced, OSD-0 after
 degeneracy cutting on the cut-reduced matrix, the three decode pipelines
-as they were before ``postproc.run_pipeline`` replaced them, greedy
+as they were before ``postproc.run_pipeline`` replaced them, the per-row
+loops that the numpy Tanner graph build and DC cut replaced, greedy
 logical-weight reduction, and the Hypothesis strategy for small sparse
 matrices."""
 
@@ -82,6 +83,49 @@ def exact_marginals_vectorized(h: SparseBinMatrix, s_dense, priors) -> np.ndarra
     logw = bits @ np.log(priors / (1 - priors)) + np.log(1 - priors).sum()
     w = np.where(mask, np.exp(logw), 0.0)
     return (w @ bits) / w.sum()
+
+
+def reference_check_major(h: SparseBinMatrix, keep: Optional[np.ndarray] = None) -> dict:
+    """``TannerGraph(h, keep)``'s check-major arrays as its loop over rows
+    built them, each row's support filtered by ``keep`` in Python."""
+    edge_var, seg_starts, seg_chk, counts = [], [], [], []
+    for i, sup in enumerate(h.row_supports):
+        if keep is not None:
+            sup = [j for j in sup if keep[j]]
+        if sup:
+            seg_starts.append(len(edge_var))
+            seg_chk.append(i)
+            counts.append(len(sup))
+            edge_var.extend(sup)
+    return {
+        "edge_var": np.asarray(edge_var, dtype=np.intp),
+        "chk_seg_starts": np.asarray(seg_starts, dtype=np.intp),
+        "chk_seg_ids": np.asarray(seg_chk, dtype=np.intp),
+        "edge_seg": np.repeat(np.arange(len(seg_chk), dtype=np.intp), counts),
+    }
+
+
+def reference_dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> frozenset:
+    """``dc_cut_indices`` as its loop over rows was: each row's minimum and
+    ties in support order, ``rng.integers(len(ties))`` for a tied row."""
+    cuts = set()
+    for i, support in enumerate(h_deg.row_supports):
+        if not support:
+            raise ValueError(f"degeneracy row {i} has empty support")
+        best = None
+        ties: list[int] = []
+        for idx in support:
+            v = soft[idx]
+            if best is None or v < best:
+                best = v
+                ties = [idx]
+            elif v == best:
+                ties.append(idx)
+        if len(ties) == 1:
+            cuts.add(ties[0])
+        else:
+            cuts.add(ties[int(rng.integers(len(ties)))])
+    return frozenset(cuts)
 
 
 def reference_solve(

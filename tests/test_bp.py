@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import sparse_matrices
+from helpers import reference_check_major, sparse_matrices
 from qldpc_dc import bp, noise, sim
 from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
@@ -306,11 +306,16 @@ class TestZeroPriorRemovesColumns:
     @settings(max_examples=100, deadline=None)
     def test_graph_is_the_graph_without_columns(self, h, data):
         """Same check-major order, segments and stable variable-major
-        permutation as the graph of the reduced matrix, in original columns."""
+        permutation as the graph of the reduced matrix, in original columns;
+        both graphs' check-major arrays are those the per-row loop built."""
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=h.cols, max_size=h.cols)))
         g = TannerGraph(h, keep)
         h2, kept = h.without_columns(np.flatnonzero(~keep).tolist())
         g2 = TannerGraph(h2)
+        for graph, want in ((g, reference_check_major(h, keep)), (g2, reference_check_major(h2))):
+            for name, array in want.items():
+                got = getattr(graph, name)
+                assert got.dtype == np.intp and np.array_equal(got, array), name
         assert g.nnz == g2.nnz
         assert np.array_equal(g.edge_var, kept[g2.edge_var])
         assert np.array_equal(g.var_seg_ids, kept[g2.var_seg_ids])
@@ -574,12 +579,18 @@ ALL_DEGREES = SparseBinMatrix(12, len(ALL_DEGREES_COLUMNS), [
 ALL_DEGREES_KEEP = ~np.isin(np.arange(ALL_DEGREES.cols), [1, 2, 5, 11])
 
 
-def all_degrees_step(keep, test: bool) -> tuple:
-    """A ``min_sum_steps`` case on ``ALL_DEGREES``, columns cut where
-    ``keep`` is False."""
-    g = TannerGraph(ALL_DEGREES, keep)
+# 19 checks of degree 2 and 9 single-edge checks (min2 = +inf): two full
+# blocks and a padded one of degree 2, a full and a padded one of degree 1
+PADDED_BLOCKS = SparseBinMatrix(28, 20, [(j, j + 1) for j in range(19)]
+                                + [(j,) for j in range(0, 18, 2)])
+
+
+def all_degrees_step(keep, test: bool, h: SparseBinMatrix = ALL_DEGREES) -> tuple:
+    """A ``min_sum_steps`` case on ``h``, ``ALL_DEGREES`` by default,
+    columns cut where ``keep`` is False."""
+    g = TannerGraph(h, keep)
     rng = np.random.default_rng(14)
-    cols = ALL_DEGREES.cols
+    cols = h.cols
     syndrome = (rng.random(len(g.chk_seg_ids)) < 0.5).astype(np.uint8)
     return (g, planted(rng, cols, 35.0), planted(rng, cols, 350.0), planted(rng, g.nnz, 35.0),
             syndrome, rng.random(cols) < 0.5, 0.625, test)
@@ -591,14 +602,24 @@ def all_degrees_step(keep, test: bool) -> tuple:
 @example(all_degrees_step(ALL_DEGREES_KEEP, False))
 @example(SINGLE_EDGE_CHECKS[:6] + (1.0, False))
 @example(NEGATIVE_ZERO_SUM)
+@example(all_degrees_step(None, False, PADDED_BLOCKS))
+@example(all_degrees_step(np.arange(PADDED_BLOCKS.cols) != 7, True, PADDED_BLOCKS))
+@example(all_degrees_step(np.zeros(ALL_DEGREES.cols, dtype=bool), True))  # nnz 0
+@example(all_degrees_step(np.zeros(ALL_DEGREES.cols, dtype=bool), False))
 @settings(max_examples=500, deadline=None)
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     """One compiled iteration, the decode entry point with ``max_iter`` 1,
     against numpy's pieces: the syndrome test, the v2c update, the check
-    update, the clipped posterior totals and their signs."""
+    update, the clipped posterior totals and their signs.  The check-major
+    start messages are scattered into the kernel's slots, and every
+    message is read back through the slot map."""
     g, lam, total, m_cv, syndrome, want_hard, scale, test = case
     hard = want_hard.copy()  # the kernel writes into it
-    got_total, got_vc, got_cv = total.copy(), np.empty(g.nnz), m_cv.copy()
+    slots = g.min_sum_graph.edge_slot
+    # padded slots start as NaN: no real lane and no variable may read them
+    start_cv = np.full(g.min_sum_graph.n_slot, np.nan)
+    start_cv[slots] = m_cv
+    got_total, got_vc, got_cv = total.copy(), np.empty_like(start_cv), start_cv.copy()
 
     def run():
         return bp._run_compiled(c_kernel, g, syndrome, lam, hard, got_total, got_vc, got_cv,
@@ -610,7 +631,7 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     if test and np.array_equal(parity, syndrome):
         assert run() == -1
         assert got_total.tobytes() == total.tobytes()
-        assert got_cv.tobytes() == m_cv.tobytes()
+        assert got_cv.tobytes() == start_cv.tobytes()
         assert np.array_equal(hard, want_hard)
         return
     m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
@@ -623,8 +644,8 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     want_hard = want_hard.copy()
     want_hard[g.var_seg_ids] = want_total[g.var_seg_ids] <= 0.0
     assert run() == 1
-    assert got_vc.tobytes() == m_vc.tobytes()
-    assert got_cv.tobytes() == want_cv.tobytes()
+    assert got_vc[slots].tobytes() == m_vc.tobytes()
+    assert got_cv[slots].tobytes() == want_cv.tobytes()
     assert got_total.tobytes() == want_total.tobytes()
     assert np.array_equal(hard, want_hard)
 
@@ -725,7 +746,7 @@ def test_band_decodes_land_on_their_totals(c_kernel):
         g = TannerGraph(h)
         syn, lam = syndrome.to_dense()[g.chk_seg_ids], bp._llr(priors)
         hard, total = np.zeros(h.cols, dtype=bool), lam.copy()
-        m_vc, m_cv = np.empty(g.nnz), np.zeros(g.nnz)
+        m_vc, m_cv = np.empty(g.min_sum_graph.n_slot), np.zeros(g.min_sum_graph.n_slot)
         for _ in range(3):  # each call runs one more iteration on the same buffers
             assert bp._run_compiled(c_kernel, g, syn, lam, hard, total, m_vc, m_cv, scale, 1,
                                     False) == 1
@@ -820,6 +841,8 @@ def all_degrees_decode(cut: bool) -> tuple:
 @example(case=EMPTY_ROW_ONE_ITERATION[:4] + (5,))
 @example(case=all_degrees_decode(False))
 @example(case=all_degrees_decode(True))
+@example(case=(PADDED_BLOCKS, np.linspace(0.02, 0.3, PADDED_BLOCKS.cols),
+               BitVec(PADDED_BLOCKS.rows, 0x5A5A5A5), 0.625, 12))
 @band_examples
 @settings(max_examples=200, deadline=None)
 def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
@@ -857,6 +880,44 @@ def test_degree_order_is_stable_by_degree(keep):
     assert sorted(perm.tolist()) == list(range(g.nnz))
     if keep is None:
         assert sorted(deg.tolist()) == sorted(ALL_DEGREES_COLUMNS)
+
+
+@pytest.mark.parametrize("h, keep", [
+    (ALL_DEGREES, None), (ALL_DEGREES, ALL_DEGREES_KEEP),
+    (ALL_DEGREES, np.zeros(ALL_DEGREES.cols, bool)), (PADDED_BLOCKS, None),
+    (PADDED_BLOCKS, np.arange(PADDED_BLOCKS.cols) % 3 > 0),
+], ids=["all", "cut", "none", "padded", "padded-cut"])
+def test_slot_layout_blocks_checks_by_degree(h, keep):
+    """The kernel's check pass sees the checks by degree, then in order,
+    ``_lanes()`` to a block; edge i of the check in lane k of block b has
+    slot ``blk_starts[b] + lanes * i + k``.  Padded lanes run check segment
+    0 on column 0, and no variable reads their slots.  The layout is built
+    on first use, not with the graph or the decoder."""
+    assert "min_sum_graph" not in BpDecoder(h, MIN_SUM).graph.__dict__
+    g = TannerGraph(h, keep)
+    assert "min_sum_graph" not in g.__dict__
+    graph, lanes = g.min_sum_graph, bp._lanes()
+    blk_starts, blk_chk, slot_var, slot_perm = graph.arrays
+    assert all(a.dtype == np.intp for a in (graph.edge_slot, *graph.arrays))
+    seg_deg = np.diff(g.chk_seg_starts, append=g.nnz)
+    blocks = [(d, checks[i:i + lanes]) for d in np.unique(seg_deg).tolist()
+              for checks in [np.flatnonzero(seg_deg == d)] for i in range(0, len(checks), lanes)]
+    assert (graph.nnz, graph.n_chk, graph.n_blk, graph.n_slot) == (
+        g.nnz, len(seg_deg), len(blocks), blk_starts[-1])
+    assert np.diff(blk_starts).tolist() == [lanes * d for d, _ in blocks]
+    want_slot = np.empty(g.nnz, dtype=np.intp)
+    for b, (d, checks) in enumerate(blocks):
+        lane_chk = blk_chk[lanes * b:lanes * (b + 1)]
+        assert lane_chk.tolist() == checks.tolist() + [0] * (lanes - len(checks))
+        for k, s in enumerate(checks.tolist()):
+            want_slot[g.chk_seg_starts[s] + np.arange(d)] = blk_starts[b] + lanes * np.arange(d) + k
+    assert np.array_equal(graph.edge_slot, want_slot)
+    padded = np.ones(graph.n_slot, dtype=bool)
+    padded[graph.edge_slot] = False
+    assert np.count_nonzero(~padded) == g.nnz
+    assert np.array_equal(slot_var[graph.edge_slot], g.edge_var)
+    assert not slot_var[padded].any()
+    assert np.array_equal(slot_perm, graph.edge_slot[g.var_perm])
 
 
 def test_kernel_keeps_no_state_between_calls(c_kernel):
@@ -915,16 +976,37 @@ def test_failed_native_build_falls_back_to_a_generic_build(c_kernel, monkeypatch
     assert decode_set_digest() == DIGEST
 
 
+def test_generic_build_gives_the_digests(c_kernel, monkeypatch, tmp_path):
+    """The library built without ``-march=native``, where the compiler
+    lowers the check pass's vectors for the generic target, gives both
+    digests."""
+    library = bp._library
+    monkeypatch.setattr(bp, "_library", lambda source, native=True: library(source, False))
+    monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert bp.min_sum_kernel() == "c"
+    generic, cflags = library(bp._KERNEL_SOURCE.read_bytes(), native=False)
+    assert cflags == bp._CFLAGS
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == [generic]
+    assert decode_set_digest() == DIGEST
+    assert decode_set_digest(early_stop=False) == DIGEST_NO_EARLY_STOP
+
+
 def test_kernel_compiles_without_warnings(tmp_path):
+    """Native and generic builds alike: the generic target lowers the check
+    pass's vectors to narrower ones."""
     if shutil.which("gcc") is None:
         pytest.skip("gcc is not installed")
-    _, cflags = bp._library(bp._KERNEL_SOURCE.read_bytes())
-    proc = subprocess.run(
-        [bp._CC, *cflags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "min_sum.so"),
-         str(bp._KERNEL_SOURCE)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
+    for native in (True, False):
+        _, cflags = bp._library(bp._KERNEL_SOURCE.read_bytes(), native)
+        proc = subprocess.run(
+            [bp._CC, *cflags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "min_sum.so"),
+             str(bp._KERNEL_SOURCE)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_two_processes_build_one_library(c_kernel, tmp_path):

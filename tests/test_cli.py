@@ -84,6 +84,16 @@ class TestCodeCommand:
         assert run_cli("code", "--code", "surface:4", "--out", str(tmp_path)) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bb_without_logical_qubits_rejected(self, tmp_path, capsys):
+        """Monomials that give k = 0 write nothing: one error line, exit 1."""
+        assert run_cli("code", "--code", "bb:6,6", "--bb-a", "x1,y1,y2",
+                       "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: bb:6,6 with A=x1,y1,y2, B=y3,x1,x2 encodes no logical "
+                                "qubit (k=0)\n")
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
 
 class TestDemCommand:
     def test_pheno_export(self, tmp_path):
@@ -129,6 +139,19 @@ class TestDemCommand:
         assert run_cli("dem", *argv, "--p", p, "--out", str(tmp_path)) == 1
         captured = capsys.readouterr()
         assert captured.err == "error: p must lie in (0, 0.5)\n"
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("pheno", "--code", "surface:3"), ("circuit-bb", "--code", "bb:6,6"),
+    ], ids=["pheno", "circuit-bb"])
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_rounds_below_one_rejected(self, tmp_path, capsys, argv, rounds):
+        """``dem`` checks ``--rounds`` as ``simulate`` does, by the flag's name."""
+        assert run_cli("dem", *argv, "--rounds", rounds, "--p", "0.01",
+                       "--out", str(tmp_path)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: rounds must be >= 1\n"
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import reduce_logical_weight
 from qldpc_dc.codes import (
     BbParams,
+    bb_check_matrices,
     bb_params,
     build_bb,
     build_rotated_surface,
@@ -71,8 +72,10 @@ class TestBbCode:
             a_monomials=(("x", 1), ("y", 2), ("y", 4)),
             b_monomials=(("y", 1), ("x", 2), ("x", 3)),
         )
-        code = build_bb(params)
-        assert mat_mat_t(code.hz, code.hx).nnz == 0
+        hx, hz = bb_check_matrices(params)
+        assert mat_mat_t(hz, hx).nnz == 0
+        with pytest.raises(ValueError, match=r"encodes no logical qubit \(k=0\)"):
+            build_bb(params)  # these monomials give k = 0
 
     def test_deterministic(self):
         a = build_bb(bb_params(6, 6))
@@ -123,7 +126,7 @@ class TestBbCode:
         try:
             code = build_bb(BbParams(l=l, m=m, a_monomials=monos(), b_monomials=monos()))
         except ValueError:
-            return  # colliding permutations are a legal rejection
+            return  # colliding permutations and k = 0 are legal rejections
         code.validate()
 
 

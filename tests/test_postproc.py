@@ -5,10 +5,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    reference_dc_cut_indices,
     reference_bp_dc_decode,
     reference_bp_dc_osd_decode,
     reference_bp_osd_decode,
@@ -37,6 +38,20 @@ from qldpc_dc.postproc import (
 
 def rng_from(seed):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+@st.composite
+def tied_cut_cases(draw):
+    """(h_deg, soft, seed): rows of mixed weights, none empty, and soft
+    values from a few levels, +-0.0 included, so that most rows tie."""
+    rows = draw(st.integers(1, 12))
+    cols = draw(st.integers(1, 10))
+    sups = [draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=cols))
+            for _ in range(rows)]
+    levels = draw(st.lists(st.sampled_from([0.0, -0.0, 0.01, 0.2, 0.5, 1.0]),
+                           min_size=1, max_size=3))
+    soft = np.array(draw(st.lists(st.sampled_from(levels), min_size=cols, max_size=cols)))
+    return SparseBinMatrix(rows, cols, sups), soft, draw(st.integers(0, 2**32 - 1))
 
 
 class TestDcCutIndices:
@@ -83,6 +98,43 @@ class TestDcCutIndices:
             if j not in in_support:
                 poisoned[j] = np.nan
         assert dc_cut_indices(h, poisoned, rng_from(7)) == clean
+
+    def test_nan_inside_a_support_rejected(self):
+        h = SparseBinMatrix(2, 4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="row 1 has a NaN"):
+            dc_cut_indices(h, np.array([0.1, 0.2, np.nan, 0.3]), rng_from(0))
+
+    @given(tied_cut_cases())
+    @example((SparseBinMatrix(0, 3, []), np.full(3, 0.5), 0))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_row_loop(self, case):
+        """The weight-grouped cut makes the cuts of the per-row loop it
+        replaced and leaves the Philox stream in the same state."""
+        h, soft, seed = case
+        got_rng, want_rng = rng_from(seed), rng_from(seed)
+        assert dc_cut_indices(h, soft, got_rng) == reference_dc_cut_indices(h, soft, want_rng)
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+
+    def test_equals_the_row_loop_on_a_circuit_ddm(self):
+        """The same on a circuit-level degeneracy matrix, for soft outputs
+        of failed first runs, their values rounded to two digits (many
+        ties), and the priors; the padded rows are built once."""
+        cfg = sim.ExperimentConfig(code="bb:6,6", noise="circuit-bb", rounds=3, p=0.01,
+                                   decoder="bp", trials=8, seed=5)
+        model = sim.build_model(cfg)
+        h_deg = model.degeneracy_matrix
+        dec = BpDecoder(model.check_matrix, MIN_SUM, 1.0)
+        softs = [model.priors]
+        for t in range(cfg.trials):
+            syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            out = dec.decode(syndrome, model.priors, 30)
+            softs += [out.soft, np.round(out.soft, 2)]
+        for seed, soft in enumerate(softs):
+            got_rng, want_rng = rng_from(seed), rng_from(seed)
+            got = dc_cut_indices(h_deg, soft, got_rng)
+            assert got == reference_dc_cut_indices(h_deg, soft, want_rng)
+            assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
+        assert h_deg.ell is h_deg.ell
 
     def test_cut_budget(self):
         h = SparseBinMatrix(4, 12, [(0, 1, 2), (2, 3), (5, 6, 7), (7, 8)])
