@@ -74,7 +74,7 @@ def parse_monomials(text: str) -> tuple[tuple[str, int], ...]:
     out = []
     for token in text.split(","):
         token = token.strip()
-        if len(token) < 2 or token[0] not in ("x", "y"):
+        if token[:1] not in ("x", "y") or not token[1:].isdecimal():
             raise ValueError(f"bad monomial {token!r}, expected like 'x3' or 'y2'")
         out.append((token[0], int(token[1:])))
     return tuple(out)

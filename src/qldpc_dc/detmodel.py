@@ -77,12 +77,10 @@ def code_capacity_model(code: CssCode, p: float) -> DetectorModel:
 # ---------------------------------------------------------------------------
 
 
-def _pheno_columns(n: int, m_z: int, t_rounds: int):
+def _pheno_columns(n: int, m_z: int):
     """Column offsets: per round [data(n) | meas(m_z)], then final data(n)."""
 
     def data(t: int, j: int) -> int:
-        if t == t_rounds:
-            return t_rounds * (n + m_z) + j
         return t * (n + m_z) + j
 
     def meas(t: int, i: int) -> int:
@@ -105,7 +103,7 @@ def build_pheno_dcm(code: CssCode, t_rounds: int, p: float) -> DetectorModel:
     n, m_z = code.n, code.hz.rows
     n_cols = t_rounds * (n + m_z) + n
     n_dets = m_z * (t_rounds + 1)
-    data, meas = _pheno_columns(n, m_z, t_rounds)
+    data, meas = _pheno_columns(n, m_z)
 
     entries = []
     obs_entries = []
@@ -143,7 +141,7 @@ def build_pheno_ddm(code: CssCode, t_rounds: int) -> SparseBinMatrix:
         raise ValueError("t_rounds must be >= 1")
     n, m_z, m_x = code.n, code.hz.rows, code.hx.rows
     n_cols = t_rounds * (n + m_z) + n
-    data, meas = _pheno_columns(n, m_z, t_rounds)
+    data, meas = _pheno_columns(n, m_z)
 
     rows: list[list[int]] = []
     for t in range(t_rounds):
@@ -172,17 +170,12 @@ _BB_BLOCKS = ("prev_L", "prev_R", "meas", "mid_L3", "mid_R1", "mid_L4", "mid_R2"
               "hook3", "hook4", "hook5")
 
 
-def _bb_columns(s: int, t_rounds: int):
-    """Column offset lookup for the explicit circuit-level layout."""
+def _bb_columns(s: int):
+    """Column offset lookup for the explicit circuit-level layout; the
+    final round has only its first two blocks, prev_L and prev_R."""
     block_pos = {name: idx for idx, name in enumerate(_BB_BLOCKS)}
 
     def col(t: int, block: str, i: int) -> int:
-        if t == t_rounds:
-            if block == "prev_L":
-                return 10 * s * t_rounds + i
-            if block == "prev_R":
-                return 10 * s * t_rounds + s + i
-            raise ValueError(f"final round has only data blocks, not {block}")
         return 10 * s * t + block_pos[block] * s + i
 
     return col
@@ -297,7 +290,7 @@ def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> Detect
     code = build_bb(params)
     s = params.l * params.m
     word = _bb_words(params)
-    col = _bb_columns(s, t_rounds)
+    col = _bb_columns(s)
     n_cols = 10 * s * t_rounds + 2 * s
     n_dets = s * (t_rounds + 1)
 
@@ -350,7 +343,7 @@ def build_bb_circuit_ddm(
         raise ValueError("t_rounds must be >= 1")
     s = params.l * params.m
     word = _bb_words(params)
-    col = _bb_columns(s, t_rounds)
+    col = _bb_columns(s)
     n_cols = 10 * s * t_rounds + 2 * s
     if include_extra is None:
         include_extra = _needs_extra_ddm_block(params)

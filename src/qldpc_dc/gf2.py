@@ -115,9 +115,7 @@ class SparseBinMatrix:
     on first use: products read the columns, eliminations the rows.
     """
 
-    __slots__ = (
-        "rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits", "_csr", "_ell"
-    )
+    __slots__ = ("rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits", "_csr")
 
     def __init__(self, rows: int, cols: int, row_supports: Sequence[Iterable[int]]):
         if rows < 0 or cols < 0:
@@ -142,7 +140,6 @@ class SparseBinMatrix:
         self._row_bits: Optional[tuple[int, ...]] = None
         self._col_bits: Optional[tuple[int, ...]] = None
         self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
-        self._ell: Optional[np.ndarray] = None
 
     @classmethod
     def from_entries(
@@ -197,28 +194,14 @@ class SparseBinMatrix:
     @property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """``(starts, cols)``, intp arrays built on first use: row i's
-        support is ``cols[starts[i]:starts[i + 1]]``.  Tanner graphs read
-        them."""
+        support is ``cols[starts[i]:starts[i + 1]]``.  Tanner graphs and the
+        DC cut read them."""
         if self._csr is None:
             sups = self._row_supports
             starts = np.array([0, *itertools.accumulate(map(len, sups))], dtype=np.intp)
             cols = np.fromiter(itertools.chain.from_iterable(sups), np.intp, count=starts[-1])
             self._csr = (starts, cols)
         return self._csr
-
-    @property
-    def ell(self) -> np.ndarray:
-        """The rows in ELLPACK form, built on first use: an intp array of
-        shape (largest row weight, rows) whose column i lists row i's
-        support in order, padded with ``cols``.  The DC cut reads it."""
-        if self._ell is None:
-            starts, cols = self.csr
-            weight = np.diff(starts)
-            ell = np.full((weight.max(initial=0), self.rows), self.cols, dtype=np.intp)
-            ell[np.arange(len(cols)) - np.repeat(starts[:-1], weight),
-                np.repeat(np.arange(self.rows), weight)] = cols
-            self._ell = ell
-        return self._ell
 
     def row(self, i: int) -> tuple[int, ...]:
         return self._row_supports[i]
@@ -429,7 +412,7 @@ def load_triplet(path) -> SparseBinMatrix:
         raise TripletFormatError(f"{path}: line 1: non-integer header") from exc
     if min(rows, cols, nnz) < 0:
         raise TripletFormatError(f"{path}: line 1: negative size")
-    entries = []
+    entries: set[tuple[int, int]] = set()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -444,12 +427,11 @@ def load_triplet(path) -> SparseBinMatrix:
             ) from exc
         if not (0 <= i < rows and 0 <= j < cols):
             raise TripletFormatError(f"{path}: line {lineno}: index out of range")
-        entries.append((i, j))
+        if (i, j) in entries:
+            raise TripletFormatError(f"{path}: line {lineno}: repeated entry")
+        entries.add((i, j))
     if len(entries) != nnz:
         raise TripletFormatError(
             f"{path}: header declares nnz={nnz} but file has {len(entries)} entries"
         )
-    try:
-        return SparseBinMatrix.from_entries(rows, cols, entries)
-    except ValueError as exc:
-        raise TripletFormatError(f"{path}: {exc}") from exc
+    return SparseBinMatrix.from_entries(rows, cols, entries)

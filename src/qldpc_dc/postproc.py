@@ -63,32 +63,33 @@ def _dc_rng(seed: int) -> np.random.Generator:
 def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> frozenset:
     """Lowest-probability variable per degeneracy row, ties drawn uniformly.
 
-    Only soft values inside each row's support are read.  Every row's
-    minimum and ties are found at once, over ``h_deg.ell``; a row whose
-    minimum is tied then draws ``rng.integers(len(ties))`` over its tied
-    columns in column order, one call per tied row in row order.
+    Only soft values inside each row's support are read, in one pass over
+    ``h_deg.csr``.  A row whose minimum is tied picks one of its tied
+    columns, in column order, with ``rng.integers(len(ties))``; all tied
+    rows draw in one array-bounded call, which numpy consumes as it does
+    one scalar call per tied row in row order.
     """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h_deg.cols,):
         raise ValueError(f"soft length {soft.shape} != degeneracy cols {h_deg.cols}")
-    cols = h_deg.ell
-    vals = np.append(soft, np.inf)[cols]  # a padded entry is never a minimum
-    mins = vals.min(axis=0, initial=np.inf)
+    starts, cols = h_deg.csr
+    vals = soft[cols]
+    weight = np.diff(starts)
+    mins = np.full(h_deg.rows, np.inf)
+    full = weight > 0  # reduceat would give an empty row the next row's first value
+    mins[full] = np.minimum.reduceat(vals, starts[:-1][full])
     if not (mins < np.inf).all():
         i = int(np.argmin(mins < np.inf))
-        what = "has empty support" if not h_deg.row(i) else "has a NaN or infinite soft value"
+        what = "has empty support" if not weight[i] else "has a NaN or infinite soft value"
         raise ValueError(f"degeneracy row {i} {what}")
-    is_min = vals == mins
-    counts = np.count_nonzero(is_min, axis=0)
-    one = counts == 1
-    picked = np.zeros(h_deg.cols, dtype=bool)
-    picked[(cols * is_min)[:, one].sum(axis=0)] = True
-    tied = np.flatnonzero(~one)
-    ties = cols[:, tied].T[is_min[:, tied].T].tolist()  # row by row, columns ascending
-    start = 0
-    for n in counts[tied].tolist():
-        picked[ties[start + int(rng.integers(n))]] = True
-        start += n
+    is_min = vals == np.repeat(mins, weight)
+    counts = np.add.reduceat(is_min, starts[:-1], dtype=np.intp)
+    pick = np.zeros(h_deg.rows, dtype=np.intp)
+    tied = counts > 1
+    if tied.any():
+        pick[tied] = rng.integers(counts[tied])
+    picked = np.zeros(h_deg.cols, dtype=bool)  # rows share columns: set each once
+    picked[cols[np.flatnonzero(is_min)[np.cumsum(counts) - counts + pick]]] = True
     return frozenset(np.flatnonzero(picked).tolist())
 
 

@@ -178,11 +178,9 @@ def parse_code_spec(spec: str, bb_a: Optional[str] = None, bb_b: Optional[str] =
     return bb_params(*sizes, bb_a, bb_b)
 
 
-def measurement_rounds(cfg) -> int:
+def measurement_rounds(cfg: ExperimentConfig) -> int:
     """The point's measurement rounds T: 0 for code capacity, else
-    ``cfg.rounds``, else the cited distance d (2 if none is on record).
-    Reads ``noise``, ``rounds``, ``code``, ``bb_a`` and ``bb_b`` of an
-    ``ExperimentConfig`` or of the CLI's parsed arguments."""
+    ``cfg.rounds``, else the cited distance d (2 if none is on record)."""
     if cfg.noise == "code-capacity":
         return 0
     if cfg.rounds is not None:
@@ -193,11 +191,9 @@ def measurement_rounds(cfg) -> int:
     return d if d is not None else 2
 
 
-def build_model(cfg) -> DetectorModel:
-    """The one dispatch from a noise name to its model builder.  Reads
-    ``code``, ``bb_a``, ``bb_b``, ``noise``, ``p`` and, through
-    ``measurement_rounds``, ``rounds`` of an ``ExperimentConfig`` or of
-    the CLI's parsed arguments."""
+def build_model(cfg: ExperimentConfig) -> DetectorModel:
+    """The one dispatch from a noise name to its model builder, for the
+    point's code, noise, p and measurement rounds."""
     parsed = parse_code_spec(cfg.code, cfg.bb_a, cfg.bb_b)
     rounds = measurement_rounds(cfg)
     if cfg.noise == "circuit-bb":

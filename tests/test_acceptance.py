@@ -237,7 +237,7 @@ def test_criterion_6_enumerator_cross_check():
     }
     from qldpc_dc.detmodel import _bb_columns
 
-    col = _bb_columns(36, 2)
+    col = _bb_columns(36)
     c = col(0, "mid_R1", 7)
     key = (expl.check_matrix.col(c), expl.observables.col(c))
     report(

@@ -419,6 +419,21 @@ class TestDecodeCommand:
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
 
+    def test_repeated_triplet_entry_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("4 9 2\n0 0\n0 0\n")
+        (tmp_path / "syn.txt").write_text("0\n0\n0\n0\n")
+        out = tmp_path / "est.txt"
+        assert run_cli(
+            "decode", "--dcm", str(bad), "--syndrome", str(tmp_path / "syn.txt"),
+            "--out", str(out),
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {bad}: line 3: repeated entry\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
     def test_osd_inconsistent_syndrome_is_an_error(self, tmp_path, capsys):
         save_triplet(SparseBinMatrix(2, 3, [(0, 1), (0, 1)]), tmp_path / "h.txt")
         (tmp_path / "syn.txt").write_text("1\n0\n")
@@ -667,8 +682,10 @@ class TestSimulateAndSweep:
         ("simulate", ["--code", "bb:6"],
          "error: code 'bb:6': expected surface:<d> or bb:<l>,<m>"),
         ("simulate", ["--code", "bb:6,y"], "error: code 'bb:6,y': 'y' is not an integer"),
+        ("simulate", ["--code", "bb:6,6", "--bb-a", "x3,y1,yy"],
+         "error: bad monomial 'yy', expected like 'x3' or 'y2'"),
     ], ids=["p-word", "p-empty", "sweep-p", "simulate-p", "surface-word", "bb-one-size",
-        "bb-word"])
+        "bb-word", "bb-monomial-word"])
     def test_malformed_rate_or_code_names_it(self, tmp_path, capsys, command, flags, message):
         """A bad ``--p`` list or code spec is one error line naming the flag
         or field and the bad token: exit 1, no output, no manifest."""

@@ -95,6 +95,9 @@ class TestBbCode:
                 a_monomials=(("z", 3), ("y", 1), ("y", 2)),
                 b_monomials=(("y", 3), ("x", 1), ("x", 2)),
             )
+        for token in ("yy", "x", "", "x-1", "y1.5"):
+            with pytest.raises(ValueError, match=f"bad monomial '{token}', expected like 'x3'"):
+                bb_params(6, 6, a=f"x3,y1,{token}")
 
     def test_parse_monomials(self):
         assert parse_monomials("x3,y1,y2") == (("x", 3), ("y", 1), ("y", 2))

@@ -108,33 +108,48 @@ class TestDcCutIndices:
     @example((SparseBinMatrix(0, 3, []), np.full(3, 0.5), 0))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_row_loop(self, case):
-        """The weight-grouped cut makes the cuts of the per-row loop it
-        replaced and leaves the Philox stream in the same state."""
+        """The one-pass cut over CSR rows makes the cuts of the per-row
+        loop it replaced and leaves the Philox stream in the same state."""
         h, soft, seed = case
         got_rng, want_rng = rng_from(seed), rng_from(seed)
         assert dc_cut_indices(h, soft, got_rng) == reference_dc_cut_indices(h, soft, want_rng)
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
     def test_equals_the_row_loop_on_a_circuit_ddm(self):
-        """The same on a circuit-level degeneracy matrix, for soft outputs
-        of failed first runs, their values rounded to two digits (many
-        ties), and the priors; the padded rows are built once."""
+        """The same on circuit-level degeneracy matrices: on bb:6,6 for soft
+        outputs of failed first runs, their values rounded to two digits
+        (many ties), and the priors; on bb:12,6 T=12 for the priors, where
+        thousands of rows tie.  The CSR rows are built once."""
         cfg = sim.ExperimentConfig(code="bb:6,6", noise="circuit-bb", rounds=3, p=0.01,
                                    decoder="bp", trials=8, seed=5)
         model = sim.build_model(cfg)
-        h_deg = model.degeneracy_matrix
         dec = BpDecoder(model.check_matrix, MIN_SUM, 1.0)
-        softs = [model.priors]
+        cases = [(model.degeneracy_matrix, model.priors)]
         for t in range(cfg.trials):
             syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
             out = dec.decode(syndrome, model.priors, 30)
-            softs += [out.soft, np.round(out.soft, 2)]
-        for seed, soft in enumerate(softs):
+            cases += [(model.degeneracy_matrix, s) for s in (out.soft, np.round(out.soft, 2))]
+        big = sim.build_model(sim.ExperimentConfig(code="bb:12,6", noise="circuit-bb", rounds=12,
+                                                   p=0.003, decoder="bp", trials=1, seed=0))
+        cases.append((big.degeneracy_matrix, big.priors))
+        for seed, (h_deg, soft) in enumerate(cases):
             got_rng, want_rng = rng_from(seed), rng_from(seed)
             got = dc_cut_indices(h_deg, soft, got_rng)
             assert got == reference_dc_cut_indices(h_deg, soft, want_rng)
             assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
-        assert h_deg.ell is h_deg.ell
+        assert model.degeneracy_matrix.csr is model.degeneracy_matrix.csr
+
+    @pytest.mark.parametrize("bounds", [[], [2], [3, 2, 5000, 7], list(range(2, 5001))])
+    def test_array_bounded_integers_draws_as_scalar_calls(self, bounds):
+        """The cut's one tie draw rests on this numpy contract: on a Philox
+        generator, ``integers(bounds)`` gives the values and the final
+        state of one scalar ``integers(n)`` call per bound, in order."""
+        bounds = np.array(bounds, dtype=np.intp)
+        got_rng, want_rng = rng_from(9), rng_from(9)
+        got = got_rng.integers(bounds)
+        want = [int(want_rng.integers(int(n))) for n in bounds]
+        assert got.tolist() == want
+        assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
     def test_cut_budget(self):
         h = SparseBinMatrix(4, 12, [(0, 1, 2), (2, 3), (5, 6, 7), (7, 8)])
