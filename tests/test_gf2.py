@@ -428,14 +428,6 @@ class TestTripletFormat:
         with pytest.raises(TripletFormatError, match="line 2"):
             load_triplet(path)
 
-    def test_repeated_entry_reports_its_line(self, tmp_path):
-        """A repeated ``i j`` is an error, not a mod-2 cancellation that
-        would leave a header-consistent file with a different matrix."""
-        path = tmp_path / "bad.txt"
-        path.write_text("4 9 2\n0 0\n0 0\n")
-        with pytest.raises(TripletFormatError, match=f"^{path}: line 3: repeated entry$"):
-            load_triplet(path)
-
     @pytest.mark.parametrize("header", ["2 -5 0", "-1 3 0", "2 2 -1"])
     def test_negative_size_reports_line_1(self, tmp_path, header):
         path = tmp_path / "bad.txt"
