@@ -103,10 +103,15 @@ class TannerGraph:
     kept columns get edges: the full graph's edges filtered by
     ``keep[edge_var]``.  Empty rows and empty columns take no part in
     message passing (an empty row with syndrome 1 simply never converges).
+
+    A graph never changes once built.  ``BpDecoder`` keeps a matrix's full
+    graph on the matrix and shares it; a masked graph is built per decode
+    and kept nowhere.  The graph holds the matrix's column count, not the
+    matrix, so the two never form a reference cycle.
     """
 
     def __init__(self, h: SparseBinMatrix, keep: np.ndarray | None = None):
-        self.h = h
+        self.cols = h.cols
         starts, edge_var = h.csr
         if keep is None:
             counts = np.diff(starts)
@@ -138,7 +143,8 @@ class TannerGraph:
     def min_sum_graph(self) -> "_MinSumGraph":
         """What ``min_sum.c`` reads, built once per graph on its first
         compiled decode: sizes, pointers and the slot layout of the check
-        pass.
+        pass.  A worker process forked after that inherits it with the
+        graph; a pickled copy of the graph builds its own.
 
         The checks are sorted by degree (stably) and dealt, ``_lanes()`` at
         a time, into blocks; the last block of each degree is padded with
@@ -430,7 +436,7 @@ def _run_compiled(kernel, g: TannerGraph, syn, lam, hard, total, m_vc, m_cv, sca
     bit.  Returns ``-it`` if ``test`` and the hard decision satisfied every
     check with edges before iteration ``it``, else ``max_iter``.
     """
-    cols, graph = g.h.cols, g.min_sum_graph
+    cols, graph = g.cols, g.min_sum_graph
     state = _MinSumState(
         ctypes.addressof(graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
         _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
@@ -468,9 +474,15 @@ class BpDecoder:
     """Reusable decoder holding the graph; message buffers are per decode.
 
     One instance must not be shared mid-decode; distinct instances over
-    the same immutable matrix can run concurrently.  ``v2c_edge_updates``
-    and ``c2v_edge_updates`` count the last decode's edge updates in each
-    direction: its iterations times the edges of the graph it ran on.
+    the same immutable matrix can run concurrently.  They share its full
+    graph, whatever their variant or scale: the first decoder over a
+    matrix object builds it and keeps it on the matrix, and it does not
+    change once built.  Decoders built at once in several threads may
+    each build an equal graph, and the matrix keeps the last; no lock
+    guards this, so a forked worker can never inherit one held.
+    ``v2c_edge_updates`` and ``c2v_edge_updates`` count the last decode's
+    edge updates in each direction: its iterations times the edges of the
+    graph it ran on.
     """
 
     def __init__(
@@ -487,7 +499,9 @@ class BpDecoder:
         self.h = h
         self.variant = variant
         self.min_sum_scale = scale
-        self.graph = TannerGraph(h)
+        if h._graph is None:
+            h._graph = TannerGraph(h)
+        self.graph = h._graph
         self.v2c_edge_updates = self.c2v_edge_updates = 0
 
     def decode(

@@ -113,9 +113,12 @@ class SparseBinMatrix:
 
     The column supports are built with the rows, and both sets of bitmasks
     on first use: products read the columns, eliminations the rows.
+    ``_graph`` holds the full ``bp.TannerGraph``, which the first
+    ``bp.BpDecoder`` over this object builds and every later one reuses.
     """
 
-    __slots__ = ("rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits", "_csr")
+    __slots__ = ("rows", "cols", "_row_supports", "_col_supports", "_row_bits", "_col_bits", "_csr",
+                 "_graph")
 
     def __init__(self, rows: int, cols: int, row_supports: Sequence[Iterable[int]]):
         if rows < 0 or cols < 0:
@@ -140,6 +143,7 @@ class SparseBinMatrix:
         self._row_bits: Optional[tuple[int, ...]] = None
         self._col_bits: Optional[tuple[int, ...]] = None
         self._csr: Optional[tuple[np.ndarray, np.ndarray]] = None
+        self._graph = None
 
     @classmethod
     def from_entries(

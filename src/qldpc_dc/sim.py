@@ -293,7 +293,14 @@ def _run_worker_block(cfg: ExperimentConfig, lo: int, hi: int):
 
 
 def run_trials(cfg: ExperimentConfig, model: Optional[DetectorModel] = None) -> FailureStats:
-    """Run cfg.trials seeded trials; a pure function of the config and model."""
+    """Run cfg.trials seeded trials; a pure function of the config and model.
+
+    With ``threads`` > 1 a pool of forked workers runs the trials in blocks.
+    Every block's decoder reuses the Tanner graph kept on the model's check
+    matrix: a worker inherits it, with its kernel layout, if the process
+    that calls this built them first, and otherwise builds them once, on
+    its first block.
+    """
     if model is None:
         model = build_model(cfg)
     if cfg.threads <= 1:

@@ -6,6 +6,7 @@ brute-force enumeration over all error patterns.
 """
 
 import concurrent.futures
+import gc
 import hashlib
 import itertools
 import os
@@ -16,6 +17,7 @@ import sys
 import tempfile
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -893,7 +895,8 @@ def test_slot_layout_blocks_checks_by_degree(h, keep):
     slot ``blk_starts[b] + lanes * i + k``.  Padded lanes run check segment
     0 on column 0, and no variable reads their slots.  The layout is built
     on first use, not with the graph or the decoder."""
-    assert "min_sum_graph" not in BpDecoder(h, MIN_SUM).graph.__dict__
+    fresh = SparseBinMatrix(h.rows, h.cols, h.row_supports)  # earlier tests decode on h
+    assert "min_sum_graph" not in BpDecoder(fresh, MIN_SUM).graph.__dict__
     g = TannerGraph(h, keep)
     assert "min_sum_graph" not in g.__dict__
     graph, lanes = g.min_sum_graph, bp._lanes()
@@ -1069,7 +1072,68 @@ def test_decoder_pickles_after_a_compiled_decode(c_kernel):
     dec = BpDecoder(h, MIN_SUM, 0.625)
     first = dec.decode(syndrome, [0.1] * 4, 20)
     copy = pickle.loads(pickle.dumps(dec))
+    assert copy.h._graph is copy.graph
     assert "min_sum_graph" not in copy.graph.__dict__
     again = copy.decode(syndrome, [0.1] * 4, 20)
     assert (again.soft.tobytes(), again.hard, again.iterations_used) == (
         first.soft.tobytes(), first.hard, first.iterations_used)
+
+
+def test_decoders_over_one_matrix_share_its_graph():
+    """The first decoder over a matrix object builds its graph; every later
+    one, of either variant and any scale, holds that same graph.  An equal
+    matrix built anew gets its own."""
+    h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
+    assert h._graph is None
+    decoders = [BpDecoder(h, variant, scale)
+                for variant in (MIN_SUM, PRODUCT_SUM) for scale in (0.625, 1.0)]
+    assert h._graph is not None
+    assert all(dec.graph is h._graph for dec in decoders)
+    assert BpDecoder(SparseBinMatrix(3, 4, h.row_supports)).graph is not h._graph
+
+
+def test_kept_graph_dies_with_its_matrix():
+    """A matrix and its graph do not reference each other, so with the
+    cycle collector off the graph is freed once its matrix and decoder
+    are, also after a compiled decode has built its layout."""
+    h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
+    dec = BpDecoder(h, MIN_SUM, 0.625)
+    dec.decode(BitVec.from_support(3, [0]), [0.1] * 4, 20)
+    graph = weakref.ref(dec.graph)
+    gc.disable()
+    try:
+        del h, dec
+        assert graph() is None
+    finally:
+        gc.enable()
+
+
+def test_decoders_built_at_once_in_threads_decode_alike():
+    """Threads that build decoders over one fresh matrix at once may each
+    build its graph; every decode equals that of a decoder built alone,
+    and the matrix keeps one of their graphs."""
+    _, priors, syndrome, scale, max_iter = all_degrees_decode(False)
+
+    def fresh():
+        return SparseBinMatrix(ALL_DEGREES.rows, ALL_DEGREES.cols, ALL_DEGREES.row_supports)
+
+    def decode(h, barrier=None):
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        dec = BpDecoder(h, MIN_SUM, scale)
+        out = dec.decode(syndrome, priors, max_iter)
+        return dec.graph, (out.soft.tobytes(), out.hard, out.converged, out.iterations_used)
+
+    alone = decode(fresh())[1]
+    h, threads = fresh(), 8
+    barrier = threading.Barrier(threads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(threads) as pool:
+            futures = [pool.submit(decode, h, barrier) for _ in range(threads)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(out == alone for _, out in results)
+    assert any(graph is h._graph for graph, _ in results)

@@ -233,6 +233,24 @@ class TestBpDcDecode:
         assert sum(len(r[3]) == 2 for r in runs[0]) == 113
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("variant", [PRODUCT_SUM, MIN_SUM])
+    def test_second_runs_leave_the_kept_graph(self, variant):
+        """Neither second run touches the full graph kept on the check
+        matrix: zero priors decode on a masked graph, and delete-columns
+        on a reduced matrix's graph."""
+        s = mat_vec_t(BitVec.from_support(9, [1, 2]), self.code.hz)
+        dec = BpDecoder(self.code.hz, variant, 1.0)
+        graph = dec.graph
+        arrays = {k: v.copy() for k, v in vars(graph).items() if isinstance(v, np.ndarray)}
+        for mode in (MaskingMode.ZERO_PRIORS, MaskingMode.DELETE_COLUMNS):
+            cfg = DcConfig(second_run_priors=SecondRunPriors.POSTERIOR, rng_seed=1,
+                           masking_mode=mode)
+            res = bp_dc_decode(self.code.hz, self.code.hx, s, self.priors, 9, cfg, decoder=dec)
+            assert len(res.bp_iterations) == 2
+            assert self.code.hz._graph is graph
+            assert all(np.array_equal(getattr(graph, k), v) for k, v in arrays.items())
+            assert graph.nnz == self.code.hz.nnz
+
     def test_seed_determinism(self):
         e = BitVec.from_support(9, [1, 2])
         s = mat_vec_t(e, self.code.hz)

@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from qldpc_dc import noise, sim
+from qldpc_dc import bp, noise, sim
 from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import build_rotated_surface
 from qldpc_dc.gf2 import BitVec, in_rowspace, mat_vec_t
@@ -184,6 +184,31 @@ class TestRunTrials:
         pooled = run_trials(dataclasses.replace(cfg, threads=2), model)
         assert pooled == single
         assert single != run_trials(cfg, built)
+
+    def test_pool_workers_inherit_the_kernel_layout(self, monkeypatch):
+        """Once a decode in this process has built the check matrix's graph
+        and kernel layout, neither an in-process block nor a forked worker
+        builds either again, and the pooled counts equal the in-process
+        ones."""
+        if bp.min_sum_kernel() != "c":
+            pytest.skip("the compiled min-sum kernel is not available")
+        cfg = ExperimentConfig(
+            code="surface:3", noise="pheno", p=0.03, rounds=2, decoder="bp-osd",
+            bp_variant="min-sum", trials=24, seed=9,
+        )
+        model = sim.build_model(cfg)
+        h = model.check_matrix
+        BpDecoder(h, MIN_SUM).decode(BitVec.zeros(h.rows), model.priors, 5)
+        assert "min_sum_graph" in vars(h._graph)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the graph or its kernel layout was built again")
+
+        monkeypatch.setattr(bp, "TannerGraph", rebuilt)
+        monkeypatch.setattr(bp, "_MinSumGraph", rebuilt)
+        single = run_trials(cfg, model)
+        assert run_trials(dataclasses.replace(cfg, threads=2), model) == single
+        assert single.failures_logical + single.failures_nonconvergent > 0
 
     @pytest.mark.parametrize("cpus,workers", [(4, 4), (64, 20), (None, 1)])
     def test_pool_never_exceeds_blocks_or_cpus(self, monkeypatch, cpus, workers):
