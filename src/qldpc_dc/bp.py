@@ -88,6 +88,7 @@ import numpy as np
 from .gf2 import BitVec, SparseBinMatrix
 
 LLR_CLAMP = 35.0
+_R_MAX = np.nextafter(1.0, 0.0)  # 2 * arctanh(_R_MAX) = 37.4 clips as arctanh(1) = inf did
 _TOTAL_CLAMP = 350.0  # posterior LLR sums stay well inside exp() range
 
 PRODUCT_SUM = "product-sum"
@@ -409,9 +410,7 @@ def _product_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.nda
         prod_e / tn,
         np.where(zero & (zcnt_e == 1), prod_e, 0.0),
     )
-    r = _clip(r * syn_sign_e, 1.0)
-    with np.errstate(divide="ignore"):
-        m_cv = 2.0 * np.arctanh(r)
+    m_cv = 2.0 * np.arctanh(_clip(r * syn_sign_e, _R_MAX))
     return _clip(m_cv, LLR_CLAMP)
 
 

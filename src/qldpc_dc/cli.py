@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, noise, sim
-from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder, min_sum_kernel
+from .bp import BpDecoder, min_sum_kernel
 from .codes import BbParams, build_bb, known_distance
 from .detmodel import find_low_weight_trivial
 from .gf2 import BitVec, SparseBinMatrix, TripletFormatError, load_triplet, mat_mat_t, save_triplet
@@ -337,19 +337,19 @@ def _add_code_flags(p: argparse.ArgumentParser, required: bool, rounds: bool) ->
 
 
 def _add_decoder_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bp-variant", dest="bp_variant", choices=[PRODUCT_SUM, MIN_SUM])
+    p.add_argument("--bp-variant", dest="bp_variant", choices=sim.CHOICES["bp_variant"])
     p.add_argument("--min-sum-scale", dest="min_sum_scale", type=float)
     p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--dc-second-priors", dest="dc_second_priors",
-                   choices=[m.value for m in SecondRunPriors])
-    p.add_argument("--dc-masking", dest="dc_masking", choices=[m.value for m in MaskingMode])
+                   choices=sim.CHOICES["dc_second_priors"])
+    p.add_argument("--dc-masking", dest="dc_masking", choices=sim.CHOICES["dc_masking"])
     p.add_argument("--seed", type=int, help="seed (env QLDPC_DC_SEED as fallback)")
 
 
 def _add_sim_flags(p: argparse.ArgumentParser) -> None:
     _add_code_flags(p, required=False, rounds=True)
     _add_decoder_flags(p)
-    p.add_argument("--noise", choices=["code-capacity", "pheno", "circuit-bb"])
+    p.add_argument("--noise", choices=sim.CHOICES["noise"])
     p.add_argument("--trials", type=int)
     p.add_argument("--threads", type=int, help="worker processes (default 1)")
     p.add_argument("--config", help="JSON config file; flags override it")
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--priors", help="priors file, one probability per line")
     p_dec.add_argument("--p", type=float, default=0.01,
                        help="uniform prior when --priors is absent")
-    p_dec.add_argument("--decoder", choices=list(DECODERS), default="bp")
+    p_dec.add_argument("--decoder", choices=DECODERS, default="bp")
     _add_decoder_flags(p_dec)
     p_dec.add_argument("--out", required=True)
     p_dec.set_defaults(func=cmd_decode, **_DECODE_DEFAULTS)
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="estimate one failure-rate point")
     _add_sim_flags(p_sim)
     p_sim.add_argument("--p", help="physical error rate")
-    p_sim.add_argument("--decoder", choices=list(DECODERS))
+    p_sim.add_argument("--decoder", choices=DECODERS)
     p_sim.set_defaults(func=cmd_points)
 
     p_sweep = sub.add_parser("sweep", help="failure rates over a list of p values")

@@ -133,25 +133,15 @@ def bb_block_permutations(params: BbParams) -> tuple[list[list[int]], list[list[
 
 
 def bb_check_matrices(params: BbParams) -> tuple[SparseBinMatrix, SparseBinMatrix]:
-    """H_X = [A|B] and H_Z = [B^T|A^T] of a bivariate bicycle code."""
+    """H_X = [A|B] and H_Z = [B^T|A^T], the transpose of [B; A], of a bivariate
+    bicycle code; row i of A holds the A monomial permutations' images of i."""
     s = params.l * params.m
-    a_perms, b_perms = bb_block_permutations(params)
-    a_inv = [_invert(p) for p in a_perms]
-    b_inv = [_invert(p) for p in b_perms]
-
-    hx_rows = []
-    hz_rows = []
-    for i in range(s):
-        row_a = {p[i] for p in a_perms}
-        row_b = {p[i] + s for p in b_perms}
-        if len(row_a) != 3 or len(row_b) != 3:
-            raise ValueError("monomials collide to the same permutation")
-        hx_rows.append(sorted(row_a | row_b))
-        # H_Z row i: B^T row = preimages under B, A^T row = preimages under A
-        row_bt = {p[i] for p in b_inv}
-        row_at = {p[i] + s for p in a_inv}
-        hz_rows.append(sorted(row_bt | row_at))
-    return SparseBinMatrix(s, 2 * s, hx_rows), SparseBinMatrix(s, 2 * s, hz_rows)
+    a_rows, b_rows = ([{p[i] for p in perms} for i in range(s)]
+                      for perms in bb_block_permutations(params))
+    if any(len(row) != 3 for row in a_rows + b_rows):
+        raise ValueError("monomials collide to the same permutation")
+    hx = SparseBinMatrix(s, 2 * s, [[*ra, *(j + s for j in rb)] for ra, rb in zip(a_rows, b_rows)])
+    return hx, SparseBinMatrix(2 * s, s, b_rows + a_rows).transpose()
 
 
 def build_bb(params: BbParams) -> CssCode:
@@ -170,13 +160,6 @@ def build_bb(params: BbParams) -> CssCode:
                    label=f"bb-{n}-{k}-l{params.l}m{params.m}")
     code.validate()
     return code
-
-
-def _invert(perm: list[int]) -> list[int]:
-    inv = [0] * len(perm)
-    for i, j in enumerate(perm):
-        inv[j] = i
-    return inv
 
 
 def build_rotated_surface(d: int) -> CssCode:

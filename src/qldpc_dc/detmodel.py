@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .codes import BbParams, CssCode, bb_block_permutations, build_bb
-from .gf2 import BitVec, SparseBinMatrix
+from .codes import BbParams, CssCode, bb_block_permutations, bb_params, build_bb
+from .gf2 import BitVec, SparseBinMatrix, mat_mat_t
 
 PRIOR_FLOOR = 1e-12
 
@@ -34,8 +34,6 @@ class DetectorModel:
     metadata: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        from .gf2 import mat_mat_t
-
         if self.observables.cols != self.check_matrix.cols:
             raise ValueError("observable and check matrices disagree on mechanisms")
         if self.priors.shape != (self.check_matrix.cols,):
@@ -165,75 +163,39 @@ def build_pheno_model(code: CssCode, t_rounds: int, p: float) -> DetectorModel:
 # explicit circuit-level matrices for bicycle codes
 # ---------------------------------------------------------------------------
 
-# column blocks per round, in printed left-to-right order
-_BB_BLOCKS = ("prev_L", "prev_R", "meas", "mid_L3", "mid_R1", "mid_L4", "mid_R2",
-              "hook3", "hook4", "hook5")
-
-
-def _bb_columns(s: int):
-    """Column offset lookup for the explicit circuit-level layout; the
-    final round has only its first two blocks, prev_L and prev_R."""
-    block_pos = {name: idx for idx, name in enumerate(_BB_BLOCKS)}
-
-    def col(t: int, block: str, i: int) -> int:
-        return 10 * s * t + block_pos[block] * s + i
-
-    return col
-
-
-def _bb_family_probs(block: str, t: int, t_rounds: int, p: float) -> list[float]:
-    """Constituent fault rates feeding one explicit column family.
-
-    Derived by classifying every schedule location's Pauli classes into the
-    signature families of the block layout; boundary rounds lose the
-    contributions from the missing neighbor round.
-    """
-    third, fifteenth = p / 3.0, p / 15.0
-    if block == "meas":
-        return [p] * 2 + [fifteenth] * 24
-    if block == "prev_L":
-        if t == 0:
-            return [third] * 4 + [fifteenth] * 16
-        if t == t_rounds:
-            return [third] * 2 + [fifteenth] * 20
-        return [third] * 4 + [fifteenth] * 36
-    if block == "prev_R":
-        if t == 0:
-            return [third] * 2 + [fifteenth] * 4
-        if t == t_rounds:
-            return [third] * 4 + [fifteenth] * 4
-        return [third] * 4 + [fifteenth] * 8
-    if block == "mid_R2":
-        return [fifteenth] * 20
-    if block in ("mid_L3", "mid_R1", "mid_L4", "hook3", "hook4", "hook5"):
-        return [fifteenth] * 8
-    raise ValueError(block)
-
-
 # The circuit layout lives in the two tables below and nowhere else.  A
 # permutation word such as "a2 b1" maps i to a2[b1[i]]; "" is the identity.
 #
-# _BB_DCM: per column block, the detectors column i flips as (round offset,
-# word) and the data qubits whose logical flips it carries as (half, word).
+# _BB_DCM: a round's column blocks in printed left-to-right order.  Per
+# block: the detectors column i flips as (round offset, word), the data
+# qubits whose logical flips it carries as (half, word), and the counts of
+# constituent faults of rates (p, p/3, p/15) in a middle, the first and the
+# last round (None: the last round has only the first two blocks).  Classifying
+# every schedule location's Pauli classes into the block families gives the
+# counts; boundary rounds lose the faults of their missing neighbour round.
 _BB_DCM = {
     # data errors present since the previous round: full syndrome now
-    "prev_L": ([(0, "b1"), (0, "b2"), (0, "b3")], [("L", "")]),
-    "prev_R": ([(0, "a1"), (0, "a2"), (0, "a3")], [("R", "")]),
-    "meas": ([(0, ""), (1, "")], []),
+    "prev_L": ([(0, "b1"), (0, "b2"), (0, "b3")], [("L", "")],
+               ((0, 4, 36), (0, 4, 16), (0, 2, 20))),
+    "prev_R": ([(0, "a1"), (0, "a2"), (0, "a3")], [("R", "")],
+               ((0, 4, 8), (0, 2, 4), (0, 4, 4))),
+    "meas": ([(0, ""), (1, "")], [], ((2, 0, 24), (2, 0, 24), None)),
     # data errors appearing after their first extraction CNOTs
-    "mid_L3": ([(0, "b2"), (0, "b3"), (1, "b1")], [("L", "")]),
-    "mid_R1": ([(0, "a2"), (0, "a3"), (1, "a1")], [("R", "")]),
-    "mid_L4": ([(0, "b3"), (1, "b1"), (1, "b2")], [("L", "")]),
-    "mid_R2": ([(0, "a2"), (1, "a1"), (1, "a3")], [("R", "")]),
+    "mid_L3": ([(0, "b2"), (0, "b3"), (1, "b1")], [("L", "")], ((0, 0, 8), (0, 0, 8), None)),
+    "mid_R1": ([(0, "a2"), (0, "a3"), (1, "a1")], [("R", "")], ((0, 0, 8), (0, 0, 8), None)),
+    "mid_L4": ([(0, "b3"), (1, "b1"), (1, "b2")], [("L", "")], ((0, 0, 8), (0, 0, 8), None)),
+    "mid_R2": ([(0, "a2"), (1, "a1"), (1, "a3")], [("R", "")],
+               ((0, 0, 20), (0, 0, 20), None)),
     # X-ancilla errors after steps 3/4/5 dump X onto the remaining CNOT
     # targets; later syndrome rounds see the net package
     "hook3": ([(0, "a2 b1"), (0, "a2 b3"), (1, "a1 b2"), (1, "a3 b2")],
-              [("R", "b1"), ("R", "b3"), ("L", "a1"), ("L", "a3")]),
+              [("R", "b1"), ("R", "b3"), ("L", "a1"), ("L", "a3")],
+              ((0, 0, 8), (0, 0, 8), None)),
     "hook4": ([(0, "a2 b3"), (1, "a1 b1"), (1, "a1 b2"), (1, "a3 b1"), (1, "a3 b2")],
-              [("R", "b3"), ("L", "a1"), ("L", "a3")]),
+              [("R", "b3"), ("L", "a1"), ("L", "a3")], ((0, 0, 8), (0, 0, 8), None)),
     "hook5": ([(1, "a1 b1"), (1, "a1 b2"), (1, "a1 b3"),
                (1, "a3 b1"), (1, "a3 b2"), (1, "a3 b3")],
-              [("L", "a1"), ("L", "a3")]),
+              [("L", "a1"), ("L", "a3")], ((0, 0, 8), (0, 0, 8), None)),
 }
 
 # DDM row families: row i of a family holds the columns (round offset,
@@ -260,6 +222,16 @@ _BB_DDM = [
 _BB_DDM_EXTRA = [(0, "hook5", "a3 a1 a1"), (0, "hook5", "a3 a3 a1"), (0, "hook5", "")]
 
 
+def _bb_columns(s: int):
+    """Column offset lookup for the explicit circuit-level layout."""
+    block_pos = {name: idx for idx, name in enumerate(_BB_DCM)}
+
+    def col(t: int, block: str, i: int) -> int:
+        return 10 * s * t + block_pos[block] * s + i
+
+    return col
+
+
 def _bb_words(params: BbParams):
     """Permutation lookup for the words of the layout tables."""
     a_perms, b_perms = bb_block_permutations(params)
@@ -282,6 +254,8 @@ def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> Detect
     partially-extracted mid-round data error families, and three families
     of errors that propagate from X ancillas onto several data qubits; a
     final H_Z block covers data errors preceding the noiseless readout.
+    Each block's prior is the odd-parity combination of the constituent
+    rates its ``_BB_DCM`` fault counts give for the round.
     """
     if t_rounds < 1:
         raise ValueError("t_rounds must be >= 1")
@@ -298,19 +272,21 @@ def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> Detect
     obs_entries: list[tuple[int, int]] = []  # repeats cancel mod 2
     priors = np.empty(n_cols)
     for t in range(t_rounds + 1):
-        for block in _BB_BLOCKS if t < t_rounds else ("prev_L", "prev_R"):
+        phase = 1 if t == 0 else 2 if t == t_rounds else 0
+        for block, (dets, data, faults) in _BB_DCM.items():
+            if faults[phase] is None:
+                continue
             c0 = col(t, block, 0)
             cols = range(c0, c0 + s)
-            dets, data = _BB_DCM[block]
             for dt, w in dets:
                 entries.extend(zip([(t + dt) * s + d for d in word(w)], cols))
             for half, w in data:
                 offset = 0 if half == "L" else s
                 for c, j in zip(cols, word(w)):
                     obs_entries.extend((li, c) for li in code.oz.col(offset + j))
-            priors[c0:c0 + s] = combine_odd_parity(
-                _bb_family_probs(block, t, t_rounds, rate)
-            )
+            n_p, n_3, n_15 = faults[phase]
+            priors[c0:c0 + s] = combine_odd_parity([rate] * n_p + [rate / 3.0] * n_3
+                                                   + [rate / 15.0] * n_15)
 
     return DetectorModel(
         check_matrix=SparseBinMatrix.from_entries(n_dets, n_cols, entries),
@@ -318,12 +294,6 @@ def build_bb_circuit_dcm(params: BbParams, t_rounds: int, rate: float) -> Detect
         priors=np.maximum(priors, PRIOR_FLOOR),
         metadata={"noise": "circuit-bb", "code": code.label, "T": t_rounds, "p": rate},
     )
-
-
-def _needs_extra_ddm_block(params: BbParams) -> bool:
-    from .codes import bb_params
-
-    return params == bb_params(9, 6)
 
 
 def build_bb_circuit_ddm(
@@ -346,7 +316,7 @@ def build_bb_circuit_ddm(
     col = _bb_columns(s)
     n_cols = 10 * s * t_rounds + 2 * s
     if include_extra is None:
-        include_extra = _needs_extra_ddm_block(params)
+        include_extra = params == bb_params(9, 6)
     per_round = _BB_DDM + [_BB_DDM_EXTRA] if include_extra else _BB_DDM
 
     rows: list[tuple[int, ...]] = []

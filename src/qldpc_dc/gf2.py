@@ -130,10 +130,10 @@ class SparseBinMatrix:
         for i, sup in enumerate(row_supports):
             prev = -1
             for j in sup:
-                if j <= prev:
-                    raise ValueError(f"row {i}: duplicate column index {j}")
                 if not 0 <= j < cols:
                     raise ValueError(f"row {i}: column index {j} out of range")
+                if j <= prev:
+                    raise ValueError(f"row {i}: duplicate column index {j}")
                 cols_acc[j].append(i)
                 prev = j
         self.rows = rows
@@ -153,6 +153,9 @@ class SparseBinMatrix:
         acc: dict[int, set[int]] = {}
         for i, j in entries:
             acc.setdefault(i, set()).symmetric_difference_update((j,))
+        for i in acc:
+            if not 0 <= i < rows:
+                raise ValueError(f"entry row index {i} out of range for {rows} rows")
         return cls(rows, cols, [acc.get(i, ()) for i in range(rows)])
 
     @classmethod

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import noise
-from .bp import PRODUCT_SUM, BpDecoder
+from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder
 from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     DetectorModel,
@@ -43,6 +43,14 @@ from .postproc import (
 )
 
 DECODERS = ("bp", "bp-dc", "bp-osd", "bp-dc-osd")
+# the values each ExperimentConfig field that names a choice may take
+CHOICES = {
+    "noise": ("code-capacity", "pheno", "circuit-bb"),
+    "decoder": DECODERS,
+    "bp_variant": (PRODUCT_SUM, MIN_SUM),
+    "dc_second_priors": tuple(m.value for m in SecondRunPriors),
+    "dc_masking": tuple(m.value for m in MaskingMode),
+}
 
 CSV_HEADER = "code,noise,decoder,p,T,trials,fail_logical,fail_nonconv,rate,ci_low,ci_high,seed"
 
@@ -131,13 +139,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # values from a JSON config file arrive unchecked
-        for name in ("code", "noise", "bp_variant", "dc_second_priors", "dc_masking",
-                     "bb_a", "bb_b"):
+        for name in ("code", "bb_a", "bb_b"):
             value = getattr(self, name)
-            if value is None and name in ("dc_second_priors", "bb_a", "bb_b"):
-                continue
-            if not isinstance(value, str):
+            if not isinstance(value, str) and (value is not None or name == "code"):
                 raise ValueError(f"{name} must be a string, got {value!r}")
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and (value is not None or name != "dc_second_priors"):
+                raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
         for name in ("p", "min_sum_scale"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -152,8 +161,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.decoder not in DECODERS:
-            raise ValueError(f"decoder must be one of {DECODERS}")
         if "dc" in self.decoder and self.dc_second_priors is None:
             raise ValueError("dc decoders require an explicit dc_second_priors choice")
 
@@ -203,9 +210,7 @@ def build_model(cfg: ExperimentConfig) -> DetectorModel:
     code = build_bb(parsed) if isinstance(parsed, BbParams) else parsed
     if cfg.noise == "code-capacity":
         return code_capacity_model(code, cfg.p)
-    if cfg.noise == "pheno":
-        return build_pheno_model(code, rounds, cfg.p)
-    raise ValueError(f"unknown noise model {cfg.noise!r}")
+    return build_pheno_model(code, rounds, cfg.p)
 
 
 def default_max_iter(cfg: ExperimentConfig, model: DetectorModel) -> int:

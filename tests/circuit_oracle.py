@@ -23,9 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from qldpc_dc.codes import (
-    BbParams, _invert, bb_block_permutations, build_bb, build_rotated_surface,
-)
+from qldpc_dc.codes import BbParams, bb_block_permutations, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import (
     PRIOR_FLOOR, DetectorModel, combine_odd_parity, find_low_weight_trivial,
 )
@@ -97,6 +95,13 @@ class ErrorMechanism:
 # ---------------------------------------------------------------------------
 # bicycle-code syndrome extraction circuit
 # ---------------------------------------------------------------------------
+
+
+def _invert(perm: list[int]) -> list[int]:
+    inv = [0] * len(perm)
+    for i, j in enumerate(perm):
+        inv[j] = i
+    return inv
 
 
 def build_bb_circuit(params: BbParams, t_rounds: int) -> CliffordCircuit:

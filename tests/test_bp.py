@@ -464,6 +464,11 @@ def test_numpy_kernel_huge_scale_warns_nothing(monkeypatch):
     assert out.converged and mat_vec_t(out.hard, h) == BitVec.from_support(2, [0])
 
 
+def test_product_sum_r_max_still_clips_to_the_llr_clamp():
+    """A saturated product-sum message clips to LLR_CLAMP as arctanh(1) = inf did."""
+    assert 2.0 * np.arctanh(bp._R_MAX) > bp.LLR_CLAMP
+
+
 def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, capfd):
     """A source the compiler rejects runs it once per build, native and
     then generic, not once per cache directory, and leaves no file."""

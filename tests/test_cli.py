@@ -589,6 +589,13 @@ class TestSimulateAndSweep:
     def test_config_file_fields_must_have_their_types(self, tmp_path, capsys, command, bad):
         assert_config_file_rejected(tmp_path, capsys, command, bad)
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("field", ["noise", "bp_variant", "dc_second_priors", "dc_masking"])
+    def test_config_file_choices_checked_before_any_model(self, tmp_path, capsys, monkeypatch,
+                                                          command, field):
+        monkeypatch.setattr(sim, "build_model", lambda cfg: pytest.fail("model built"))
+        assert_config_file_rejected(tmp_path, capsys, command, {field: "bogus"})
+
     @pytest.mark.parametrize("bad", [
         {"p": "0.05"}, {"p": True}, {"p": None}, {"p": [0.05]},
     ], ids=lambda bad: ",".join(f"{k}={v!r}" for k, v in bad.items()))

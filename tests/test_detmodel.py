@@ -6,13 +6,16 @@ a forward Pauli-frame simulator (separate from the enumerator's backward
 response pass in ``circuit_oracle``) for circuit fault signatures.
 """
 
+import ast
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circuit_oracle
 from circuit_oracle import (
     CliffordCircuit,
     _responses,
@@ -391,6 +394,16 @@ class TestFaultEnumerator:
         a, b = multiset(enum), multiset(expl)
         assert [x[0] for x in a] == [x[0] for x in b]
         assert max(abs(x[1] - y[1]) for x, y in zip(a, b)) < 1e-12
+
+
+def test_circuit_oracle_imports_no_private_name():
+    """The oracle stays a second, independent form of the circuit: it uses
+    only the package's public names, so no layout helper leaks into it."""
+    tree = ast.parse(Path(circuit_oracle.__file__).read_text(encoding="utf-8"))
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("qldpc_dc")
+                for alias in node.names]
+    assert imported and not [name for name in imported if name[1].startswith("_")]
 
 
 class TestExplicitCircuitMatrices:

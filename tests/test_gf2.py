@@ -88,6 +88,17 @@ class TestBitVec:
         assert BitVec.from_dense(v.to_dense()) == v
 
 
+class TestSparseBinMatrixEntries:
+    def test_entry_row_out_of_range_rejected(self):
+        for entry in [(5, 0), (-1, 1)]:
+            with pytest.raises(ValueError, match=f"row index {entry[0]} out of range"):
+                SparseBinMatrix.from_entries(2, 3, [entry, (0, 2)])
+
+    def test_negative_column_is_out_of_range(self):
+        with pytest.raises(ValueError, match="row 0: column index -1 out of range"):
+            SparseBinMatrix(1, 3, [[-1]])
+
+
 class TestMatVecT:
     def test_zero_vector(self):
         m = SparseBinMatrix(3, 4, [(0, 1), (2,), (1, 3)])

@@ -259,6 +259,14 @@ class TestRunTrials:
         stats = run_trials(cfg)
         assert 0 < stats.failure_rate < 0.05
 
+    @pytest.mark.parametrize("field", ["noise", "decoder", "bp_variant", "dc_second_priors",
+                                       "dc_masking"])
+    def test_choice_fields_validated(self, field):
+        fields = dict(code="surface:3", noise="code-capacity", p=0.05, decoder="bp",
+                      trials=10, seed=0)
+        with pytest.raises(ValueError, match=f"{field} must be one of .*'bogus'"):
+            ExperimentConfig(**{**fields, field: "bogus"})
+
     def test_dc_requires_priors_choice(self):
         with pytest.raises(ValueError, match="dc_second_priors"):
             ExperimentConfig(
@@ -329,6 +337,15 @@ class TestSweep:
         assert built == [0.01]
         list(points)
         assert built == [0.01, 0.02, 0.03]
+
+    def test_bad_choice_raises_before_any_model(self, monkeypatch):
+        """Every point is checked before the first runs: a bad choice in the
+        shared fields stops the sweep before a model is built."""
+        monkeypatch.setattr(sim, "build_model", lambda cfg: pytest.fail("model built"))
+        base = dict(code="surface:3", noise="pheno", trials=5, seed=1,
+                    dc_second_priors="reset", dc_masking="bogus")
+        with pytest.raises(ValueError, match="dc_masking must be one of"):
+            sim.sweep(base, [0.01, 0.02], ["bp", "bp-dc"])
 
 
 @pytest.mark.slow
