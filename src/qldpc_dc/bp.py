@@ -469,6 +469,14 @@ def _llr(priors: np.ndarray) -> np.ndarray:
     return _clip(lam, LLR_CLAMP)
 
 
+def check_min_sum_scale(value) -> float:
+    """``value`` as a float, if it is a finite number > 0."""
+    scale = float(value)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"min_sum_scale must be a finite number > 0, got {value}")
+    return scale
+
+
 class BpDecoder:
     """Reusable decoder holding the graph; message buffers are per decode.
 
@@ -492,12 +500,9 @@ class BpDecoder:
     ):
         if variant not in (PRODUCT_SUM, MIN_SUM):
             raise ValueError(f"unknown BP variant {variant!r}")
-        scale = float(min_sum_scale)
-        if not 0.0 < scale < math.inf:
-            raise ValueError(f"min_sum_scale must be a finite number > 0, got {min_sum_scale}")
         self.h = h
         self.variant = variant
-        self.min_sum_scale = scale
+        self.min_sum_scale = check_min_sum_scale(min_sum_scale)
         if h._graph is None:
             h._graph = TannerGraph(h)
         self.graph = h._graph

@@ -275,6 +275,8 @@ def cmd_points(args) -> int:
     """``simulate`` runs one point and ``sweep`` one per decoder and rate,
     both through ``sim.sweep``."""
     started = _now()
+    if args.emit_plot_data and not args.out:
+        raise CliError("--emit-plot-data needs --out")
     base = _merged(args, _SIM_KEYS)
     base.setdefault("seed", _default_seed())
     base.setdefault("threads", 1)

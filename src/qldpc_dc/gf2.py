@@ -228,19 +228,23 @@ class SparseBinMatrix:
     def without_columns(
         self, removed: Iterable[int]
     ) -> tuple["SparseBinMatrix", np.ndarray]:
-        """Drop the given columns.
+        """Drop the given columns, any iterable of indices in ``[0, cols)``.
 
-        Returns the reduced matrix and the array of kept original column
-        indices (so solutions can be re-expanded to full width).
+        Returns the reduced matrix and the intp array of kept original
+        column indices (so solutions can be re-expanded to full width).
         """
-        removed = set(removed)
-        kept = np.array([j for j in range(self.cols) if j not in removed], dtype=np.intp)
-        remap = {int(j): pos for pos, j in enumerate(kept)}
-        sups = [
-            tuple(remap[j] for j in sup if j not in removed)
-            for sup in self._row_supports
-        ]
-        return SparseBinMatrix(self.rows, len(kept), sups), kept
+        removed = np.fromiter(removed, dtype=np.intp)
+        bad = removed[(removed < 0) | (removed >= self.cols)]
+        if bad.size:
+            raise ValueError(f"column index {bad[0]} out of range for {self.cols} columns")
+        keep = np.ones(self.cols, dtype=bool)
+        keep[removed] = False
+        starts, cols = self.csr
+        on = keep[cols]
+        new_cols = (np.cumsum(keep) - 1)[cols[on]].tolist()
+        bounds = np.concatenate(([0], np.cumsum(on)))[starts].tolist()
+        sups = [new_cols[a:b] for a, b in zip(bounds, bounds[1:])]
+        return SparseBinMatrix(self.rows, int(keep.sum()), sups), np.flatnonzero(keep)
 
     def __eq__(self, other) -> bool:
         return (

@@ -49,10 +49,16 @@ class DcConfig:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
+    """``cut_indices`` is ``dc_cut_indices``' array, or ``NO_CUT``."""
+
     estimate: BitVec
     status: DecodeStatus
-    cut_indices: frozenset
+    cut_indices: np.ndarray
     bp_iterations: tuple[int, ...]
+
+
+NO_CUT = np.empty(0, dtype=np.intp)  # the cut of every result that made none
+NO_CUT.flags.writeable = False
 
 
 def _dc_rng(seed: int) -> np.random.Generator:
@@ -60,14 +66,16 @@ def _dc_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> frozenset:
+def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> np.ndarray:
     """Lowest-probability variable per degeneracy row, ties drawn uniformly.
 
-    Only soft values inside each row's support are read, in one pass over
-    ``h_deg.csr``.  A row whose minimum is tied picks one of its tied
-    columns, in column order, with ``rng.integers(len(ties))``; all tied
-    rows draw in one array-bounded call, which numpy consumes as it does
-    one scalar call per tied row in row order.
+    Returns the cut columns as a sorted, unique, read-only intp array;
+    rows that pick the same column cut it once.  Only soft values inside
+    each row's support are read, in one pass over ``h_deg.csr``.  A row
+    whose minimum is tied picks one of its tied columns, in column order,
+    with ``rng.integers(len(ties))``; all tied rows draw in one
+    array-bounded call, which numpy consumes as it does one scalar call
+    per tied row in row order.
     """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h_deg.cols,):
@@ -90,28 +98,32 @@ def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> fr
         pick[tied] = rng.integers(counts[tied])
     picked = np.zeros(h_deg.cols, dtype=bool)  # rows share columns: set each once
     picked[cols[np.flatnonzero(is_min)[np.cumsum(counts) - counts + pick]]] = True
-    return frozenset(np.flatnonzero(picked).tolist())
+    cuts = np.flatnonzero(picked)
+    cuts.flags.writeable = False
+    return cuts
 
 
-def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=frozenset()) -> BitVec:
+def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=NO_CUT) -> BitVec:
     """Order-0 ordered statistics: pivot on most-probable-error columns first.
 
-    The ``cut`` columns go last.  ``gf2.solve`` stops once the syndrome is
-    spanned, so it touches a cut column, and this raises, exactly when the
-    other columns cannot span it; else the solution is OSD-0's on H
-    without the cut columns, whose order among themselves is unchanged.
+    The ``cut`` columns, an index array or list, go last.  ``gf2.solve``
+    stops once the syndrome is spanned, so it touches a cut column, and
+    this raises, exactly when the other columns cannot span it; else the
+    solution is OSD-0's on H without the cut columns, whose order among
+    themselves is unchanged.
     """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h.cols,):
         raise ValueError(f"soft length {soft.shape} != matrix cols {h.cols}")
     order = np.argsort(-soft, kind="stable")
-    if cut:
+    is_cut = None
+    if len(cut):
         is_cut = np.zeros(h.cols, dtype=bool)
-        is_cut[list(cut)] = True
+        is_cut[cut] = True
         order = order[np.argsort(is_cut[order], kind="stable")]
     x = gf2.solve(h, syndrome, order)
-    if x is None or cut and not cut.isdisjoint(x.support):
-        where = "span of H's uncut columns" if cut else "row space of H^T"
+    if x is None or is_cut is not None and is_cut[list(x.support)].any():
+        where = "row space of H^T" if is_cut is None else "span of H's uncut columns"
         raise InconsistentSystemError(f"syndrome not in the {where}")
     return x
 
@@ -142,7 +154,7 @@ def run_pipeline(
         raise ValueError("check and degeneracy matrices disagree on column count")
     priors = np.asarray(priors, dtype=float)
     out = dec.decode(syndrome, priors, max_iter)
-    estimate, soft, cuts = out.hard, out.soft, frozenset()
+    estimate, soft, cuts = out.hard, out.soft, NO_CUT
     iterations = (out.iterations_used,)
     if out.converged:
         return DecodeResult(estimate, DecodeStatus.CONVERGED_FIRST_BP, cuts, iterations)
@@ -152,7 +164,7 @@ def run_pipeline(
         base = priors if dc_cfg.second_run_priors is SecondRunPriors.RESET_TO_PRIOR else soft
         if dc_cfg.masking_mode is MaskingMode.ZERO_PRIORS:
             p2 = base.copy()
-            p2[list(cuts)] = 0.0
+            p2[cuts] = 0.0
             out = dec.decode(syndrome, p2, max_iter)
             estimate, soft = out.hard, out.soft
         else:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import noise
-from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder
+from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder, check_min_sum_scale
 from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     DetectorModel,
@@ -153,6 +153,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a real number, got {value!r}")
         if not 0.0 < self.p < 0.5:
             raise ValueError("p must lie in (0, 0.5)")
+        check_min_sum_scale(self.min_sum_scale)  # as BpDecoder would, before any model
         for name in ("trials", "seed", "threads", "rounds", "max_iter"):
             value = getattr(self, name)
             if value is None and name in ("rounds", "max_iter"):
@@ -230,7 +231,7 @@ def decode(
     h_deg: Optional[SparseBinMatrix] = None,
     dc_cfg: Optional[DcConfig] = None,
 ) -> DecodeResult:
-    """Decode one syndrome with one of DECODERS.
+    """Decode one syndrome with one of DECODERS; any other name raises.
 
     The only place that branches on a decoder name, each a set of stages
     of ``run_pipeline``.  The check matrix, BP variant and min-sum scale
@@ -238,6 +239,8 @@ def decode(
     looked up as module globals at call time, so a caller may swap them
     (to time or trace them).
     """
+    if decoder_name not in DECODERS:
+        raise ValueError(f"unknown decoder {decoder_name!r}, expected one of {DECODERS}")
     if decoder_name == "bp":
         return run_pipeline(bp_decoder, syndrome, priors, max_iter)
     h = bp_decoder.h

@@ -1,5 +1,6 @@
 """Shared test oracles: random acyclic instances, exhaustive posteriors,
-the row-elimination OSD-0 solver that ``gf2.solve`` replaced, OSD-0 after
+the row-elimination OSD-0 solver that ``gf2.solve`` replaced, the column
+deletion that the CSR ``without_columns`` replaced, OSD-0 after
 degeneracy cutting on the cut-reduced matrix, the three decode pipelines
 as they were before ``postproc.run_pipeline`` replaced them, the per-row
 loops that the numpy Tanner graph build and DC cut replaced, greedy
@@ -128,6 +129,16 @@ def reference_dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Genera
     return frozenset(cuts)
 
 
+def reference_without_columns(m: SparseBinMatrix, removed) -> tuple[SparseBinMatrix, np.ndarray]:
+    """``SparseBinMatrix.without_columns`` as it was: the removed columns
+    as a Python set, the kept ones renumbered through a dict."""
+    removed = set(removed)
+    kept = np.array([j for j in range(m.cols) if j not in removed], dtype=np.intp)
+    remap = {int(j): pos for pos, j in enumerate(kept)}
+    sups = [tuple(remap[j] for j in sup if j not in removed) for sup in m.row_supports]
+    return SparseBinMatrix(m.rows, len(kept), sups), kept
+
+
 def reference_solve(
     m: SparseBinMatrix, s: BitVec, pivot_order: Sequence[int]
 ) -> Optional[BitVec]:
@@ -190,7 +201,7 @@ def reference_first_bp(dec: BpDecoder, syndrome: BitVec, priors, max_iter: int):
     """The first BP run of every pipeline; its result is final if BP converged."""
     out = dec.decode(syndrome, np.asarray(priors, dtype=float), max_iter)
     status = DecodeStatus.CONVERGED_FIRST_BP if out.converged else DecodeStatus.FAILED
-    return DecodeResult(out.hard, status, frozenset(), (out.iterations_used,)), out
+    return DecodeResult(out.hard, status, np.empty(0, np.intp), (out.iterations_used,)), out
 
 
 def reference_run_dc(
@@ -255,7 +266,7 @@ def reference_bp_osd_decode(
         return first
     estimate = osd0_decode(h, syndrome, out.soft)
     return DecodeResult(
-        estimate, DecodeStatus.CONVERGED_AFTER_OSD, frozenset(), (out.iterations_used,)
+        estimate, DecodeStatus.CONVERGED_AFTER_OSD, np.empty(0, np.intp), (out.iterations_used,)
     )
 
 

@@ -328,9 +328,9 @@ def test_circuit_level_trial_contracts():
             bp_failed += 1
             rescued += dc.status is DecodeStatus.CONVERGED_AFTER_DC
         if dc.status is not DecodeStatus.FAILED:
-            same_as_dc += (dc_osd.estimate, dc_osd.status, dc_osd.cut_indices,
+            same_as_dc += (dc_osd.estimate, dc_osd.status, dc_osd.cut_indices.tolist(),
                            dc_osd.bp_iterations) == (
-                dc.estimate, dc.status, dc.cut_indices, dc.bp_iterations)
+                dc.estimate, dc.status, dc.cut_indices.tolist(), dc.bp_iterations)
     converged = cfg.trials - bp_failed
     report("circuit bb72 T=3: BP+DC == BP where BP converges",
            same_as_bp == converged, f"{same_as_bp}/{converged}")
@@ -354,7 +354,7 @@ def test_criterion_8_dc_contracts():
     poisoned[[j for j in range(10) if j not in covered]] = np.nan
     rng2 = np.random.Generator(np.random.Philox(key=np.array([3, 0], dtype=np.uint64)))
     report("8 cut locality (sentinel poisoning)",
-           dc_cut_indices(h, poisoned, rng2) == clean)
+           np.array_equal(dc_cut_indices(h, poisoned, rng2), clean))
 
     # masking-mode equivalence and the two-run iteration bound, 500 BB trials
     code = build_bb(bb_params(6, 6))

@@ -369,7 +369,7 @@ def decode_set_digest(early_stop: bool = True) -> str:
                 first = run(dec, syndrome, model.priors, max_iter)
                 if first.converged:
                     continue
-                cuts = sorted(dc_cut_indices(model.degeneracy_matrix, first.soft, _dc_rng(t)))
+                cuts = dc_cut_indices(model.degeneracy_matrix, first.soft, _dc_rng(t))
                 for base in (model.priors, first.soft):  # reset, posterior
                     second = np.array(base, dtype=float)
                     second[cuts] = 0.0

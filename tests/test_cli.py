@@ -746,6 +746,43 @@ class TestSimulateAndSweep:
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_bad_min_sum_scale_rejected_before_any_model(self, tmp_path, capsys, monkeypatch,
+                                                         command, scale):
+        """The flag for ``simulate``, the config file for ``sweep``: one
+        error line, and no model is built."""
+        built = []
+        monkeypatch.setattr(sim, "build_model", built.append)
+        flags = ["--code", "bb:12,6", "--noise", "circuit-bb", "--rounds", "12",
+                 "--trials", "5", "--bp-variant", "min-sum"]
+        if command == "simulate":
+            argv = [*flags, "--p", "0.003", "--decoder", "bp", f"--min-sum-scale={scale}"]
+        else:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps({"min_sum_scale": float(scale)}))  # Infinity, NaN
+            argv = [*flags, "--p", "0.003,0.004", "--decoders", "bp,bp-osd", "--config", str(cfg)]
+        out = tmp_path / "r.csv"
+        assert run_cli(command, *argv, "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: min_sum_scale must be a finite number > 0, got {float(scale)}\n"
+        )
+        assert captured.out == ""
+        assert built == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_emit_plot_data_needs_out(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(sim, "build_model", lambda cfg: pytest.fail("model built"))
+        argv = [command, "--code", "surface:3", "--noise", "code-capacity", "--trials", "5",
+                "--p", "0.02", "--decoder" if command == "simulate" else "--decoders", "bp",
+                "--emit-plot-data"]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --emit-plot-data needs --out\n"
+        assert captured.out == ""
+
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QLDPC_DC_SEED", "31")
         out = tmp_path / "r.csv"

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_solve, sparse_matrices, sparse_matrices_of
+from helpers import (
+    reference_solve,
+    reference_without_columns,
+    sparse_matrices,
+    sparse_matrices_of,
+)
 from qldpc_dc import noise, sim
 from qldpc_dc.bp import MIN_SUM, BpDecoder
 from qldpc_dc.codes import _nullspace_basis
@@ -243,6 +248,26 @@ class TestColBits:
         removed = data.draw(st.sets(st.integers(0, m.cols - 1)))
         reduced, _ = m.without_columns(removed)
         assert reduced.col_bits == reduced.transpose().row_bits
+
+
+class TestWithoutColumns:
+    @given(sparse_matrices(), st.data())
+    @settings(max_examples=100)
+    def test_set_list_and_array_give_the_set_and_dict_result(self, m, data):
+        """Repeated indices too; the result equals the set-and-dict
+        renumbering that the CSR pass replaced."""
+        removed = data.draw(st.lists(st.integers(0, m.cols - 1)))
+        want, want_kept = reference_without_columns(m, removed)
+        for form in (set(removed), removed, np.array(removed, dtype=np.intp)):
+            got, kept = m.without_columns(form)
+            assert got == want
+            assert kept.dtype == np.intp and kept.tolist() == want_kept.tolist()
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_index_out_of_range_rejected(self, index):
+        m = SparseBinMatrix(2, 5, [(0, 1), (3, 4)])
+        with pytest.raises(ValueError, match=f"column index {index} out of range for 5 columns"):
+            m.without_columns([1, index])
 
 
 class TestSolve:

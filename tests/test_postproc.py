@@ -23,6 +23,7 @@ from qldpc_dc.codes import bb_params, build_bb, build_rotated_surface
 from qldpc_dc.detmodel import code_capacity_model
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, in_rowspace, mat_vec_t
 from qldpc_dc.postproc import (
+    NO_CUT,
     DcConfig,
     DecodeStatus,
     InconsistentSystemError,
@@ -38,6 +39,14 @@ from qldpc_dc.postproc import (
 
 def rng_from(seed):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def assert_cut_format(cuts):
+    """A cut as every reader takes it: a sorted, unique, read-only intp array."""
+    assert isinstance(cuts, np.ndarray)
+    assert cuts.dtype == np.intp and cuts.ndim == 1
+    assert (np.diff(cuts) > 0).all()
+    assert not cuts.flags.writeable
 
 
 @st.composite
@@ -59,12 +68,12 @@ class TestDcCutIndices:
         h = SparseBinMatrix(1, 8, [(2, 5, 7)])
         soft = np.zeros(8)
         soft[2], soft[5], soft[7] = 0.3, 0.1, 0.3
-        assert dc_cut_indices(h, soft, rng_from(0)) == {5}
+        assert dc_cut_indices(h, soft, rng_from(0)).tolist() == [5]
 
     def test_shared_argmin_collapses(self):
         h = SparseBinMatrix(2, 6, [(0, 1, 2), (2, 3, 4)])
         soft = np.array([0.5, 0.5, 0.01, 0.5, 0.5, 0.5])
-        assert dc_cut_indices(h, soft, rng_from(0)) == {2}
+        assert dc_cut_indices(h, soft, rng_from(0)).tolist() == [2]
 
     def test_all_tied_uniform(self):
         h = SparseBinMatrix(1, 4, [(0, 1, 2, 3)])
@@ -97,7 +106,7 @@ class TestDcCutIndices:
         for j in range(10):
             if j not in in_support:
                 poisoned[j] = np.nan
-        assert dc_cut_indices(h, poisoned, rng_from(7)) == clean
+        assert np.array_equal(dc_cut_indices(h, poisoned, rng_from(7)), clean)
 
     def test_nan_inside_a_support_rejected(self):
         h = SparseBinMatrix(2, 4, [(0, 1), (2, 3)])
@@ -112,7 +121,8 @@ class TestDcCutIndices:
         loop it replaced and leaves the Philox stream in the same state."""
         h, soft, seed = case
         got_rng, want_rng = rng_from(seed), rng_from(seed)
-        assert dc_cut_indices(h, soft, got_rng) == reference_dc_cut_indices(h, soft, want_rng)
+        got = dc_cut_indices(h, soft, got_rng)
+        assert got.tolist() == sorted(reference_dc_cut_indices(h, soft, want_rng))
         assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
 
     def test_equals_the_row_loop_on_a_circuit_ddm(self):
@@ -135,9 +145,19 @@ class TestDcCutIndices:
         for seed, (h_deg, soft) in enumerate(cases):
             got_rng, want_rng = rng_from(seed), rng_from(seed)
             got = dc_cut_indices(h_deg, soft, got_rng)
-            assert got == reference_dc_cut_indices(h_deg, soft, want_rng)
+            assert got.tolist() == sorted(reference_dc_cut_indices(h_deg, soft, want_rng))
             assert repr(got_rng.bit_generator.state) == repr(want_rng.bit_generator.state)
         assert model.degeneracy_matrix.csr is model.degeneracy_matrix.csr
+
+    @given(tied_cut_cases())
+    @example((SparseBinMatrix(0, 3, []), np.full(3, 0.5), 0))
+    @settings(max_examples=100, deadline=None)
+    def test_cut_is_a_sorted_read_only_intp_array(self, case):
+        h, soft, seed = case
+        cuts = dc_cut_indices(h, soft, rng_from(seed))
+        assert_cut_format(cuts)
+        with pytest.raises(ValueError, match="read-only"):
+            cuts[:] = 0
 
     @pytest.mark.parametrize("bounds", [[], [2], [3, 2, 5000, 7], list(range(2, 5001))])
     def test_array_bounded_integers_draws_as_scalar_calls(self, bounds):
@@ -156,7 +176,7 @@ class TestDcCutIndices:
         cuts = dc_cut_indices(h, np.linspace(0.1, 0.9, 12), rng_from(1))
         assert len(cuts) <= h.rows
         for sup in h.row_supports:
-            assert set(sup) - cuts  # at least one supported variable survives
+            assert set(sup) - set(cuts.tolist())  # at least one supported variable survives
 
 
 class TestBpDcDecode:
@@ -170,7 +190,7 @@ class TestBpDcDecode:
         s = mat_vec_t(e, self.code.hz)
         res = bp_dc_decode(self.code.hz, self.code.hx, s, self.priors, 9, self.cfg)
         assert res.status is DecodeStatus.CONVERGED_FIRST_BP
-        assert res.cut_indices == frozenset()
+        assert res.cut_indices.tolist() == []
         assert len(res.bp_iterations) == 1
 
     def test_degenerate_pair_recovered(self):
@@ -228,7 +248,7 @@ class TestBpDcDecode:
                 res = bp_dc_decode(
                     code.hz, code.hx, sample.syndrome, model.priors, 72, cfg, decoder=dec
                 )
-                run.append((res.status, res.estimate, res.cut_indices, res.bp_iterations))
+                run.append((res.status, res.estimate, res.cut_indices.tolist(), res.bp_iterations))
             runs.append(run)
         assert sum(len(r[3]) == 2 for r in runs[0]) == 113
         assert runs[0] == runs[1]
@@ -256,7 +276,7 @@ class TestBpDcDecode:
         s = mat_vec_t(e, self.code.hz)
         a = bp_dc_decode(self.code.hz, self.code.hx, s, self.priors, 9, self.cfg)
         b = bp_dc_decode(self.code.hz, self.code.hx, s, self.priors, 9, self.cfg)
-        assert a.estimate == b.estimate and a.cut_indices == b.cut_indices
+        assert a.estimate == b.estimate and np.array_equal(a.cut_indices, b.cut_indices)
 
     def test_work_bound(self):
         e = BitVec.from_support(9, [1, 2])
@@ -299,9 +319,9 @@ class TestOsd0:
         h = SparseBinMatrix(2, 3, [(0,), (1,)])
         with pytest.raises(InconsistentSystemError, match="row space"):
             osd0_decode(SparseBinMatrix(2, 2, [(0,), (0,)]), BitVec.from_support(2, [0]),
-                        [0.5, 0.5], frozenset())
+                        [0.5, 0.5], [])
         with pytest.raises(InconsistentSystemError, match="uncut columns"):
-            osd0_decode(h, BitVec.from_support(2, [0]), [0.5, 0.5, 0.5], frozenset({0}))
+            osd0_decode(h, BitVec.from_support(2, [0]), [0.5, 0.5, 0.5], [0])
 
     def test_cut_columns_are_taken_last(self):
         """Column 0 is the most probable error, but cut; columns 1 and 2
@@ -309,7 +329,7 @@ class TestOsd0:
         h = SparseBinMatrix(2, 3, [(0, 1), (0, 2)])
         s = BitVec.from_support(2, [0, 1])
         assert osd0_decode(h, s, [0.9, 0.1, 0.1]) == BitVec.from_support(3, [0])
-        assert osd0_decode(h, s, [0.9, 0.1, 0.1], frozenset({0})) == BitVec.from_support(3, [1, 2])
+        assert osd0_decode(h, s, [0.9, 0.1, 0.1], [0]) == BitVec.from_support(3, [1, 2])
 
     @given(sparse_matrices(), st.data())
     @settings(max_examples=300)
@@ -321,7 +341,7 @@ class TestOsd0:
         soft = data.draw(
             st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9]), min_size=h.cols, max_size=h.cols)
         )
-        cut = frozenset(data.draw(st.one_of(
+        cut = sorted(data.draw(st.one_of(
             st.just(set()), st.just(set(range(h.cols))), st.sets(st.integers(0, h.cols - 1))
         )))
         expected = reference_osd0_without_columns(h, s, soft, cut)
@@ -364,7 +384,7 @@ class TestComposedPipelines:
         cfg = DcConfig(second_run_priors=SecondRunPriors.RESET_TO_PRIOR, rng_seed=0)
         res = run_pipeline(BpDecoder(h), s, np.full(2, 0.4), 1, h_deg, cfg, osd=True)
         assert res.status is DecodeStatus.FAILED
-        assert res.cut_indices == {0}
+        assert res.cut_indices.tolist() == [0]
 
     def test_dc_osd_estimate_zero_at_cuts(self):
         # force the second BP to fail by restricting iterations,
@@ -381,7 +401,7 @@ class TestComposedPipelines:
             if res.status is DecodeStatus.CONVERGED_AFTER_OSD:
                 checked += 1
                 assert mat_vec_t(res.estimate, code.hz) == sample.syndrome
-                assert not set(res.estimate.support) & res.cut_indices
+                assert not set(res.estimate.support) & set(res.cut_indices.tolist())
             if checked >= 10:
                 break
         assert checked >= 10
@@ -423,7 +443,7 @@ def test_bp_dc_osd_digest():
                     )
                     statuses[res.status] += 1
                     sha.update(repr((
-                        res.status.value, res.estimate.bits, sorted(res.cut_indices),
+                        res.status.value, res.estimate.bits, res.cut_indices.tolist(),
                         res.bp_iterations,
                     )).encode())
     assert statuses == {
@@ -435,13 +455,39 @@ def test_bp_dc_osd_digest():
     assert sha.hexdigest() == DC_OSD_DIGEST
 
 
+def test_every_result_holds_its_cut_as_a_read_only_intp_array():
+    """First-BP, after-DC, after-OSD and failed results of all four
+    decoders hold sorted, unique, read-only intp cuts; a result whose
+    decode made no cut holds the one shared empty ``NO_CUT``."""
+    seen = collections.Counter()
+    for code, noise_model, rounds, p, variant, scale, trials, max_iter in DC_OSD_POINTS:
+        cfg = sim.ExperimentConfig(
+            code=code, noise=noise_model, rounds=rounds, p=p, decoder="bp",
+            trials=trials, seed=5,
+        )
+        model = sim.build_model(cfg)
+        dec = BpDecoder(model.check_matrix, variant, scale)
+        for t in range(0, trials, 3):
+            syndrome = noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+            for name in sim.DECODERS:
+                res = sim.decode(name, dec, syndrome, model.priors, max_iter,
+                                 model.degeneracy_matrix,
+                                 DcConfig(SecondRunPriors.RESET_TO_PRIOR, t))
+                seen[name, res.status] += 1
+                assert_cut_format(res.cut_indices)
+                cut_made = "dc" in name and res.status is not DecodeStatus.CONVERGED_FIRST_BP
+                assert (res.cut_indices is NO_CUT) is not cut_made
+    assert {status for _, status in seen} == set(DecodeStatus)
+    assert {status for name, status in seen if name == "bp-dc-osd"} == set(DecodeStatus)
+
+
 def _outcome(fn, *args, **kwargs):
     """A decode's result fields, or the type and message of what it raised."""
     try:
         res = fn(*args, **kwargs)
     except Exception as exc:  # exceptions are compared too
         return ("raised", type(exc), str(exc))
-    return (res.estimate, res.status, res.cut_indices, res.bp_iterations)
+    return (res.estimate, res.status, res.cut_indices.tolist(), res.bp_iterations)
 
 
 @st.composite
@@ -540,7 +586,7 @@ def test_sim_decode_digest():
                 )
                 statuses[name, res.status.value] += 1
                 sha.update(repr((
-                    name, res.status.value, res.estimate.bits, sorted(res.cut_indices),
+                    name, res.status.value, res.estimate.bits, res.cut_indices.tolist(),
                     res.bp_iterations,
                 )).encode())
     assert statuses == {

@@ -274,6 +274,14 @@ class TestRunTrials:
                 decoder="bp-dc", trials=10, seed=0,
             )
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, np.inf, -np.inf, np.nan])
+    def test_min_sum_scale_validated_as_the_decoder_does(self, scale):
+        with pytest.raises(ValueError, match="min_sum_scale must be a finite number > 0, got "):
+            ExperimentConfig(
+                code="surface:3", noise="code-capacity", p=0.05,
+                decoder="bp", trials=10, seed=0, min_sum_scale=scale,
+            )
+
     def test_rate_bounds_validated(self):
         with pytest.raises(ValueError):
             ExperimentConfig(
@@ -299,6 +307,17 @@ class TestRunTrials:
         stats = run_trials(cfg)
         assert stats.trials == 20
 
+
+@pytest.mark.parametrize("h_deg", [None, "ddm"])
+def test_decode_rejects_unknown_decoder_names(h_deg):
+    """A misspelt name raises, with or without a degeneracy matrix; it
+    once ran BP+DC+OSD."""
+    code = build_rotated_surface(3)
+    syndrome = mat_vec_t(BitVec.from_support(9, [1, 2]), code.hz)
+    h_deg = code.hx if h_deg else None
+    with pytest.raises(ValueError, match=r"unknown decoder 'bp-typo', expected one of \('bp', "):
+        sim.decode("bp-typo", BpDecoder(code.hz), syndrome, np.full(9, 0.05), 9, h_deg,
+                   DcConfig(SecondRunPriors.RESET_TO_PRIOR))
 
 
 class TestSweep:
