@@ -459,7 +459,7 @@ def test_every_result_holds_its_cut_as_a_read_only_intp_array():
     """First-BP, after-DC, after-OSD and failed results of all four
     decoders hold sorted, unique, read-only intp cuts; a result whose
     decode made no cut holds the one shared empty ``NO_CUT``."""
-    seen = collections.Counter()
+    seen = set()
     for code, noise_model, rounds, p, variant, scale, trials, max_iter in DC_OSD_POINTS:
         cfg = sim.ExperimentConfig(
             code=code, noise=noise_model, rounds=rounds, p=p, decoder="bp",
@@ -473,7 +473,7 @@ def test_every_result_holds_its_cut_as_a_read_only_intp_array():
                 res = sim.decode(name, dec, syndrome, model.priors, max_iter,
                                  model.degeneracy_matrix,
                                  DcConfig(SecondRunPriors.RESET_TO_PRIOR, t))
-                seen[name, res.status] += 1
+                seen.add((name, res.status))
                 assert_cut_format(res.cut_indices)
                 cut_made = "dc" in name and res.status is not DecodeStatus.CONVERGED_FIRST_BP
                 assert (res.cut_indices is NO_CUT) is not cut_made
