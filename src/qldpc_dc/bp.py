@@ -36,29 +36,45 @@ loops keep the contract of ``min_sum_decode`` in ``min_sum.c``: each
 iteration tests the previous hard decision against the syndrome, then
 writes the v2c messages, the check update, the posterior totals and the
 hard bits, and the loop returns ``-it`` if that test passed before
-iteration ``it``, else ``max_iter``.  ``_run_compiled`` runs a min-sum
-decode in one call into the compiled C when gcc can build it; it sums
-each variable's messages in ``np.add.reduceat``'s order, the first term
-plus numpy's ``pairwise_sum`` of the rest, which ``tests/test_bp.py``
-pins.  Its iteration has no data-dependent branch.  The check pass runs
-``_lanes()`` (8) checks at once, one per SIMD lane: ``min_sum_graph``
-sorts the checks by degree, deals them into blocks of 8 and lays the
-messages out as slots ``blk_starts[b] + 8 * i + k`` (edge i of the check
-in lane k), padding the last block of each degree with lanes whose slots
-no variable reads.  Each lane runs its own check's edges in check-major
+iteration ``it``, else ``max_iter``.  Where gcc can build ``min_sum.c``,
+``_run_compiled`` runs both variants in it; ``_run_numpy`` gives the same
+bits on the check-major edges, and is the reference and the fallback
+without gcc.  The compiled loops sum each variable's messages in
+``np.add.reduceat``'s order, the first term plus numpy's ``pairwise_sum``
+of the rest, which ``tests/test_bp.py`` pins.  They test the syndrome on
+the totals the v2c update gathers, ``total <= 0``, which the hard bits
+equal on entry; a test that passes in iteration ``it`` has written that
+iteration's messages, but not its totals or hard bits.
+
+A min-sum decode is one call, and its iteration has no data-dependent
+branch.  The check pass runs ``_lanes()`` (8) checks at once, one per
+SIMD lane: ``min_sum_graph`` sorts the checks by degree, deals them into
+blocks of 8 and lays the messages out as slots ``blk_starts[b] + 8 * i +
+k`` (edge i of the check in lane k), padding the last block of each
+degree with lanes whose slots no variable reads and whose syndrome test
+does not count.  Each lane runs its own check's edges in check-major
 order with the scalar selects, one running pair of smallest magnitudes,
 the sign parity and the sign-bit flip, and nothing crosses lanes, so
 every message keeps its bits.  Then a variable pass grouped by degree,
-one loop per degree 1 to 8, reads the slots.  ``_run_numpy`` gives the
-same bits on the check-major edges: it is the reference,
-the fallback without gcc and the product-sum path.  Both loops read one
-variable-major view, which ``TannerGraph`` builds in the kernel's degree
-order; numpy sums each variable's segment on its own, so the order of
-the segments changes no bit.  ``exp`` and product-sum's
-``tanh``/``arctanh`` stay in numpy: libm need not round as numpy does.
+one loop per degree 1 to 8, reads the slots.
+
+A product-sum iteration is three calls on check-major edges
+(``product_sum_graph``, no slots), with numpy's ``tanh`` and ``arctanh``
+between them, in place on one buffer: libm's need not round as numpy's
+do, and a test pins that numpy's give the same bits in every layout.
+The C takes each check's product of tanh values in
+``np.multiply.reduceat``'s order, first value first, and then runs the
+variable pass that min-sum runs.  Both loops read one variable-major
+view, which ``TannerGraph`` builds in the kernel's degree order; numpy
+sums each variable's segment on its own, so the order of the segments
+changes no bit.  ``exp`` stays in numpy for the same reason as ``tanh``.
+
+A decoder builds its buffers and the kernel state that points at them
+once, on its first compiled decode on its full graph; a decode with cut
+columns builds its own on its masked graph.
 
 The shared library is built with ``-O3 -march=native -ffp-contract=off``
-on the first min-sum decode, not at import, into a per-user cache:
+on the first decode, not at import, into a per-user cache:
 ``$XDG_CACHE_HOME/qldpc_dc`` (default ``~/.cache/qldpc_dc``), or a
 per-user directory under the system temp directory if that cannot be
 written.  Its name is keyed by the SHA-256 of the source, the compiler
@@ -82,6 +98,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +107,7 @@ from .gf2 import BitVec, SparseBinMatrix
 LLR_CLAMP = 35.0
 _R_MAX = np.nextafter(1.0, 0.0)  # 2 * arctanh(_R_MAX) = 37.4 clips as arctanh(1) = inf did
 _TOTAL_CLAMP = 350.0  # posterior LLR sums stay well inside exp() range
+_TINY = np.finfo(float).tiny  # a prior at or above it has a finite (1 - p) / p
 
 PRODUCT_SUM = "product-sum"
 MIN_SUM = "min-sum"
@@ -153,7 +171,9 @@ class TannerGraph:
         has slot ``blk_starts[b] + lanes * i + k``; ``edge_slot`` maps the
         check-major edges to their slots, ``n_slot`` counts the slots, and
         the kernel's ``var_perm`` lists slots.  A padded slot reads column
-        0 and the syndrome bit of check segment 0, and no variable reads it.
+        0 and the syndrome bit of check segment 0, and no variable reads it;
+        ``blk_used`` counts the lanes of each block that run a check, so
+        the syndrome test leaves the padded ones out.
         """
         lanes, nnz = _lanes(), self.nnz
         n_chk, n_var = len(self.chk_seg_starts), len(self.var_seg_starts)
@@ -174,23 +194,44 @@ class TannerGraph:
         slot_var[edge_slot] = self.edge_var
         blk_chk = np.zeros(n_blk * lanes, dtype=np.intp)
         blk_chk[pos] = order
+        blk_used = np.bincount(pos // lanes, minlength=n_blk)
         slot_perm = edge_slot[self.var_perm]
         graph = _MinSumGraph(
             nnz, n_chk, n_var, n_blk,
             _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
             _pointer(blk_starts, np.intp, n_blk + 1), _pointer(blk_chk, np.intp, n_blk * lanes),
-            _pointer(slot_var, np.intp, n_slot),
+            _pointer(slot_var, np.intp, n_slot), _pointer(blk_used, np.intp, n_blk),
             _pointer(self.var_seg_starts, np.intp, n_var),
             _pointer(self.var_seg_ids, np.intp, n_var),
             _pointer(slot_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
         )
         graph.edge_slot, graph.n_slot = edge_slot, n_slot
-        graph.arrays = (blk_starts, blk_chk, slot_var, slot_perm)  # alive as long as the pointers
+        # alive as long as the pointers
+        graph.arrays = (blk_starts, blk_chk, slot_var, blk_used, slot_perm)
+        return graph
+
+    @functools.cached_property
+    def product_sum_graph(self) -> "_MinSumGraph":
+        """What ``min_sum.c``'s product-sum calls read, built on a graph's
+        first compiled product-sum decode: the check-major edges and the
+        variable-major view, with no blocks, so a message's slot is its
+        edge."""
+        nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
+        graph = _MinSumGraph(
+            nnz, n_chk, n_var, 0,
+            _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
+            None, None, None, None,
+            _pointer(self.var_seg_starts, np.intp, n_var),
+            _pointer(self.var_seg_ids, np.intp, n_var),
+            _pointer(self.var_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
+        )
+        graph.n_slot = nnz
         return graph
 
     def __getstate__(self):
         # the kernel's pointers are this process's; a copy takes its own
-        return {k: v for k, v in self.__dict__.items() if k != "min_sum_graph"}
+        return {k: v for k, v in self.__dict__.items()
+                if k not in ("min_sum_graph", "product_sum_graph")}
 
 
 @dataclass
@@ -295,7 +336,7 @@ class _MinSumGraph(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var", "n_blk")] + [
         (name, ctypes.c_void_p)
-        for name in ("chk_starts", "edge_var", "blk_starts", "blk_chk", "slot_var",
+        for name in ("chk_starts", "edge_var", "blk_starts", "blk_chk", "slot_var", "blk_used",
                      "var_starts", "var_ids", "var_perm", "group_ends")
     ]
 
@@ -308,12 +349,12 @@ def _lanes() -> int:
 
 
 class _MinSumState(ctypes.Structure):
-    """``struct min_sum_state`` of ``min_sum.c``: one decode's buffers."""
+    """``struct min_sum_state`` of ``min_sum.c``: a decode's buffers."""
 
     _fields_ = [
         (name, ctypes.c_void_p)
         for name in ("graph", "syndrome", "lam", "hard", "total", "m_vc", "m_cv")
-    ] + [(name, ctypes.c_double) for name in ("scale", "clamp", "total_clamp")]
+    ] + [(name, ctypes.c_double) for name in ("scale", "clamp", "total_clamp", "r_max")]
 
 
 def _pointer(a: np.ndarray, dtype, n: int) -> int:
@@ -324,7 +365,18 @@ def _pointer(a: np.ndarray, dtype, n: int) -> int:
     return a.ctypes.data
 
 
-def _build_kernel():
+class _Kernel(NamedTuple):
+    """The entry points of ``min_sum.c``.  The product-sum calls declare no
+    argument types: ctypes then passes the ``byref`` of a ``_MinSumState``
+    as its address, at less than half the cost of a checked call."""
+
+    min_sum_decode: Callable
+    product_sum_v2c: Callable
+    product_sum_check: Callable
+    product_sum_c2v: Callable
+
+
+def _build_kernel() -> _Kernel | None:
     """Compile (or find in the cache) and load ``min_sum.c``, built for this
     CPU or, if that fails, for the generic target; None if both fail and on
     systems that are not POSIX.  A failed compiler run moves on to the next
@@ -342,20 +394,23 @@ def _build_kernel():
     for name, cflags in builds:
         for directory in _cache_dirs():
             try:
-                fn = ctypes.CDLL(str(_cached_library(directory, name, cflags))).min_sum_decode
+                lib = ctypes.CDLL(str(_cached_library(directory, name, cflags)))
+                kernel = _Kernel(*(getattr(lib, field) for field in _Kernel._fields))
             except _BuildError:
                 break
             except (OSError, AttributeError):
                 continue
-            fn.argtypes = [ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
-            fn.restype = ctypes.c_ssize_t
-            return fn
+            kernel.min_sum_decode.argtypes = [
+                ctypes.POINTER(_MinSumState), ctypes.c_ssize_t, ctypes.c_int]
+            kernel.min_sum_decode.restype = ctypes.c_ssize_t
+            kernel.product_sum_check.restype = kernel.product_sum_c2v.restype = None
+            return kernel
     return None
 
 
-def _load_kernel():
-    """The compiled min-sum iteration, built on first use; None when it
-    cannot be built, and the numpy loop runs instead."""
+def _load_kernel() -> _Kernel | None:
+    """The compiled iterations, built on first use; None when they cannot
+    be built, and the numpy loop runs instead."""
     global _kernel
     if _kernel is _UNLOADED:
         _kernel = _build_kernel()
@@ -363,14 +418,15 @@ def _load_kernel():
 
 
 def min_sum_kernel() -> str:
-    """Which min-sum iteration this process runs: ``"c"`` or ``"numpy"``."""
+    """Which BP iteration this process runs, for both variants: ``"c"``,
+    the compiled one, or ``"numpy"``."""
     return "numpy" if _load_kernel() is None else "c"
 
 
-def _clip(x: np.ndarray, c: float) -> np.ndarray:
+def _clip(x: np.ndarray, c: float, out: np.ndarray | None = None) -> np.ndarray:
     """``np.clip(x, -c, c)``, the same bytes, +-0.0 included, without the
     Python wrappers that cost more than the ufuncs on a small graph."""
-    return np.minimum(np.maximum(x, -c), c)
+    return np.minimum(np.maximum(x, -c), c, out=out)
 
 
 def _min_sum_numpy(g: TannerGraph, m_vc, syn_sign_e, scale: float) -> np.ndarray:
@@ -422,27 +478,63 @@ def _segments_match(g: TannerGraph, hard: np.ndarray, syn: np.ndarray) -> bool:
     return parity.tobytes() == syn.tobytes()
 
 
-def _run_compiled(kernel, g: TannerGraph, syn, lam, hard, total, m_vc, m_cv, scale: float,
-                  max_iter: int, test: bool) -> int:
-    """``min_sum_decode`` of ``min_sum.c`` on the caller's buffers.
-
-    ``syn`` holds one bit per check segment; ``m_vc`` and ``m_cv`` hold one
-    message per slot of ``g.min_sum_graph`` (its ``edge_slot`` maps the
-    check-major edges to slots).  Each iteration writes every slot of
-    ``m_vc`` and ``m_cv``, and ``total`` and ``hard`` at the columns with
-    edges.  Starting from ``total = lam`` and ``m_cv = +0.0``, the first
-    v2c update, ``clip(total - m_cv)``, gives the prior messages bit for
-    bit.  Returns ``-it`` if ``test`` and the hard decision satisfied every
-    check with edges before iteration ``it``, else ``max_iter``.
-    """
-    cols, graph = g.cols, g.min_sum_graph
-    state = _MinSumState(
+def _kernel_state(g: TannerGraph, graph: _MinSumGraph, syn, lam, hard, total, m_vc, m_cv,
+                  scale: float) -> _MinSumState:
+    """The kernel state of one decode on ``g``'s kernel graph ``graph``
+    (``g.min_sum_graph`` or ``g.product_sum_graph``), once each buffer is
+    checked: ``syn`` holds one bit per check segment, ``m_vc`` and ``m_cv``
+    one message per slot of ``graph``."""
+    cols, slots = g.cols, graph.n_slot
+    return _MinSumState(
         ctypes.addressof(graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
         _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
-        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, graph.n_slot),
-        _pointer(m_cv, np.float64, graph.n_slot), scale, LLR_CLAMP, _TOTAL_CLAMP,
+        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, slots),
+        _pointer(m_cv, np.float64, slots), scale, LLR_CLAMP, _TOTAL_CLAMP, _R_MAX,
     )
-    return kernel(ctypes.byref(state), max_iter, test)
+
+
+def _run_compiled(kernel: _Kernel, variant: str, state, m_vc: np.ndarray, max_iter: int,
+                  test: bool) -> int:
+    """A decode in ``min_sum.c`` on the buffers of ``state``, a ``byref``
+    of a ``_MinSumState`` whose ``m_vc`` is the array ``m_vc``.
+
+    Each iteration writes every slot of ``m_vc`` and ``m_cv``, and ``total``
+    and ``hard`` at the columns with edges.  Starting from ``total = lam``,
+    ``hard = total <= 0`` and ``m_cv = +0.0``, the first v2c update,
+    ``clip(total - m_cv)``, gives the prior messages bit for bit.  Min-sum
+    runs in one call.  Product-sum makes three calls per iteration, with
+    numpy's ``tanh`` and ``arctanh`` on ``m_vc`` in place between them.
+    Returns ``-it`` if ``test`` and the hard decision satisfied every check
+    with edges before iteration ``it``, else ``max_iter``; in iteration
+    ``it`` the messages are written then, and the totals are not.
+    """
+    if variant == MIN_SUM:
+        return kernel.min_sum_decode(state, max_iter, test)
+    v2c, check, c2v = kernel.product_sum_v2c, kernel.product_sum_check, kernel.product_sum_c2v
+    tanh, arctanh = np.tanh, np.arctanh
+    for it in range(1, max_iter + 1):
+        if v2c(state) and test:
+            return -it
+        tanh(m_vc, out=m_vc)
+        check(state)
+        arctanh(m_vc, out=m_vc)
+        c2v(state)
+    return max_iter
+
+
+class _Buffers:
+    """One decoder's buffers on one graph, and the kernel state that points
+    at them.  ``graph`` keeps the kernel graph the state points at alive."""
+
+    def __init__(self, g: TannerGraph, variant: str, scale: float):
+        self.graph = g.min_sum_graph if variant == MIN_SUM else g.product_sum_graph
+        self.syn = np.empty(len(g.chk_seg_starts), dtype=np.uint8)
+        self.lam, self.total = np.empty(g.cols), np.empty(g.cols)
+        self.hard = np.empty(g.cols, dtype=bool)
+        self.m_vc, self.m_cv = np.empty(self.graph.n_slot), np.empty(self.graph.n_slot)
+        self.state = ctypes.byref(_kernel_state(
+            g, self.graph, self.syn, self.lam, self.hard, self.total, self.m_vc, self.m_cv,
+            scale))
 
 
 def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_iter: int,
@@ -463,10 +555,17 @@ def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_i
     return max_iter, total, hard
 
 
-def _llr(priors: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", over="ignore"):
+def _llr(priors: np.ndarray, extreme: bool = True, out: np.ndarray | None = None) -> np.ndarray:
+    """The prior LLRs ``log((1 - p) / p)`` clipped to +-``LLR_CLAMP``, into
+    ``out`` if given.  Only ``extreme`` priors, 0, 1 or below the smallest
+    normal float, make the quotient or the log warn, so only they pay for
+    ``np.errstate``."""
+    if extreme:
+        with np.errstate(divide="ignore", over="ignore"):
+            lam = np.log((1.0 - priors) / priors)
+    else:
         lam = np.log((1.0 - priors) / priors)
-    return _clip(lam, LLR_CLAMP)
+    return _clip(lam, LLR_CLAMP, out)
 
 
 def check_min_sum_scale(value) -> float:
@@ -478,15 +577,18 @@ def check_min_sum_scale(value) -> float:
 
 
 class BpDecoder:
-    """Reusable decoder holding the graph; message buffers are per decode.
+    """Reusable decoder holding the graph and, once it has run a compiled
+    decode, its buffers for that graph.
 
     One instance must not be shared mid-decode; distinct instances over
-    the same immutable matrix can run concurrently.  They share its full
-    graph, whatever their variant or scale: the first decoder over a
-    matrix object builds it and keeps it on the matrix, and it does not
-    change once built.  Decoders built at once in several threads may
-    each build an equal graph, and the matrix keeps the last; no lock
-    guards this, so a forked worker can never inherit one held.
+    the same immutable matrix can run concurrently, each on its own
+    buffers.  They share its full graph, whatever their variant or scale:
+    the first decoder over a matrix object builds it and keeps it on the
+    matrix, and it does not change once built.  Decoders built at once in
+    several threads may each build an equal graph, and the matrix keeps
+    the last; no lock guards this, so a forked worker can never inherit
+    one held.  The buffers are built on the first compiled decode, not
+    here, and a masked graph's per decode; a pickled copy builds its own.
     ``v2c_edge_updates`` and ``c2v_edge_updates`` count the last decode's
     edge updates in each direction: its iterations times the edges of the
     graph it ran on.
@@ -506,7 +608,12 @@ class BpDecoder:
         if h._graph is None:
             h._graph = TannerGraph(h)
         self.graph = h._graph
+        self._buffers = None  # the full graph's, once a compiled decode has run
         self.v2c_edge_updates = self.c2v_edge_updates = 0
+
+    def __getstate__(self):
+        # the kernel state's pointers are this process's
+        return {**self.__dict__, "_buffers": None}
 
     def decode(
         self,
@@ -523,32 +630,42 @@ class BpDecoder:
             raise ValueError(f"priors length {priors.shape} != cols {h.cols}")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        cut = None
+        cut, extreme = None, False
         if priors.size:
-            lowest = priors.min()
-            if not (lowest >= 0.0 and priors.max() <= 1.0):
+            lowest, highest = priors.min(), priors.max()
+            if not (lowest >= 0.0 and highest <= 1.0):
                 raise ValueError("priors must lie in [0, 1]")
             if lowest == 0.0:
                 cut = priors == 0.0
                 g = TannerGraph(h, ~cut)
                 priors = priors + 0.0  # -0.0 -> +0.0, whose LLR is +inf, not log(-inf)
+            extreme = lowest < _TINY or highest == 1.0
 
         s_dense = syndrome.to_dense()
-        syn = s_dense[g.chk_seg_ids]
+        kernel = _load_kernel()
+        if kernel is None:
+            syn, lam = s_dense[g.chk_seg_ids], _llr(priors, extreme)
+            hard = lam <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
+        else:
+            buf = self._buffers if cut is None else None
+            if buf is None:
+                buf = _Buffers(g, self.variant, self.min_sum_scale)
+                if cut is None:
+                    self._buffers = buf
+            syn = np.take(s_dense, g.chk_seg_ids, out=buf.syn)
+            lam, total, hard = _llr(priors, extreme, buf.lam), buf.total, buf.hard
+            np.copyto(total, lam)
+            np.less_equal(lam, 0.0, out=hard)
+            buf.m_cv.fill(0.0)
         # a check with no edges and syndrome 1 is never satisfied
         satisfiable = bool(np.count_nonzero(s_dense) == np.count_nonzero(syn))
         test = early_stop and satisfiable
-        lam = _llr(priors)
-        hard = lam <= 0.0  # a cut column's LLR clips to +35, so its bit is 0
-        kernel = _load_kernel() if self.variant == MIN_SUM else None
-        if kernel is not None:
-            total, slots = lam.copy(), g.min_sum_graph.n_slot
-            last = _run_compiled(kernel, g, syn, lam, hard, total, np.empty(slots),
-                                 np.zeros(slots), self.min_sum_scale, max_iter, test)
-        else:
+        if kernel is None:
             update = _min_sum_numpy if self.variant == MIN_SUM else _product_sum_numpy
             last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,
                                            max_iter, test)
+        else:
+            last = _run_compiled(kernel, self.variant, buf.state, buf.m_vc, max_iter, test)
 
         iterations = -last - 1 if last < 0 else last
         converged = last < 0 or (satisfiable and _segments_match(g, hard, syn))

@@ -53,8 +53,9 @@ def write_manifest(path: Path, config: dict, started: str, extra: dict | None = 
 
 def _numerics() -> dict:
     """What decoded bytes rest on besides the config: the BP kernel, and the
-    numpy whose summation order it reproduces and whose ``exp`` gives the
-    soft output."""
+    numpy whose sum and product orders it reproduces, whose ``tanh`` and
+    ``arctanh`` run between its product-sum calls and whose ``exp`` gives
+    the soft output."""
     return {"bp_kernel": min_sum_kernel(), "numpy": np.__version__}
 
 

@@ -35,6 +35,20 @@ def _indices_from_bits(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def column_indices(indices: Iterable[int], cols: int) -> np.ndarray:
+    """``indices``, an array or any iterable of ints, as an intp array,
+    once each is checked to lie in ``[0, cols)``: numpy indexing would
+    wrap a negative one."""
+    if isinstance(indices, np.ndarray):
+        indices = indices.astype(np.intp, copy=False)
+    else:
+        indices = np.fromiter(indices, dtype=np.intp)
+    bad = indices[(indices < 0) | (indices >= cols)]
+    if bad.size:
+        raise ValueError(f"column index {bad[0]} out of range for {cols} columns")
+    return indices
+
+
 class BitVec:
     """Immutable binary row vector, stored as a bitmask plus its length."""
 
@@ -58,8 +72,10 @@ class BitVec:
 
     @classmethod
     def from_dense(cls, arr) -> "BitVec":
+        """The vector whose bit i is set where ``arr[i]`` is nonzero."""
         arr = np.asarray(arr)
-        return cls(len(arr), _bits_from_indices(np.flatnonzero(arr).tolist()))
+        packed = np.packbits(arr.astype(bool, copy=False).ravel(), bitorder="little")
+        return cls(len(arr), int.from_bytes(packed, "little"))
 
     @classmethod
     def zeros(cls, length: int) -> "BitVec":
@@ -77,9 +93,9 @@ class BitVec:
         return self._bits.bit_count()
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.length, dtype=np.uint8)
-        out[list(self.support)] = 1
-        return out
+        """A new uint8 array of the bits, 0 or 1."""
+        packed = np.frombuffer(self._bits.to_bytes(-(-self.length // 8), "little"), np.uint8)
+        return np.unpackbits(packed, count=self.length, bitorder="little")
 
     def __xor__(self, other: "BitVec") -> "BitVec":
         if self.length != other.length:
@@ -233,10 +249,7 @@ class SparseBinMatrix:
         Returns the reduced matrix and the intp array of kept original
         column indices (so solutions can be re-expanded to full width).
         """
-        removed = np.fromiter(removed, dtype=np.intp)
-        bad = removed[(removed < 0) | (removed >= self.cols)]
-        if bad.size:
-            raise ValueError(f"column index {bad[0]} out of range for {self.cols} columns")
+        removed = column_indices(removed, self.cols)
         keep = np.ones(self.cols, dtype=bool)
         keep[removed] = False
         starts, cols = self.csr

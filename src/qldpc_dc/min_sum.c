@@ -1,17 +1,20 @@
-/* The iteration loop of normalized min-sum belief propagation (Fossorier,
- * Mihaljevic & Imai, 1999) on a Tanner graph.
+/* The iteration loops of belief propagation on a Tanner graph: normalized
+ * min-sum (Fossorier, Mihaljevic & Imai, 1999) in one call per decode, and
+ * product-sum in three calls per iteration around numpy's tanh and
+ * arctanh, which stay in numpy because libm's need not round as numpy's do.
  *
- * It gives bit for bit what bp._run_numpy gives for the same iterations,
- * and no branch of an iteration depends on a message: only the graph's
- * segment lengths steer its loops.
+ * Both give bit for bit what bp._run_numpy gives for the same iterations,
+ * and no branch of a min-sum iteration depends on a message: only the
+ * graph's segment lengths steer its loops.
  *
- * The check pass runs LANES checks at once, one per lane of GCC's vector
- * extensions.  The checks are grouped by degree into blocks of LANES, and
- * the messages of a block lie in slots blk_starts[b] + LANES * i + k: edge
- * i of the check in lane k, so one vector load takes edge i of every
- * check.  The last block of each degree is padded with lanes that run no
- * check: they read column 0 and write only their own slots, which no
- * variable reads.  Each lane runs its own check's edges in check-major
+ * The min-sum check pass runs LANES checks at once, one per lane of GCC's
+ * vector extensions.  The checks are grouped by degree into blocks of
+ * LANES, and the messages of a block lie in slots blk_starts[b] + LANES * i
+ * + k: edge i of the check in lane k, so one vector load takes edge i of
+ * every check.  The last block of each degree is padded with lanes that
+ * run no check: they read column 0 and write only their own slots, which
+ * no variable reads, and blk_used[b] counts the lanes of block b that do
+ * run a check.  Each lane runs its own check's edges in check-major
  * order, and every vector operation is the scalar one per lane, with no
  * merge across lanes and no scalar tail: the v2c update is a subtraction
  * and a clip, two selects; the two smallest magnitudes are kept with
@@ -23,6 +26,11 @@
  * comparisons' masks, so each lane gets the bits the scalar x < y ? x : y
  * gives.  Without -march=native the compiler lowers the same operations
  * to narrower vectors, with the same bits.
+ *
+ * Product-sum keeps its messages check-major, one per edge, with no slot
+ * layout: its graph has no blocks, and its var_perm lists edges.  The
+ * product of a check's tanh values is np.multiply.reduceat's: the first
+ * value, times each later one in turn.
  *
  * The posterior sum over a variable's edges repeats np.add.reduceat's
  * order exactly: the first term plus numpy's pairwise_sum of the others
@@ -36,20 +44,25 @@
  * keep both.
  *
  * The hard bit of a column is the sign of its posterior LLR, total <= 0, as
- * in bp._run_numpy, so a decode runs from its first iteration to
- * convergence or max_iter in one call.  The soft output 1 / (1 + exp(t))
- * is computed once after the loop, in numpy: libm's exp need not round as
- * numpy's does.  The kernel keeps no state between calls.
+ * in bp._run_numpy, and the caller keeps it so on entry.  So the syndrome
+ * test reads the totals the v2c update gathers anyway: each check XORs
+ * total <= 0 over its edges into its syndrome bit, and the test passes
+ * when every check ends at 0.  It tests the hard decision left by the
+ * iteration before, and when it passes the messages of the iteration are
+ * written but the totals and hard bits are not.  The soft output
+ * 1 / (1 + exp(t)) is computed once after the loop, in numpy: libm's exp
+ * need not round as numpy's does.  The kernel keeps no state between
+ * calls.
  *
- * The syndrome test reads the check-major edges: edges e in
- * [chk_starts[s], chk_starts[s + 1]) belong to check segment s, of column
- * edge_var[e].  Block b holds the slots [blk_starts[b], blk_starts[b + 1]),
- * a multiple of LANES; its lane k runs check segment blk_chk[LANES * b + k]
- * and slot t reads column slot_var[t].  The variables are in a stable order
- * by degree: positions k in [var_starts[v], var_starts[v + 1]) of var_perm
- * list the slots of the edges of variable var_ids[v], and the variables of
- * degree n end at group_ends[n - 1], n = 1..8.  The last segment of each
- * ends at nnz, and every segment holds at least one edge.
+ * Edges e in [chk_starts[s], chk_starts[s + 1]) belong to check segment s,
+ * of column edge_var[e].  Block b holds the slots [blk_starts[b],
+ * blk_starts[b + 1]), a multiple of LANES; its lane k runs check segment
+ * blk_chk[LANES * b + k] and slot t reads column slot_var[t].  The
+ * variables are in a stable order by degree: positions k in
+ * [var_starts[v], var_starts[v + 1]) of var_perm list the slots of the
+ * edges of variable var_ids[v], and the variables of degree n end at
+ * group_ends[n - 1], n = 1..8.  The last segment of each ends at nnz, and
+ * every segment holds at least one edge.
  */
 
 #include <math.h>
@@ -59,22 +72,23 @@
 
 #define LANES 8 /* checks per block; bp._lanes reads this line */
 
-struct min_sum_graph { /* one per Tanner graph */
+struct min_sum_graph { /* one per Tanner graph and variant */
     ptrdiff_t nnz, n_chk, n_var, n_blk;
     const ptrdiff_t *chk_starts, *edge_var;           /* check-major edges */
     const ptrdiff_t *blk_starts, *blk_chk, *slot_var; /* blocks of LANES checks */
+    const ptrdiff_t *blk_used;                        /* lanes of each block that run a check */
     const ptrdiff_t *var_starts, *var_ids, *var_perm; /* variables by degree */
     const ptrdiff_t *group_ends;                      /* 8 entries */
 };
 
-struct min_sum_state { /* one per decode */
+struct min_sum_state { /* one per decoder and graph */
     const struct min_sum_graph *graph;
     const unsigned char *syndrome; /* per check segment: its syndrome bit */
     const double *lam;             /* per column: prior LLR */
     unsigned char *hard;           /* per column: hard decision, 0 or 1 */
     double *total;                 /* per column: posterior LLR */
     double *m_vc, *m_cv;           /* per slot: messages */
-    double scale, clamp, total_clamp;
+    double scale, clamp, total_clamp, r_max;
 };
 
 /* x clipped to [-c, c]; for every non-NaN x, +-0.0 included, the value of
@@ -83,6 +97,12 @@ static inline double clip(double x, double c)
 {
     x = x > c ? c : x;
     return x < -c ? -c : x;
+}
+
+/* The end of check segment s's edges. */
+static inline ptrdiff_t chk_end(const struct min_sum_graph *g, ptrdiff_t s)
+{
+    return s + 1 < g->n_chk ? g->chk_starts[s + 1] : g->nnz;
 }
 
 /* Every function below that takes or returns a vector is static, so no
@@ -188,22 +208,6 @@ static double var_sum(const double *m, const ptrdiff_t *idx, ptrdiff_t n)
     return n == 1 ? m[idx[0]] : m[idx[0]] + pairwise(m, idx + 1, n - 1);
 }
 
-/* 1 when every check's parity of hard bits equals its syndrome bit. */
-static int syndrome_ok(const struct min_sum_state *d)
-{
-    const struct min_sum_graph *g = d->graph;
-    for (ptrdiff_t s = 0; s < g->n_chk; s++) {
-        ptrdiff_t lo = g->chk_starts[s];
-        ptrdiff_t hi = s + 1 < g->n_chk ? g->chk_starts[s + 1] : g->nnz;
-        int parity = d->syndrome[s];
-        for (ptrdiff_t e = lo; e < hi; e++)
-            parity ^= d->hard[g->edge_var[e]];
-        if (parity)
-            return 0;
-    }
-    return 1;
-}
-
 /* The totals and hard bits of the variables v in [v0, v1) of the degree
  * order, each of degree n <= 8: var_sum's additions in var_sum's order,
  * with n a constant once this is inlined. */
@@ -235,63 +239,14 @@ static inline void var_group(const struct min_sum_state *d, ptrdiff_t v0, ptrdif
     }
 }
 
-/* The check update of every block:
- *
- *     m_vc[t]  = clip(total[slot_var[t]] - m_cv[t], clamp)
- *     m_cv[t]  = clip(syn_sign * sign * scale * (|m_vc[t]| == min1 ? min2 : min1), clamp)
- *
- * where syn_sign is -1 when the check's syndrome bit is 1, min1 <= min2
- * are the two smallest magnitudes of the check counted with multiplicity
- * (min2 = +inf for a check with one edge), and sign is -1 when an odd
- * number of the check's other messages are < 0 (so -0.0 counts as
- * positive).
- */
-static void check_pass(const struct min_sum_state *d)
-{
-    /* locals, so that stores through the message pointers reload nothing */
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t n_blk = g->n_blk;
-    const ptrdiff_t *restrict blk_starts = g->blk_starts, *restrict blk_chk = g->blk_chk;
-    const ptrdiff_t *restrict slot_var = g->slot_var;
-    const unsigned char *restrict syndrome = d->syndrome;
-    const double *restrict total = d->total;
-    double *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
-    const vdouble scale = splat(d->scale), clamp = splat(d->clamp), zero = splat(0.0);
-
-    for (ptrdiff_t b = 0; b < n_blk; b++) {
-        const ptrdiff_t lo = blk_starts[b], hi = blk_starts[b + 1];
-        vdouble min1 = splat(INFINITY), min2 = min1;
-        vmask neg = {0};
-        for (int k = 0; k < LANES; k++)
-            neg[k] = -(int64_t)syndrome[blk_chk[LANES * b + k]];
-        for (ptrdiff_t t = lo; t < hi; t += LANES) {
-            vdouble v = {0};
-            for (int k = 0; k < LANES; k++)
-                v[k] = total[slot_var[t + k]];
-            v = vclip(v - load(m_cv + t), clamp);
-            store(m_vc + t, v);
-            neg ^= (vmask)(v < zero);
-            vdouble a = vabs(v);
-            min2 = vmin(vmax(a, min1), min2);
-            min1 = vmin(a, min1);
-        }
-        vdouble out1 = vclip(scale * min1, clamp), out2 = vclip(scale * min2, clamp);
-        for (ptrdiff_t t = lo; t < hi; t += LANES) {
-            vdouble v = load(m_vc + t);
-            vdouble m = select((vmask)(vabs(v) == min1), out2, out1);
-            store(m_cv + t, negate_if(m, neg ^ (vmask)(v < zero)));
-        }
-    }
-}
-
-/* One iteration: the check pass, then
+/* The variable pass of both variants:
  *
  *     total[v] = clip(lam[v] + sum of m_cv over v's edges, total_clamp)
  *     hard[v]  = total[v] <= 0
  *
  * where only variables with edges are written.
  */
-static void iterate(const struct min_sum_state *d)
+static void var_pass(const struct min_sum_state *d)
 {
     const struct min_sum_graph *g = d->graph;
     const ptrdiff_t nnz = g->nnz, n_var = g->n_var;
@@ -302,7 +257,6 @@ static void iterate(const struct min_sum_state *d)
     double *restrict total = d->total;
     const double total_clamp = d->total_clamp;
 
-    check_pass(d);
     var_group(d, 0, ends[0], 1);
     var_group(d, ends[0], ends[1], 2);
     var_group(d, ends[1], ends[2], 3);
@@ -321,18 +275,167 @@ static void iterate(const struct min_sum_state *d)
     }
 }
 
-/* Run iterations 1 to max_iter (max_iter >= 1).  With test set, each
- * iteration first tests the hard decision left by the one before it.
+/* The min-sum check update of every block:
  *
- * Returns -it when that test passed before iteration it (nothing is
- * written then), else max_iter.
+ *     m_vc[t]  = clip(total[slot_var[t]] - m_cv[t], clamp)
+ *     m_cv[t]  = clip(syn_sign * sign * scale * (|m_vc[t]| == min1 ? min2 : min1), clamp)
+ *
+ * where syn_sign is -1 when the check's syndrome bit is 1, min1 <= min2
+ * are the two smallest magnitudes of the check counted with multiplicity
+ * (min2 = +inf for a check with one edge), and sign is -1 when an odd
+ * number of the check's other messages are < 0 (so -0.0 counts as
+ * positive).  Returns 1 when the syndrome test of the totals on entry
+ * passed: a lane's parity starts from its syndrome bit and takes in
+ * total <= 0 of every slot, and only the lanes that run a check count.
+ */
+static int check_pass(const struct min_sum_state *d)
+{
+    /* locals, so that stores through the message pointers reload nothing */
+    const struct min_sum_graph *g = d->graph;
+    const ptrdiff_t n_blk = g->n_blk;
+    const ptrdiff_t *restrict blk_starts = g->blk_starts, *restrict blk_chk = g->blk_chk;
+    const ptrdiff_t *restrict blk_used = g->blk_used, *restrict slot_var = g->slot_var;
+    const unsigned char *restrict syndrome = d->syndrome;
+    const double *restrict total = d->total;
+    double *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
+    const vdouble scale = splat(d->scale), clamp = splat(d->clamp), zero = splat(0.0);
+    vmask lane = {0}, failed = {0};
+    for (int k = 0; k < LANES; k++)
+        lane[k] = k;
+
+    for (ptrdiff_t b = 0; b < n_blk; b++) {
+        const ptrdiff_t lo = blk_starts[b], hi = blk_starts[b + 1];
+        vdouble min1 = splat(INFINITY), min2 = min1;
+        vmask neg = {0}, used = {0};
+        for (int k = 0; k < LANES; k++) {
+            neg[k] = -(int64_t)syndrome[blk_chk[LANES * b + k]];
+            used[k] = blk_used[b];
+        }
+        vmask parity = neg;
+        for (ptrdiff_t t = lo; t < hi; t += LANES) {
+            vdouble v = {0};
+            for (int k = 0; k < LANES; k++)
+                v[k] = total[slot_var[t + k]];
+            parity ^= (vmask)(v <= zero);
+            v = vclip(v - load(m_cv + t), clamp);
+            store(m_vc + t, v);
+            neg ^= (vmask)(v < zero);
+            vdouble a = vabs(v);
+            min2 = vmin(vmax(a, min1), min2);
+            min1 = vmin(a, min1);
+        }
+        failed |= parity & (vmask)(lane < used);
+        vdouble out1 = vclip(scale * min1, clamp), out2 = vclip(scale * min2, clamp);
+        for (ptrdiff_t t = lo; t < hi; t += LANES) {
+            vdouble v = load(m_vc + t);
+            vdouble m = select((vmask)(vabs(v) == min1), out2, out1);
+            store(m_cv + t, negate_if(m, neg ^ (vmask)(v < zero)));
+        }
+    }
+    int64_t any = 0;
+    for (int k = 0; k < LANES; k++)
+        any |= failed[k];
+    return any == 0;
+}
+
+/* Run min-sum iterations 1 to max_iter (max_iter >= 1).  With test set,
+ * each iteration's check pass tests the hard decision left by the one
+ * before it.
+ *
+ * Returns -it when that test passed in iteration it (the iteration's
+ * messages are written then, its totals and hard bits are not), else
+ * max_iter.
  */
 ptrdiff_t min_sum_decode(const struct min_sum_state *d, ptrdiff_t max_iter, int test)
 {
     for (ptrdiff_t it = 1; it <= max_iter; it++) {
-        if (test && syndrome_ok(d))
+        if (check_pass(d) && test)
             return -it;
-        iterate(d);
+        var_pass(d);
     }
     return max_iter;
+}
+
+/* The first call of a product-sum iteration: for every edge e
+ *
+ *     m_vc[e] = 0.5 * clip(total[edge_var[e]] - m_cv[e], clamp)
+ *
+ * which numpy's tanh then takes in place.  Returns 1 when the syndrome
+ * test of the totals on entry passed.
+ */
+int product_sum_v2c(const struct min_sum_state *d)
+{
+    const struct min_sum_graph *g = d->graph;
+    const ptrdiff_t n_chk = g->n_chk;
+    const ptrdiff_t *restrict edge_var = g->edge_var;
+    const unsigned char *restrict syndrome = d->syndrome;
+    const double *restrict total = d->total, *restrict m_cv = d->m_cv;
+    double *restrict x = d->m_vc;
+    const double clamp = d->clamp;
+    int failed = 0;
+
+    for (ptrdiff_t s = 0, e = 0; s < n_chk; s++) {
+        int parity = syndrome[s];
+        for (const ptrdiff_t hi = chk_end(g, s); e < hi; e++) {
+            const double t = total[edge_var[e]];
+            parity ^= t <= 0.0;
+            x[e] = 0.5 * clip(t - m_cv[e], clamp);
+        }
+        failed |= parity;
+    }
+    return !failed;
+}
+
+/* The second call, on the tanh values t in m_vc: per check, the product
+ * of its values with each 0.0 read as 1.0, in np.multiply.reduceat's
+ * order, and the count of its zeros; then, in place of each t, the
+ * extrinsic product
+ *
+ *     r = zeros == 0 ? prod / t : t == 0 && zeros == 1 ? prod : 0
+ *
+ * as y = clip(syn_sign * r, r_max), which numpy's arctanh then takes in
+ * place.
+ */
+void product_sum_check(const struct min_sum_state *d)
+{
+    const struct min_sum_graph *g = d->graph;
+    const ptrdiff_t n_chk = g->n_chk;
+    const ptrdiff_t *restrict chk_starts = g->chk_starts;
+    const unsigned char *restrict syndrome = d->syndrome;
+    double *restrict m = d->m_vc;
+    const double r_max = d->r_max;
+
+    for (ptrdiff_t s = 0; s < n_chk; s++) {
+        const ptrdiff_t lo = chk_starts[s], hi = chk_end(g, s);
+        double prod = m[lo] == 0.0 ? 1.0 : m[lo];
+        ptrdiff_t zeros = m[lo] == 0.0;
+        for (ptrdiff_t e = lo + 1; e < hi; e++) {
+            zeros += m[e] == 0.0;
+            prod *= m[e] == 0.0 ? 1.0 : m[e];
+        }
+        const double syn_sign = syndrome[s] ? -1.0 : 1.0;
+        for (ptrdiff_t e = lo; e < hi; e++) {
+            const double t = m[e];
+            const double r = zeros == 0 ? prod / t : t == 0.0 && zeros == 1 ? prod : 0.0;
+            m[e] = clip(r * syn_sign, r_max);
+        }
+    }
+}
+
+/* The third call, on the arctanh values y in m_vc: for every edge e
+ *
+ *     m_cv[e] = clip(2.0 * y[e], clamp)
+ *
+ * then the variable pass.
+ */
+void product_sum_c2v(const struct min_sum_state *d)
+{
+    const ptrdiff_t nnz = d->graph->nnz;
+    const double *restrict y = d->m_vc;
+    double *restrict m_cv = d->m_cv;
+    const double clamp = d->clamp;
+
+    for (ptrdiff_t e = 0; e < nnz; e++)
+        m_cv[e] = clip(2.0 * y[e], clamp);
+    var_pass(d);
 }

@@ -106,11 +106,12 @@ def dc_cut_indices(h_deg: SparseBinMatrix, soft, rng: np.random.Generator) -> np
 def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=NO_CUT) -> BitVec:
     """Order-0 ordered statistics: pivot on most-probable-error columns first.
 
-    The ``cut`` columns, an index array or list, go last.  ``gf2.solve``
-    stops once the syndrome is spanned, so it touches a cut column, and
-    this raises, exactly when the other columns cannot span it; else the
-    solution is OSD-0's on H without the cut columns, whose order among
-    themselves is unchanged.
+    The ``cut`` columns, an index array or list, go last; an index outside
+    ``[0, cols)`` raises ``ValueError``.  ``gf2.solve`` stops once the
+    syndrome is spanned, so it touches a cut column, and this raises,
+    exactly when the other columns cannot span it; else the solution is
+    OSD-0's on H without the cut columns, whose order among themselves is
+    unchanged.
     """
     soft = np.asarray(soft, dtype=float)
     if soft.shape != (h.cols,):
@@ -118,6 +119,7 @@ def osd0_decode(h: SparseBinMatrix, syndrome: BitVec, soft, cut=NO_CUT) -> BitVe
     order = np.argsort(-soft, kind="stable")
     is_cut = None
     if len(cut):
+        cut = gf2.column_indices(cut, h.cols)
         is_cut = np.zeros(h.cols, dtype=bool)
         is_cut[cut] = True
         order = order[np.argsort(is_cut[order], kind="stable")]

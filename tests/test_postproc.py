@@ -331,6 +331,16 @@ class TestOsd0:
         assert osd0_decode(h, s, [0.9, 0.1, 0.1]) == BitVec.from_support(3, [0])
         assert osd0_decode(h, s, [0.9, 0.1, 0.1], [0]) == BitVec.from_support(3, [1, 2])
 
+    @pytest.mark.parametrize("index", [-1, -3, 3])
+    @pytest.mark.parametrize("form", [list, np.array])
+    def test_cut_index_out_of_range_rejected(self, index, form):
+        """A negative index would wrap to a column, and one at ``cols``
+        would be numpy's IndexError; both get ``without_columns``' error."""
+        h = SparseBinMatrix(2, 3, [(0, 1), (0, 2)])
+        s = BitVec.from_support(2, [0, 1])
+        with pytest.raises(ValueError, match=f"column index {index} out of range for 3 columns"):
+            osd0_decode(h, s, [0.9, 0.1, 0.1], form([1, index]))
+
     @given(sparse_matrices(), st.data())
     @settings(max_examples=300)
     def test_cut_matches_osd0_on_the_reduced_matrix(self, h, data):

@@ -238,7 +238,7 @@ class TestRunTrials:
         )
         single = run_trials(cfg)
         monkeypatch.setattr(sim, "_worker_model", None)
-        monkeypatch.setattr(sim.concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cpus)
         assert run_trials(dataclasses.replace(cfg, threads=10**6)) == single
         assert opened == [workers]  # 20 trials make 20 one-trial blocks
