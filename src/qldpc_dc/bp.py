@@ -361,7 +361,7 @@ def _pointer(a: np.ndarray, dtype, n: int) -> int:
     """The address of ``a``'s data, once ``a`` is checked to be ``n``
     contiguous values of ``dtype``."""
     if a.dtype != dtype or a.shape != (n,) or not a.flags.c_contiguous:
-        raise ValueError("min-sum kernel buffers do not match the graph")
+        raise ValueError("kernel buffers do not match the graph")
     return a.ctypes.data
 
 

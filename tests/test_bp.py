@@ -506,12 +506,12 @@ def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path, capfd):
 
 @pytest.fixture(scope="module")
 def c_kernel():
-    """The compiled min-sum kernel: skipped without gcc, an error with gcc
-    if it did not build or load."""
+    """The compiled kernel of both variants: skipped without gcc, an error
+    with gcc if it did not build or load."""
     if shutil.which("gcc") is None:
         pytest.skip("gcc is not installed")
     kernel = bp._load_kernel()
-    assert kernel is not None, "gcc is installed, but the min-sum kernel did not build or load"
+    assert kernel is not None, "gcc is installed, but the kernel did not build or load"
     return kernel
 
 

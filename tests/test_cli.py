@@ -61,7 +61,7 @@ class TestCodeCommand:
         assert (meta["n"], meta["k"]) == (72, 12)
 
     def test_code_and_dem_manifests_build_no_kernel(self, tmp_path, monkeypatch):
-        """Commands that decode nothing neither compile the min-sum kernel nor
+        """Commands that decode nothing neither compile the BP kernel nor
         record one."""
         monkeypatch.setattr(bp, "_kernel", bp._UNLOADED)
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))

@@ -191,7 +191,7 @@ class TestRunTrials:
         builds either again, and the pooled counts equal the in-process
         ones."""
         if bp.min_sum_kernel() != "c":
-            pytest.skip("the compiled min-sum kernel is not available")
+            pytest.skip("the compiled kernel is not available")
         cfg = ExperimentConfig(
             code="surface:3", noise="pheno", p=0.03, rounds=2, decoder="bp-osd",
             bp_variant="min-sum", trials=24, seed=9,
