@@ -47,34 +47,30 @@ equal on entry; a test that passes in iteration ``it`` has written that
 iteration's messages, but not its totals or hard bits.
 
 A min-sum decode is one call, and its iteration has no data-dependent
-branch.  The check pass runs ``_lanes()`` (8) checks at once, one per
-SIMD lane: ``min_sum_graph`` sorts the checks by degree, deals them into
-blocks of 8 and lays the messages out as slots ``blk_starts[b] + 8 * i +
-k`` (edge i of the check in lane k), padding the last block of each
-degree with lanes whose slots no variable reads and whose syndrome test
-does not count.  Each lane runs its own check's edges in check-major
-order with the scalar selects, one running pair of smallest magnitudes,
-the sign parity and the sign-bit flip, and nothing crosses lanes, so
-every message keeps its bits.  Then a variable pass grouped by degree,
-one loop per degree 1 to 8, reads the slots.
+branch.  Its check pass runs ``LANES`` (8) checks at once, one per SIMD
+lane, on the slots of ``TannerGraph.min_sum_graph``; nothing crosses
+lanes, so every message keeps its bits (``min_sum.c``'s header says
+how).  Then a variable pass grouped by degree, one loop per degree 1 to
+8, reads the slots.
 
-A product-sum iteration is three calls on check-major edges
-(``product_sum_graph``, no slots), with numpy's ``tanh`` and ``arctanh``
-between them, in place on one buffer: libm's need not round as numpy's
-do, and a test pins that numpy's give the same bits in every layout.
-The C takes each check's product of tanh values in
-``np.multiply.reduceat``'s order, first value first, and then runs the
-variable pass that min-sum runs.  Both loops read one variable-major
+A product-sum iteration is three calls on the graph's check-major edges
+(no slots), with numpy's ``tanh`` and ``arctanh`` between them, in place
+on one buffer: libm's need not round as numpy's do, and a test pins that
+numpy's give the same bits in every layout.  The C takes each check's
+product of tanh values in ``np.multiply.reduceat``'s order, first value
+first, and then runs the variable pass that min-sum runs.  Both loops read one variable-major
 view, which ``TannerGraph`` builds in the kernel's degree order; numpy
 sums each variable's segment on its own, so the order of the segments
 changes no bit.  ``exp`` stays in numpy for the same reason as ``tanh``.
 
-A decoder builds its buffers and the kernel state that points at them
-once, on its first compiled decode on its full graph; a decode with cut
-columns builds its own on its masked graph.
+Every pointer the kernel reads lies in the one ``_MinSumState`` that
+``_Buffers`` builds with the buffers it points at; a graph holds only
+numpy arrays.  A decoder builds its buffers once, on its first compiled
+decode on its full graph; a decode with cut columns builds its own on
+its masked graph.
 
-The shared library is built with ``-O3 -march=native -ffp-contract=off``
-on the first decode, not at import, into a per-user cache:
+The shared library is built with ``-O3 -march=native -ffp-contract=off
+-DLANES=8`` on the first decode, not at import, into a per-user cache:
 ``$XDG_CACHE_HOME/qldpc_dc`` (default ``~/.cache/qldpc_dc``), or a
 per-user directory under the system temp directory if that cannot be
 written.  Its name is keyed by the SHA-256 of the source, the compiler
@@ -92,9 +88,10 @@ import ctypes
 import functools
 import importlib
 import math
+import operator
 import os
 import platform
-import re
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -105,6 +102,7 @@ import numpy as np
 from .gf2 import BitVec, SparseBinMatrix
 
 LLR_CLAMP = 35.0
+LANES = 8  # checks that min_sum.c's check pass runs at once, one per SIMD lane
 _R_MAX = np.nextafter(1.0, 0.0)  # 2 * arctanh(_R_MAX) = 37.4 clips as arctanh(1) = inf did
 _TOTAL_CLAMP = 350.0  # posterior LLR sums stay well inside exp() range
 _TINY = np.finfo(float).tiny  # a prior at or above it has a finite (1 - p) / p
@@ -123,9 +121,9 @@ class TannerGraph:
     ``keep[edge_var]``.  Empty rows and empty columns take no part in
     message passing (an empty row with syndrome 1 simply never converges).
 
-    A graph never changes once built.  ``BpDecoder`` keeps a matrix's full
-    graph on the matrix and shares it; a masked graph is built per decode
-    and kept nowhere.  The graph holds the matrix's column count, not the
+    A graph holds only numpy arrays and never changes once built.
+    ``BpDecoder`` keeps a matrix's full graph on the matrix and shares it;
+    a masked graph is built per decode and kept nowhere.  The graph holds the matrix's column count, not the
     matrix, so the two never form a reference cycle.
     """
 
@@ -139,12 +137,13 @@ class TannerGraph:
             edge_var = edge_var[kept]
             run = np.concatenate(([0], np.cumsum(kept)))
             counts = run[starts[1:]] - run[starts[:-1]]
-        # check-major segments (nonempty checks only)
+        # check-major segments (nonempty checks only); the bounds end at nnz
         self.chk_seg_ids = np.flatnonzero(counts)
         counts = counts[self.chk_seg_ids]
         self.nnz = len(edge_var)
         self.edge_var = edge_var
-        self.chk_seg_starts = np.cumsum(counts) - counts
+        self.chk_bounds = np.cumsum(np.concatenate(([0], counts)), dtype=np.intp)
+        self.chk_seg_starts = self.chk_bounds[:-1]  # for reduceat
         self.edge_seg = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
 
         # variable-major view (nonempty columns only) in the order min_sum.c
@@ -155,83 +154,59 @@ class TannerGraph:
         ids = np.flatnonzero(deg)
         self.var_seg_ids = ids[np.argsort(deg[ids], kind="stable")]
         seg_deg = deg[self.var_seg_ids]
-        self.var_seg_starts = np.cumsum(seg_deg) - seg_deg
+        self.var_bounds = np.cumsum(np.concatenate(([0], seg_deg)), dtype=np.intp)
+        self.var_seg_starts = self.var_bounds[:-1]
         self.var_group_ends = np.searchsorted(seg_deg, np.arange(1, 9), side="right")
 
     @functools.cached_property
-    def min_sum_graph(self) -> "_MinSumGraph":
-        """What ``min_sum.c`` reads, built once per graph on its first
-        compiled decode: sizes, pointers and the slot layout of the check
-        pass.  A worker process forked after that inherits it with the
-        graph; a pickled copy of the graph builds its own.
+    def min_sum_graph(self) -> "_SlotLayout":
+        """The slot layout of ``min_sum.c``'s check pass, built once per
+        graph on its first compiled min-sum decode.  A worker process
+        forked after that inherits it with the graph, and a pickled copy of
+        the graph carries it.
 
-        The checks are sorted by degree (stably) and dealt, ``_lanes()`` at
-        a time, into blocks; the last block of each degree is padded with
+        The checks are sorted by degree (stably) and dealt, ``LANES`` at a
+        time, into blocks; the last block of each degree is padded with
         lanes that run no check.  Edge i of the check in lane k of block b
-        has slot ``blk_starts[b] + lanes * i + k``; ``edge_slot`` maps the
-        check-major edges to their slots, ``n_slot`` counts the slots, and
-        the kernel's ``var_perm`` lists slots.  A padded slot reads column
-        0 and the syndrome bit of check segment 0, and no variable reads it;
-        ``blk_used`` counts the lanes of each block that run a check, so
-        the syndrome test leaves the padded ones out.
+        has slot ``blk_starts[b] + LANES * i + k``; ``edge_slot`` maps the
+        check-major edges to their slots, and ``slot_perm`` is ``var_perm``
+        in slots.  A padded slot reads column 0 and the syndrome bit of
+        check segment 0, and no variable reads it; ``blk_used`` counts the
+        lanes of each block that run a check, so the syndrome test leaves
+        the padded ones out.
         """
-        lanes, nnz = _lanes(), self.nnz
-        n_chk, n_var = len(self.chk_seg_starts), len(self.var_seg_starts)
-        seg_deg = np.diff(self.chk_seg_starts, append=nnz)
+        n_chk = len(self.chk_seg_ids)
+        seg_deg = np.diff(self.chk_bounds)
         order = np.argsort(seg_deg, kind="stable")
         degrees, first, count = np.unique(seg_deg[order], return_index=True, return_counts=True)
-        padded = -(-count // lanes) * lanes
+        padded = -(-count // LANES) * LANES
         cls = np.repeat(np.arange(len(degrees)), count)
         # each sorted check's lane in the run of blocks, counted across padded blocks
         pos = (np.cumsum(padded) - padded)[cls] + np.arange(n_chk) - first[cls]
-        blk_deg = np.repeat(degrees, padded // lanes)
-        blk_starts = np.concatenate(([0], np.cumsum(blk_deg * lanes))).astype(np.intp)
+        blk_deg = np.repeat(degrees, padded // LANES)
+        blk_starts = np.cumsum(np.concatenate(([0], blk_deg * LANES)), dtype=np.intp)
         base = np.empty(n_chk, dtype=np.intp)
-        base[order] = blk_starts[pos // lanes] + pos % lanes
-        edge_slot = base[self.edge_seg] + lanes * (np.arange(nnz) - self.chk_seg_starts[self.edge_seg])
-        n_slot, n_blk = int(blk_starts[-1]), len(blk_deg)
-        slot_var = np.zeros(n_slot, dtype=np.intp)
+        base[order] = blk_starts[pos // LANES] + pos % LANES
+        rank = np.arange(self.nnz) - self.chk_seg_starts[self.edge_seg]  # edge i of its check
+        edge_slot = base[self.edge_seg] + LANES * rank
+        slot_var = np.zeros(blk_starts[-1], dtype=np.intp)
         slot_var[edge_slot] = self.edge_var
-        blk_chk = np.zeros(n_blk * lanes, dtype=np.intp)
+        blk_chk = np.zeros(len(blk_deg) * LANES, dtype=np.intp)
         blk_chk[pos] = order
-        blk_used = np.bincount(pos // lanes, minlength=n_blk)
-        slot_perm = edge_slot[self.var_perm]
-        graph = _MinSumGraph(
-            nnz, n_chk, n_var, n_blk,
-            _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
-            _pointer(blk_starts, np.intp, n_blk + 1), _pointer(blk_chk, np.intp, n_blk * lanes),
-            _pointer(slot_var, np.intp, n_slot), _pointer(blk_used, np.intp, n_blk),
-            _pointer(self.var_seg_starts, np.intp, n_var),
-            _pointer(self.var_seg_ids, np.intp, n_var),
-            _pointer(slot_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
-        )
-        graph.edge_slot, graph.n_slot = edge_slot, n_slot
-        # alive as long as the pointers
-        graph.arrays = (blk_starts, blk_chk, slot_var, blk_used, slot_perm)
-        return graph
+        blk_used = np.bincount(pos // LANES, minlength=len(blk_deg))
+        return _SlotLayout(blk_starts, blk_chk, slot_var, blk_used, edge_slot[self.var_perm],
+                           edge_slot)
 
-    @functools.cached_property
-    def product_sum_graph(self) -> "_MinSumGraph":
-        """What ``min_sum.c``'s product-sum calls read, built on a graph's
-        first compiled product-sum decode: the check-major edges and the
-        variable-major view, with no blocks, so a message's slot is its
-        edge."""
-        nnz, n_chk, n_var = self.nnz, len(self.chk_seg_starts), len(self.var_seg_starts)
-        graph = _MinSumGraph(
-            nnz, n_chk, n_var, 0,
-            _pointer(self.chk_seg_starts, np.intp, n_chk), _pointer(self.edge_var, np.intp, nnz),
-            None, None, None, None,
-            _pointer(self.var_seg_starts, np.intp, n_var),
-            _pointer(self.var_seg_ids, np.intp, n_var),
-            _pointer(self.var_perm, np.intp, nnz), _pointer(self.var_group_ends, np.intp, 8),
-        )
-        graph.n_slot = nnz
-        return graph
 
-    def __getstate__(self):
-        # the kernel's pointers are this process's; a copy takes its own
-        return {k: v for k, v in self.__dict__.items()
-                if k not in ("min_sum_graph", "product_sum_graph")}
+class _SlotLayout(NamedTuple):
+    """``TannerGraph.min_sum_graph``: the blocks of ``LANES`` checks."""
+
+    blk_starts: np.ndarray  # n_blk + 1 bounds, the last one the slot count
+    blk_chk: np.ndarray
+    slot_var: np.ndarray
+    blk_used: np.ndarray
+    slot_perm: np.ndarray
+    edge_slot: np.ndarray
 
 
 @dataclass
@@ -248,7 +223,8 @@ class BpOutput:
 
 _KERNEL_SOURCE = Path(__file__).with_name("min_sum.c")
 _CC = "gcc"
-_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")  # + -march=native, see _library
+# + -march=native, see _library; LANES reaches the C, and the cache key, from here
+_CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC", f"-DLANES={LANES}")
 _UNLOADED = object()
 _kernel = _UNLOADED  # the compiled iteration once tried; None if it failed
 
@@ -331,37 +307,23 @@ def _library(source: bytes, native: bool = True) -> tuple[str, tuple[str, ...]]:
     return f"min_sum_{key[:16]}.so", cflags
 
 
-class _MinSumGraph(ctypes.Structure):
-    """``struct min_sum_graph`` of ``min_sum.c``: sizes, then pointers."""
-
-    _fields_ = [(name, ctypes.c_ssize_t) for name in ("nnz", "n_chk", "n_var", "n_blk")] + [
-        (name, ctypes.c_void_p)
-        for name in ("chk_starts", "edge_var", "blk_starts", "blk_chk", "slot_var", "blk_used",
-                     "var_starts", "var_ids", "var_perm", "group_ends")
-    ]
-
-
-@functools.cache
-def _lanes() -> int:
-    """``LANES`` of ``min_sum.c``: the checks its check pass runs at once."""
-    source = _KERNEL_SOURCE.read_text(encoding="ascii")
-    return int(re.search(r"^#define LANES (\d+)", source, re.MULTILINE).group(1))
-
-
 class _MinSumState(ctypes.Structure):
-    """``struct min_sum_state`` of ``min_sum.c``: a decode's buffers."""
+    """``struct min_sum_state`` of ``min_sum.c``: the sizes and arrays of a
+    graph, then a decode's buffers and constants."""
 
-    _fields_ = [
+    _fields_ = [(name, ctypes.c_ssize_t) for name in ("n_chk", "n_var", "n_blk")] + [
         (name, ctypes.c_void_p)
-        for name in ("graph", "syndrome", "lam", "hard", "total", "m_vc", "m_cv")
+        for name in ("chk_bounds", "edge_var", "blk_starts", "blk_chk", "slot_var", "blk_used",
+                     "var_bounds", "var_ids", "var_perm", "group_ends",
+                     "syndrome", "lam", "hard", "total", "m_vc", "m_cv")
     ] + [(name, ctypes.c_double) for name in ("scale", "clamp", "total_clamp", "r_max")]
 
 
-def _pointer(a: np.ndarray, dtype, n: int) -> int:
+def _pointer(a: np.ndarray, n: int) -> int:
     """The address of ``a``'s data, once ``a`` is checked to be ``n``
-    contiguous values of ``dtype``."""
-    if a.dtype != dtype or a.shape != (n,) or not a.flags.c_contiguous:
-        raise ValueError("kernel buffers do not match the graph")
+    contiguous ``np.intp`` values."""
+    if a.dtype != np.intp or a.shape != (n,) or not a.flags.c_contiguous:
+        raise ValueError("the graph's arrays do not match its sizes")
     return a.ctypes.data
 
 
@@ -478,25 +440,41 @@ def _segments_match(g: TannerGraph, hard: np.ndarray, syn: np.ndarray) -> bool:
     return parity.tobytes() == syn.tobytes()
 
 
-def _kernel_state(g: TannerGraph, graph: _MinSumGraph, syn, lam, hard, total, m_vc, m_cv,
-                  scale: float) -> _MinSumState:
-    """The kernel state of one decode on ``g``'s kernel graph ``graph``
-    (``g.min_sum_graph`` or ``g.product_sum_graph``), once each buffer is
-    checked: ``syn`` holds one bit per check segment, ``m_vc`` and ``m_cv``
-    one message per slot of ``graph``."""
-    cols, slots = g.cols, graph.n_slot
-    return _MinSumState(
-        ctypes.addressof(graph), _pointer(syn, np.uint8, len(g.chk_seg_starts)),
-        _pointer(lam, np.float64, cols), _pointer(hard, np.bool_, cols),
-        _pointer(total, np.float64, cols), _pointer(m_vc, np.float64, slots),
-        _pointer(m_cv, np.float64, slots), scale, LLR_CLAMP, _TOTAL_CLAMP, _R_MAX,
-    )
+class _Buffers:
+    """One decoder's buffers on graph ``g``, and ``state``, the ``byref`` of
+    the ``_MinSumState`` that points at them and at ``g``'s arrays: the
+    slot layout for min-sum, the check-major edges (a message's slot is
+    its edge) for product-sum.  ``graph`` keeps those arrays alive."""
+
+    def __init__(self, g: TannerGraph, variant: str, scale: float):
+        self.graph, cols, nnz = g, g.cols, g.nnz
+        n_chk, n_var = len(g.chk_seg_ids), len(g.var_seg_ids)
+        if variant == MIN_SUM:
+            slots = g.min_sum_graph
+            n_blk, n_slot, perm = len(slots.blk_used), len(slots.slot_var), slots.slot_perm
+            blocks = (_pointer(slots.blk_starts, n_blk + 1), _pointer(slots.blk_chk, n_blk * LANES),
+                      _pointer(slots.slot_var, n_slot), _pointer(slots.blk_used, n_blk))
+        else:
+            n_blk, n_slot, perm, blocks = 0, nnz, g.var_perm, (None,) * 4
+        self.syn = np.empty(n_chk, dtype=np.uint8)
+        self.lam, self.total = np.empty(cols), np.empty(cols)
+        self.hard = np.empty(cols, dtype=bool)
+        self.m_vc, self.m_cv = np.empty(n_slot), np.empty(n_slot)
+        self.state = ctypes.byref(_MinSumState(
+            n_chk, n_var, n_blk,
+            _pointer(g.chk_bounds, n_chk + 1), _pointer(g.edge_var, nnz),
+            *blocks,
+            _pointer(g.var_bounds, n_var + 1), _pointer(g.var_seg_ids, n_var),
+            _pointer(perm, nnz), _pointer(g.var_group_ends, 8),
+            *(a.ctypes.data for a in (self.syn, self.lam, self.hard, self.total, self.m_vc,
+                                      self.m_cv)),
+            scale, LLR_CLAMP, _TOTAL_CLAMP, _R_MAX,
+        ))
 
 
-def _run_compiled(kernel: _Kernel, variant: str, state, m_vc: np.ndarray, max_iter: int,
+def _run_compiled(kernel: _Kernel, variant: str, buf: _Buffers, max_iter: int,
                   test: bool) -> int:
-    """A decode in ``min_sum.c`` on the buffers of ``state``, a ``byref``
-    of a ``_MinSumState`` whose ``m_vc`` is the array ``m_vc``.
+    """A decode in ``min_sum.c`` on the buffers ``buf`` built for ``variant``.
 
     Each iteration writes every slot of ``m_vc`` and ``m_cv``, and ``total``
     and ``hard`` at the columns with edges.  Starting from ``total = lam``,
@@ -508,6 +486,7 @@ def _run_compiled(kernel: _Kernel, variant: str, state, m_vc: np.ndarray, max_it
     with edges before iteration ``it``, else ``max_iter``; in iteration
     ``it`` the messages are written then, and the totals are not.
     """
+    state, m_vc = buf.state, buf.m_vc
     if variant == MIN_SUM:
         return kernel.min_sum_decode(state, max_iter, test)
     v2c, check, c2v = kernel.product_sum_v2c, kernel.product_sum_check, kernel.product_sum_c2v
@@ -520,21 +499,6 @@ def _run_compiled(kernel: _Kernel, variant: str, state, m_vc: np.ndarray, max_it
         arctanh(m_vc, out=m_vc)
         c2v(state)
     return max_iter
-
-
-class _Buffers:
-    """One decoder's buffers on one graph, and the kernel state that points
-    at them.  ``graph`` keeps the kernel graph the state points at alive."""
-
-    def __init__(self, g: TannerGraph, variant: str, scale: float):
-        self.graph = g.min_sum_graph if variant == MIN_SUM else g.product_sum_graph
-        self.syn = np.empty(len(g.chk_seg_starts), dtype=np.uint8)
-        self.lam, self.total = np.empty(g.cols), np.empty(g.cols)
-        self.hard = np.empty(g.cols, dtype=bool)
-        self.m_vc, self.m_cv = np.empty(self.graph.n_slot), np.empty(self.graph.n_slot)
-        self.state = ctypes.byref(_kernel_state(
-            g, self.graph, self.syn, self.lam, self.hard, self.total, self.m_vc, self.m_cv,
-            scale))
 
 
 def _run_numpy(check_update, g: TannerGraph, syn, lam, hard, scale: float, max_iter: int,
@@ -566,6 +530,20 @@ def _llr(priors: np.ndarray, extreme: bool = True, out: np.ndarray | None = None
     else:
         lam = np.log((1.0 - priors) / priors)
     return _clip(lam, LLR_CLAMP, out)
+
+
+def check_max_iter(value) -> int:
+    """``value`` as an int, if it is an integer in [1, ``sys.maxsize``], the
+    largest ``ptrdiff_t``: ctypes would wrap a larger one at the kernel call."""
+    try:
+        max_iter = operator.index(value)
+    except TypeError:
+        raise ValueError(f"max_iter must be an integer, got {value!r}") from None
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if max_iter > sys.maxsize:
+        raise ValueError(f"max_iter must be <= {sys.maxsize}, got {max_iter}")
+    return max_iter
 
 
 def check_min_sum_scale(value) -> float:
@@ -628,8 +606,7 @@ class BpDecoder:
         priors = np.asarray(priors, dtype=float)
         if priors.shape != (h.cols,):
             raise ValueError(f"priors length {priors.shape} != cols {h.cols}")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        max_iter = check_max_iter(max_iter)
         cut, extreme = None, False
         if priors.size:
             lowest, highest = priors.min(), priors.max()
@@ -665,7 +642,7 @@ class BpDecoder:
             last, total, hard = _run_numpy(update, g, syn, lam, hard, self.min_sum_scale,
                                            max_iter, test)
         else:
-            last = _run_compiled(kernel, self.variant, buf.state, buf.m_vc, max_iter, test)
+            last = _run_compiled(kernel, self.variant, buf, max_iter, test)
 
         iterations = -last - 1 if last < 0 else last
         converged = last < 0 or (satisfiable and _segments_match(g, hard, syn))

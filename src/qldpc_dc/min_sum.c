@@ -28,7 +28,7 @@
  * to narrower vectors, with the same bits.
  *
  * Product-sum keeps its messages check-major, one per edge, with no slot
- * layout: its graph has no blocks, and its var_perm lists edges.  The
+ * layout: its state has no blocks, and its var_perm lists edges.  The
  * product of a check's tanh values is np.multiply.reduceat's: the first
  * value, times each later one in turn.
  *
@@ -54,15 +54,19 @@
  * need not round as numpy's does.  The kernel keeps no state between
  * calls.
  *
- * Edges e in [chk_starts[s], chk_starts[s + 1]) belong to check segment s,
- * of column edge_var[e].  Block b holds the slots [blk_starts[b],
- * blk_starts[b + 1]), a multiple of LANES; its lane k runs check segment
- * blk_chk[LANES * b + k] and slot t reads column slot_var[t].  The
- * variables are in a stable order by degree: positions k in
- * [var_starts[v], var_starts[v + 1]) of var_perm list the slots of the
+ * All a call reads is one struct min_sum_state, which bp._Buffers builds
+ * per decoder and graph: the graph's sizes and arrays, the decode's buffers
+ * and its constants.  Edges e in [chk_bounds[s], chk_bounds[s + 1]) belong
+ * to check segment s, of column edge_var[e].  Block b holds the slots
+ * [blk_starts[b], blk_starts[b + 1]), a multiple of LANES; its lane k runs
+ * check segment blk_chk[LANES * b + k] and slot t reads column slot_var[t].
+ * The variables are in a stable order by degree: positions k in
+ * [var_bounds[v], var_bounds[v + 1]) of var_perm list the slots of the
  * edges of variable var_ids[v], and the variables of degree n end at
- * group_ends[n - 1], n = 1..8.  The last segment of each ends at nnz, and
- * every segment holds at least one edge.
+ * group_ends[n - 1], n = 1..8.  Each bounds array ends with the edge
+ * count, and every segment holds at least one edge.  LANES comes from the
+ * build, -DLANES=8 from bp._CFLAGS, so the Python that lays out the slots
+ * and the C that reads them share one value.
  */
 
 #include <math.h>
@@ -70,19 +74,17 @@
 #include <stdint.h>
 #include <string.h>
 
-#define LANES 8 /* checks per block; bp._lanes reads this line */
-
-struct min_sum_graph { /* one per Tanner graph and variant */
-    ptrdiff_t nnz, n_chk, n_var, n_blk;
-    const ptrdiff_t *chk_starts, *edge_var;           /* check-major edges */
-    const ptrdiff_t *blk_starts, *blk_chk, *slot_var; /* blocks of LANES checks */
-    const ptrdiff_t *blk_used;                        /* lanes of each block that run a check */
-    const ptrdiff_t *var_starts, *var_ids, *var_perm; /* variables by degree */
-    const ptrdiff_t *group_ends;                      /* 8 entries */
-};
+#ifndef LANES
+#error "LANES, the checks per block, is not defined: build with -DLANES=8"
+#endif
 
 struct min_sum_state { /* one per decoder and graph */
-    const struct min_sum_graph *graph;
+    ptrdiff_t n_chk, n_var, n_blk;
+    const ptrdiff_t *chk_bounds, *edge_var;           /* check-major edges */
+    const ptrdiff_t *blk_starts, *blk_chk, *slot_var; /* blocks of LANES checks */
+    const ptrdiff_t *blk_used;                        /* lanes of each block that run a check */
+    const ptrdiff_t *var_bounds, *var_ids, *var_perm; /* variables by degree */
+    const ptrdiff_t *group_ends;                      /* 8 entries */
     const unsigned char *syndrome; /* per check segment: its syndrome bit */
     const double *lam;             /* per column: prior LLR */
     unsigned char *hard;           /* per column: hard decision, 0 or 1 */
@@ -97,12 +99,6 @@ static inline double clip(double x, double c)
 {
     x = x > c ? c : x;
     return x < -c ? -c : x;
-}
-
-/* The end of check segment s's edges. */
-static inline ptrdiff_t chk_end(const struct min_sum_graph *g, ptrdiff_t s)
-{
-    return s + 1 < g->n_chk ? g->chk_starts[s + 1] : g->nnz;
 }
 
 /* Every function below that takes or returns a vector is static, so no
@@ -216,9 +212,8 @@ static inline void var_group(const struct min_sum_state *d, ptrdiff_t v0, ptrdif
 {
     if (v0 >= v1)
         return;
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t *restrict ids = g->var_ids;
-    const ptrdiff_t *restrict idx = g->var_perm + g->var_starts[v0];
+    const ptrdiff_t *restrict ids = d->var_ids;
+    const ptrdiff_t *restrict idx = d->var_perm + d->var_bounds[v0];
     const double *restrict m = d->m_cv, *restrict lam = d->lam;
     unsigned char *restrict hard = d->hard;
     double *restrict total = d->total;
@@ -248,10 +243,9 @@ static inline void var_group(const struct min_sum_state *d, ptrdiff_t v0, ptrdif
  */
 static void var_pass(const struct min_sum_state *d)
 {
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t nnz = g->nnz, n_var = g->n_var;
-    const ptrdiff_t *restrict var_starts = g->var_starts, *restrict var_ids = g->var_ids;
-    const ptrdiff_t *restrict var_perm = g->var_perm, *restrict ends = g->group_ends;
+    const ptrdiff_t n_var = d->n_var;
+    const ptrdiff_t *restrict var_bounds = d->var_bounds, *restrict var_ids = d->var_ids;
+    const ptrdiff_t *restrict var_perm = d->var_perm, *restrict ends = d->group_ends;
     const double *restrict lam = d->lam, *restrict m_cv = d->m_cv;
     unsigned char *restrict hard = d->hard;
     double *restrict total = d->total;
@@ -266,8 +260,7 @@ static void var_pass(const struct min_sum_state *d)
     var_group(d, ends[5], ends[6], 7);
     var_group(d, ends[6], ends[7], 8);
     for (ptrdiff_t v = ends[7]; v < n_var; v++) {
-        ptrdiff_t lo = var_starts[v];
-        ptrdiff_t hi = v + 1 < n_var ? var_starts[v + 1] : nnz;
+        ptrdiff_t lo = var_bounds[v], hi = var_bounds[v + 1];
         ptrdiff_t j = var_ids[v];
         double t = clip(lam[j] + var_sum(m_cv, var_perm + lo, hi - lo), total_clamp);
         total[j] = t;
@@ -291,10 +284,9 @@ static void var_pass(const struct min_sum_state *d)
 static int check_pass(const struct min_sum_state *d)
 {
     /* locals, so that stores through the message pointers reload nothing */
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t n_blk = g->n_blk;
-    const ptrdiff_t *restrict blk_starts = g->blk_starts, *restrict blk_chk = g->blk_chk;
-    const ptrdiff_t *restrict blk_used = g->blk_used, *restrict slot_var = g->slot_var;
+    const ptrdiff_t n_blk = d->n_blk;
+    const ptrdiff_t *restrict blk_starts = d->blk_starts, *restrict blk_chk = d->blk_chk;
+    const ptrdiff_t *restrict blk_used = d->blk_used, *restrict slot_var = d->slot_var;
     const unsigned char *restrict syndrome = d->syndrome;
     const double *restrict total = d->total;
     double *restrict m_vc = d->m_vc, *restrict m_cv = d->m_cv;
@@ -365,9 +357,8 @@ ptrdiff_t min_sum_decode(const struct min_sum_state *d, ptrdiff_t max_iter, int 
  */
 int product_sum_v2c(const struct min_sum_state *d)
 {
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t n_chk = g->n_chk;
-    const ptrdiff_t *restrict edge_var = g->edge_var;
+    const ptrdiff_t n_chk = d->n_chk;
+    const ptrdiff_t *restrict chk_bounds = d->chk_bounds, *restrict edge_var = d->edge_var;
     const unsigned char *restrict syndrome = d->syndrome;
     const double *restrict total = d->total, *restrict m_cv = d->m_cv;
     double *restrict x = d->m_vc;
@@ -376,7 +367,7 @@ int product_sum_v2c(const struct min_sum_state *d)
 
     for (ptrdiff_t s = 0, e = 0; s < n_chk; s++) {
         int parity = syndrome[s];
-        for (const ptrdiff_t hi = chk_end(g, s); e < hi; e++) {
+        for (const ptrdiff_t hi = chk_bounds[s + 1]; e < hi; e++) {
             const double t = total[edge_var[e]];
             parity ^= t <= 0.0;
             x[e] = 0.5 * clip(t - m_cv[e], clamp);
@@ -398,15 +389,14 @@ int product_sum_v2c(const struct min_sum_state *d)
  */
 void product_sum_check(const struct min_sum_state *d)
 {
-    const struct min_sum_graph *g = d->graph;
-    const ptrdiff_t n_chk = g->n_chk;
-    const ptrdiff_t *restrict chk_starts = g->chk_starts;
+    const ptrdiff_t n_chk = d->n_chk;
+    const ptrdiff_t *restrict chk_bounds = d->chk_bounds;
     const unsigned char *restrict syndrome = d->syndrome;
     double *restrict m = d->m_vc;
     const double r_max = d->r_max;
 
     for (ptrdiff_t s = 0; s < n_chk; s++) {
-        const ptrdiff_t lo = chk_starts[s], hi = chk_end(g, s);
+        const ptrdiff_t lo = chk_bounds[s], hi = chk_bounds[s + 1];
         double prod = m[lo] == 0.0 ? 1.0 : m[lo];
         ptrdiff_t zeros = m[lo] == 0.0;
         for (ptrdiff_t e = lo + 1; e < hi; e++) {
@@ -430,7 +420,7 @@ void product_sum_check(const struct min_sum_state *d)
  */
 void product_sum_c2v(const struct min_sum_state *d)
 {
-    const ptrdiff_t nnz = d->graph->nnz;
+    const ptrdiff_t nnz = d->chk_bounds[d->n_chk];
     const double *restrict y = d->m_vc;
     double *restrict m_cv = d->m_cv;
     const double clamp = d->clamp;

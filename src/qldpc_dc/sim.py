@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import noise
-from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder, check_min_sum_scale
+from .bp import MIN_SUM, PRODUCT_SUM, BpDecoder, check_max_iter, check_min_sum_scale
 from .codes import BbParams, bb_params, build_bb, build_rotated_surface, known_distance
 from .detmodel import (
     DetectorModel,
@@ -161,6 +161,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.max_iter is not None:
+            check_max_iter(self.max_iter)  # as BpDecoder would, before any model
         if "dc" in self.decoder and self.dc_second_priors is None:
             raise ValueError("dc decoders require an explicit dc_second_priors choice")
 

@@ -6,7 +6,6 @@ brute-force enumeration over all error patterns.
 """
 
 import concurrent.futures
-import ctypes
 import gc
 import hashlib
 import itertools
@@ -30,6 +29,7 @@ from hypothesis import strategies as st
 from helpers import reference_check_major, sparse_matrices
 from qldpc_dc import bp, noise, sim
 from qldpc_dc.bp import MIN_SUM, PRODUCT_SUM, BpDecoder, TannerGraph
+from qldpc_dc.codes import build_rotated_surface
 from qldpc_dc.gf2 import BitVec, SparseBinMatrix, mat_vec_t
 from qldpc_dc.postproc import _dc_rng, dc_cut_indices
 
@@ -645,7 +645,7 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     hard = want_hard.copy()  # the kernel writes into it
     slots = g.min_sum_graph.edge_slot
     # padded slots start as NaN: no real lane and no variable may read them
-    start_cv = np.full(g.min_sum_graph.n_slot, np.nan)
+    start_cv = np.full(len(g.min_sum_graph.slot_var), np.nan)
     start_cv[slots] = m_cv
     got_total, got_vc, got_cv = total.copy(), np.empty_like(start_cv), start_cv.copy()
 
@@ -668,12 +668,20 @@ def test_c_kernel_equals_numpy_kernel(c_kernel, case):
     assert np.array_equal(hard, want_hard)
 
 
+BUFFER_NAMES = ("syn", "lam", "hard", "total", "m_vc", "m_cv")
+
+
 def compiled_run(kernel, variant, g, syn, lam, hard, total, m_vc, m_cv, scale, max_iter, test):
-    """``bp._run_compiled`` on these buffers, on ``g``'s kernel graph for
-    ``variant``."""
-    graph = g.min_sum_graph if variant == MIN_SUM else g.product_sum_graph
-    state = bp._kernel_state(g, graph, syn, lam, hard, total, m_vc, m_cv, scale)
-    return bp._run_compiled(kernel, variant, ctypes.byref(state), m_vc, max_iter, test)
+    """``bp._run_compiled`` on ``bp._Buffers`` of ``g`` for ``variant`` that
+    start as these arrays and end copied back into them."""
+    arrays = (syn, lam, hard, total, m_vc, m_cv)
+    buf = bp._Buffers(g, variant, scale)
+    for name, a in zip(BUFFER_NAMES, arrays):
+        np.copyto(getattr(buf, name), a)
+    last = bp._run_compiled(kernel, variant, buf, max_iter, test)
+    for name, a in zip(BUFFER_NAMES, arrays):
+        np.copyto(a, getattr(buf, name))
+    return last
 
 
 def variable_update(g, lam, total, m_cv):
@@ -733,11 +741,11 @@ def test_c_product_sum_equals_numpy_product_sum(c_kernel, case):
     assert compiled_run(c_kernel, PRODUCT_SUM, g, syndrome, lam, hard, got_total, got_x, got_cv,
                         1.0, 1, test) == 1
     # m_vc ends holding arctanh(y); the kernel's first call wrote 0.5 * m_vc
-    x, start_total, start_cv, start_hard = np.empty(g.nnz), total.copy(), m_cv.copy(), total <= 0
-    state = bp._kernel_state(g, g.product_sum_graph, syndrome, lam, start_hard, start_total, x,
-                             start_cv, 1.0)
-    c_kernel.product_sum_v2c(ctypes.byref(state))
-    assert x.tobytes() == (0.5 * m_vc).tobytes()
+    buf = bp._Buffers(g, PRODUCT_SUM, 1.0)
+    for name, a in zip(BUFFER_NAMES, (syndrome, lam, total <= 0, total, buf.m_vc, m_cv)):
+        np.copyto(getattr(buf, name), a)
+    c_kernel.product_sum_v2c(buf.state)
+    assert buf.m_vc.tobytes() == (0.5 * m_vc).tobytes()
     assert got_cv.tobytes() == want_cv.tobytes()
     assert got_total.tobytes() == want_total.tobytes()
     assert np.array_equal(hard, want_hard)
@@ -900,7 +908,8 @@ def test_band_decodes_land_on_their_totals(c_kernel):
         g = TannerGraph(h)
         syn, lam = syndrome.to_dense()[g.chk_seg_ids], bp._llr(priors)
         hard, total = lam <= 0.0, lam.copy()
-        m_vc, m_cv = np.empty(g.min_sum_graph.n_slot), np.zeros(g.min_sum_graph.n_slot)
+        n_slot = len(g.min_sum_graph.slot_var)
+        m_vc, m_cv = np.empty(n_slot), np.zeros(n_slot)
         for _ in range(3):  # each call runs one more iteration on the same buffers
             assert compiled_run(c_kernel, MIN_SUM, g, syn, lam, hard, total, m_vc, m_cv, scale,
                                 1, False) == 1
@@ -920,6 +929,31 @@ SIGN_CASES = {  # (variant, case, hard bit of both columns)
     "product-sum-2.2e-16": (PRODUCT_SUM, PRODUCT_SUM_BAND, 0),
     "product-sum-zero": (PRODUCT_SUM, ZERO_TOTALS, 1),
 }
+
+
+@pytest.mark.parametrize("kernel", ["c", "numpy"])
+@pytest.mark.parametrize("variant", [MIN_SUM, PRODUCT_SUM])
+def test_max_iter_is_an_integer_the_kernel_takes(request, monkeypatch, variant, kernel):
+    """``max_iter`` is an integer in [1, the largest ``ptrdiff_t``], else
+    ``decode`` raises ValueError.  ctypes once wrapped 2**64 - 5 to -5, and
+    a min-sum decode of this syndrome returned converged after 4
+    iterations; a float failed inside ctypes or ``range``.  The largest
+    value reaches the kernel whole: a zero syndrome converges at once."""
+    if kernel == "c":
+        request.getfixturevalue("c_kernel")
+    else:
+        monkeypatch.setattr(bp, "_load_kernel", lambda: None)
+    dec = BpDecoder(build_rotated_surface(3).hz, variant, 0.625)
+    syndrome, priors = BitVec(4, 0b1111), np.full(9, 0.05)
+    largest = 2 ** (8 * np.dtype(np.intp).itemsize - 1) - 1
+    for bad in (2**64 - 5, largest + 1, 0, -1, 2.5, 5.0, "5", None):
+        with pytest.raises(ValueError, match="max_iter must be"):
+            dec.decode(syndrome, priors, bad)
+    out = dec.decode(BitVec.zeros(4), priors, largest)
+    assert (out.converged, out.iterations_used) == (True, 0)
+    out, want = dec.decode(syndrome, priors, np.int64(3)), dec.decode(syndrome, priors, 3)
+    assert (out.soft.tobytes(), out.hard, out.iterations_used) == (
+        want.soft.tobytes(), want.hard, want.iterations_used)
 
 
 @pytest.mark.parametrize("early_stop", [True, False])
@@ -1024,10 +1058,14 @@ def test_degree_order_is_stable_by_degree(keep):
     """The variable-major view lists the variable segments by degree, then
     by column, each with its own edges in check-major order, and
     ``var_group_ends`` ends each group of degree 1 to 8 after its last
-    variable."""
+    variable.  Both segment arrays have n + 1 bounds, the last one the
+    edge count, and their starts are views of all but the last."""
     g = TannerGraph(ALL_DEGREES, keep)
     starts, ids, perm, ends = g.var_seg_starts, g.var_seg_ids, g.var_perm, g.var_group_ends
-    assert all(a.dtype == np.intp for a in (starts, ids, perm, ends))
+    assert all(a.dtype == np.intp for a in (starts, ids, perm, ends, g.chk_bounds, g.var_bounds))
+    for bounds, seg_starts in ((g.chk_bounds, g.chk_seg_starts), (g.var_bounds, starts)):
+        assert bounds[-1] == g.nnz and seg_starts.base is bounds
+        assert np.array_equal(bounds[:-1], seg_starts)
     deg = np.diff(starts, append=g.nnz)
     columns = np.bincount(g.edge_var, minlength=ALL_DEGREES.cols)
     assert list(zip(deg.tolist(), ids.tolist())) == sorted(
@@ -1048,7 +1086,7 @@ def test_degree_order_is_stable_by_degree(keep):
 ], ids=["all", "cut", "none", "padded", "padded-cut"])
 def test_slot_layout_blocks_checks_by_degree(h, keep):
     """The kernel's check pass sees the checks by degree, then in order,
-    ``_lanes()`` to a block; edge i of the check in lane k of block b has
+    ``LANES`` to a block; edge i of the check in lane k of block b has
     slot ``blk_starts[b] + lanes * i + k``.  Padded lanes run check segment
     0 on column 0, and no variable reads their slots.  The layout is built
     on first use, not with the graph or the decoder."""
@@ -1056,15 +1094,14 @@ def test_slot_layout_blocks_checks_by_degree(h, keep):
     assert "min_sum_graph" not in BpDecoder(fresh, MIN_SUM).graph.__dict__
     g = TannerGraph(h, keep)
     assert "min_sum_graph" not in g.__dict__
-    graph, lanes = g.min_sum_graph, bp._lanes()
-    blk_starts, blk_chk, slot_var, blk_used, slot_perm = graph.arrays
-    assert all(a.dtype == np.intp for a in (graph.edge_slot, *graph.arrays))
+    graph, lanes = g.min_sum_graph, bp.LANES
+    blk_starts, blk_chk, slot_var, blk_used, slot_perm, edge_slot = graph
+    assert all(a.dtype == np.intp for a in graph)
     seg_deg = np.diff(g.chk_seg_starts, append=g.nnz)
     blocks = [(d, checks[i:i + lanes]) for d in np.unique(seg_deg).tolist()
               for checks in [np.flatnonzero(seg_deg == d)] for i in range(0, len(checks), lanes)]
     assert blk_used.tolist() == [len(checks) for _, checks in blocks]
-    assert (graph.nnz, graph.n_chk, graph.n_blk, graph.n_slot) == (
-        g.nnz, len(seg_deg), len(blocks), blk_starts[-1])
+    assert (len(blk_used), len(slot_var)) == (len(blocks), blk_starts[-1])
     assert np.diff(blk_starts).tolist() == [lanes * d for d, _ in blocks]
     want_slot = np.empty(g.nnz, dtype=np.intp)
     for b, (d, checks) in enumerate(blocks):
@@ -1072,13 +1109,13 @@ def test_slot_layout_blocks_checks_by_degree(h, keep):
         assert lane_chk.tolist() == checks.tolist() + [0] * (lanes - len(checks))
         for k, s in enumerate(checks.tolist()):
             want_slot[g.chk_seg_starts[s] + np.arange(d)] = blk_starts[b] + lanes * np.arange(d) + k
-    assert np.array_equal(graph.edge_slot, want_slot)
-    padded = np.ones(graph.n_slot, dtype=bool)
-    padded[graph.edge_slot] = False
+    assert np.array_equal(edge_slot, want_slot)
+    padded = np.ones(len(slot_var), dtype=bool)
+    padded[edge_slot] = False
     assert np.count_nonzero(~padded) == g.nnz
-    assert np.array_equal(slot_var[graph.edge_slot], g.edge_var)
+    assert np.array_equal(slot_var[edge_slot], g.edge_var)
     assert not slot_var[padded].any()
-    assert np.array_equal(slot_perm, graph.edge_slot[g.var_perm])
+    assert np.array_equal(slot_perm, edge_slot[g.var_perm])
 
 
 def test_kernel_keeps_no_state_between_calls(c_kernel):
@@ -1205,6 +1242,25 @@ def test_cpu_flags_is_one_line():
     assert "\n" not in line
 
 
+@pytest.mark.parametrize("native", [True, False], ids=["native", "generic"])
+def test_kernel_compiles_clean_under_all_warnings(tmp_path, native):
+    """``min_sum.c`` builds under ``-Wall -Wextra -Werror`` with the flags
+    of the library, for this CPU and for the generic target; without
+    ``-DLANES`` it stops at its ``#error``."""
+    if shutil.which("gcc") is None:
+        pytest.skip("gcc is not installed")
+    _, cflags = bp._library(bp._KERNEL_SOURCE.read_bytes(), native)
+    assert f"-DLANES={bp.LANES}" in cflags and ("-march=native" in cflags) <= native
+    strict = ["gcc", "-Wall", "-Wextra", "-Werror", str(bp._KERNEL_SOURCE)]
+    proc = subprocess.run([*strict, *cflags, "-o", str(tmp_path / "k.so")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    unset = [flag for flag in cflags if not flag.startswith("-DLANES")]
+    proc = subprocess.run([*strict, *unset, "-o", str(tmp_path / "unset.so")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0 and "#error" in proc.stderr and "LANES" in proc.stderr
+
+
 def test_cached_library_loads_without_a_compiler(c_kernel, tmp_path):
     """A second process finds the library in the cache: it loads the kernel
     with no gcc on its PATH and never imports subprocess."""
@@ -1224,8 +1280,8 @@ def test_cached_library_loads_without_a_compiler(c_kernel, tmp_path):
 
 
 def test_decoder_pickles_after_a_compiled_decode(c_kernel):
-    """The graph's kernel pointers, and the decoder's buffers and kernel
-    state, stay in the process that took them."""
+    """The decoder's buffers and kernel state stay in the process that
+    took them; the graph, pure numpy, goes with its slot layout."""
     for variant in (MIN_SUM, PRODUCT_SUM):
         h = SparseBinMatrix(3, 4, [(0, 1), (1, 2), (2, 3)])
         syndrome = BitVec.from_support(3, [0])
@@ -1233,8 +1289,8 @@ def test_decoder_pickles_after_a_compiled_decode(c_kernel):
         first = dec.decode(syndrome, [0.1] * 4, 20)
         copy = pickle.loads(pickle.dumps(dec))
         assert copy.h._graph is copy.graph
-        assert "min_sum_graph" not in copy.graph.__dict__
-        assert "product_sum_graph" not in copy.graph.__dict__
+        assert ("min_sum_graph" in vars(copy.graph)) == (variant == MIN_SUM)
+        np.testing.assert_equal(vars(copy.graph), vars(dec.graph))
         assert copy._buffers is None
         again = copy.decode(syndrome, [0.1] * 4, 20)
         assert (again.soft.tobytes(), again.hard, again.iterations_used) == (
@@ -1253,7 +1309,7 @@ def test_buffers_are_built_on_the_first_compiled_decode(c_kernel, variant):
     first = dec.decode(syndrome, [0.1] * 4, 20)
     buffers = dec._buffers
     assert buffers is not None and buffers.m_cv.shape == (
-        h._graph.min_sum_graph.n_slot if variant == MIN_SUM else h.nnz,)
+        len(h._graph.min_sum_graph.slot_var) if variant == MIN_SUM else h.nnz,)
     dec.decode(syndrome, [0.1, 0.0, 0.1, 0.1], 20)
     again = dec.decode(syndrome, [0.1] * 4, 20)
     assert dec._buffers is buffers

@@ -458,6 +458,30 @@ class TestDecodeCommand:
         assert not out.exists()
         assert not out.with_name(out.name + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["decode", "simulate"])
+    def test_max_iter_past_ptrdiff_t_rejected(self, tmp_path, capsys, monkeypatch, command):
+        """A ``max_iter`` past the kernel's ``ptrdiff_t`` once wrapped to
+        -5, and ``decode`` printed converged-first-bp for an estimate that
+        misses the syndrome.  Now: one error line, exit 1, no output, and
+        ``simulate`` builds no model."""
+        built = []
+        monkeypatch.setattr(sim, "build_model", built.append)
+        save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
+        (tmp_path / "syn.txt").write_text("1\n1\n1\n1\n")
+        out = tmp_path / "est.txt"
+        if command == "decode":
+            argv = ["--dcm", str(tmp_path / "hz.txt"), "--syndrome", str(tmp_path / "syn.txt")]
+        else:
+            argv = ["--code", "surface:3", "--noise", "code-capacity", "--p", "0.02",
+                    "--decoder", "bp", "--trials", "5"]
+        assert run_cli(command, *argv, "--bp-variant", "min-sum",
+                       "--max-iter", str(2**64 - 5), "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: max_iter must be <= {2**63 - 1}, got {2**64 - 5}\n"
+        assert captured.out == "" and built == []
+        assert not out.exists()
+        assert not out.with_name(out.name + ".manifest.json").exists()
+
     def test_negative_min_sum_scale_rejected(self, tmp_path, capsys):
         save_triplet(build_rotated_surface(3).hz, tmp_path / "hz.txt")
         (tmp_path / "syn.txt").write_text("1\n0\n0\n0\n")

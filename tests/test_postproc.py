@@ -206,26 +206,40 @@ class TestBpDcDecode:
         assert in_rowspace(res.estimate ^ e, self.code.hx)
 
     def test_masking_modes_agree_per_trial(self):
-        code = build_bb(bb_params(6, 6))
-        model = code_capacity_model(code, 0.05)
-        outcomes = []
-        for mode in (MaskingMode.ZERO_PRIORS, MaskingMode.DELETE_COLUMNS):
-            run = []
-            for t in range(120):
-                rng = noise.trial_rng(5, t)
-                sample = noise.make_trial(model, rng)
-                cfg = DcConfig(
-                    second_run_priors=SecondRunPriors.RESET_TO_PRIOR,
-                    rng_seed=t,
-                    masking_mode=mode,
-                )
-                res = bp_dc_decode(
-                    code.hz, code.hx, sample.syndrome, model.priors, 72, cfg,
-                    variant=MIN_SUM, min_sum_scale=1.0,
-                )
-                run.append((res.status, res.estimate))
-            outcomes.append(run)
-        assert outcomes[0] == outcomes[1]
+        """Zeroed priors and deleted columns give every trial the same
+        status and estimate: min-sum with reset priors on bb:6,6, and
+        product-sum with posterior priors on surface:5, with and without
+        OSD-0 after the cut (257 of the 600 trials take the DC path, and
+        two of them reach OSD-0)."""
+        cases = [  # (code, p, trials, max_iter, variant, second-run priors, osd)
+            (build_bb(bb_params(6, 6)), 0.05, 120, 72, MIN_SUM, SecondRunPriors.RESET_TO_PRIOR,
+             False),
+            *((build_rotated_surface(5), 0.06, 600, 25, PRODUCT_SUM, SecondRunPriors.POSTERIOR,
+               osd) for osd in (False, True)),
+        ]
+        for code, p, trials, max_iter, variant, second_run_priors, osd in cases:
+            model = code_capacity_model(code, p)
+            outcomes = []
+            for mode in (MaskingMode.ZERO_PRIORS, MaskingMode.DELETE_COLUMNS):
+                run = []
+                for t in range(trials):
+                    rng = noise.trial_rng(5, t)
+                    sample = noise.make_trial(model, rng)
+                    cfg = DcConfig(
+                        second_run_priors=second_run_priors,
+                        rng_seed=t,
+                        masking_mode=mode,
+                    )
+                    res = run_pipeline(
+                        BpDecoder(code.hz, variant, 1.0), sample.syndrome, model.priors,
+                        max_iter, code.hx, cfg, osd=osd,
+                    )
+                    run.append((res.status, res.estimate))
+                outcomes.append(run)
+            assert outcomes[0] == outcomes[1]
+            statuses = collections.Counter(status for status, _ in outcomes[0])
+            assert statuses[DecodeStatus.CONVERGED_AFTER_DC] > 0
+            assert statuses[DecodeStatus.CONVERGED_AFTER_OSD] == (2 if osd else 0)
 
     def test_masking_modes_agree_with_a_given_decoder(self):
         # a given decoder's BP settings drive both second runs; the

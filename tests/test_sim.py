@@ -205,7 +205,7 @@ class TestRunTrials:
             raise AssertionError("the graph or its kernel layout was built again")
 
         monkeypatch.setattr(bp, "TannerGraph", rebuilt)
-        monkeypatch.setattr(bp, "_MinSumGraph", rebuilt)
+        monkeypatch.setattr(bp, "_SlotLayout", rebuilt)
         single = run_trials(cfg, model)
         assert run_trials(dataclasses.replace(cfg, threads=2), model) == single
         assert single.failures_logical + single.failures_nonconvergent > 0
